@@ -7,7 +7,9 @@ from .dynamics import (
     SingleExcitationAmplitudes,
     amplitudes_closed_form,
     closed_form_state,
+    closed_form_states,
     evolve_numeric,
+    evolve_numeric_states,
     hermitian_eigendecompose,
     oracle_equivalence_report,
     phase_aligned_distance,
@@ -21,6 +23,7 @@ from .entanglement import (
     closed_form_c34,
     concurrence_gap,
     gap_from_state,
+    pair_concurrences,
     partial_trace_pair,
     single_excitation_concurrence,
     state_concurrence,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -23,6 +24,7 @@ import numpy as np
 from .dynamics import (
     amplitudes_closed_form,
     closed_form_state,
+    closed_form_states,
     evolve_numeric,
     hermitian_eigendecompose,
     oracle_equivalence_report,
@@ -30,11 +32,13 @@ from .dynamics import (
 )
 from .entanglement import (
     ALL_PAIRS,
+    SCAN_PAIRS,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
     concurrence_gap,
     gap_from_state,
+    pair_concurrences,
     state_concurrence,
 )
 from .errors import ConfigError, NumericalHealthError, TriplaqError
@@ -78,6 +82,9 @@ class SweepConfig:
     threshold: float = 1e-3
 
     def __post_init__(self):
+        for name in ("t_min", "t_max", "j_min", "j_max", "d", "threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_steps < 2 or self.j_steps < 2:
             raise ConfigError("t_steps and j_steps must both be at least 2")
         if not self.t_min < self.t_max:
@@ -410,34 +417,38 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     checks["oracle_equivalence"] = oracle.max_deviation < 1e-9
     checks["negative_control_detects_swap"] = control.max_deviation > 1e-2
 
-    # Closed-form comparison, monogamy and W-scan share one grid sweep.
+    # Closed-form comparison, monogamy and W-scan share one grid sweep, run
+    # one t-row at a time so the batches stay small.
     d12 = d34 = d13 = 0.0
     d12_sq = d34_sq = 0.0
     d13_vs_24 = gap_identity = monogamy_excess = 0.0
     wstate_candidates = []
+    js = cfg.j_grid()
+    col = {pair: k for k, pair in enumerate(ALL_PAIRS)}
+    scan_cols = [col[pair] for pair in SCAN_PAIRS]
+    i12, i34, i13, i24 = scan_cols
+    site_cols = [[col[pair] for pair in ALL_PAIRS if site in pair]
+                 for site in range(1, 5)]
     for t in cfg.t_grid():
-        for J in cfg.j_grid():
-            t_f, j_f = float(t), float(J)
-            psi = closed_form_state(t_f, j_f, cfg.d)
-            c = {pair: state_concurrence(psi, pair) for pair in ALL_PAIRS}
-            p12, p34 = closed_form_c12(t_f, j_f), closed_form_c34(t_f, j_f)
-            p13 = closed_form_c13(t_f, j_f)
-            d12 = max(d12, abs(c[(1, 2)] - p12))
-            d34 = max(d34, abs(c[(3, 4)] - p34))
-            d13 = max(d13, abs(c[(1, 3)] - p13))
-            d12_sq = max(d12_sq, abs(c[(1, 2)] ** 2 - p12))
-            d34_sq = max(d34_sq, abs(c[(3, 4)] ** 2 - p34))
-            d13_vs_24 = max(d13_vs_24, abs(c[(1, 3)] - c[(2, 4)]))
-            gap_identity = max(gap_identity,
-                               abs(concurrence_gap(t_f, j_f) - (p34 - p12)))
-            for site in range(1, 5):
-                total = sum(c[pair] ** 2 for pair in ALL_PAIRS if site in pair)
-                monogamy_excess = max(monogamy_excess, total - 1.0)
-            dev = max(abs(c[pair] - 0.5) for pair in
-                      ((1, 2), (3, 4), (1, 3), (2, 4)))
-            if dev < cfg.threshold:
-                wstate_candidates.append({"t": t_f, "j": j_f,
-                                          "max_deviation_from_half": dev})
+        t_f = float(t)
+        c = pair_concurrences(closed_form_states(t_f, js, cfg.d), ALL_PAIRS)
+        p12, p34 = closed_form_c12(t_f, js), closed_form_c34(t_f, js)
+        p13 = closed_form_c13(t_f, js)
+        d12 = max(d12, float(np.abs(c[:, i12] - p12).max()))
+        d34 = max(d34, float(np.abs(c[:, i34] - p34).max()))
+        d13 = max(d13, float(np.abs(c[:, i13] - p13).max()))
+        d12_sq = max(d12_sq, float(np.abs(c[:, i12] ** 2 - p12).max()))
+        d34_sq = max(d34_sq, float(np.abs(c[:, i34] ** 2 - p34).max()))
+        d13_vs_24 = max(d13_vs_24, float(np.abs(c[:, i13] - c[:, i24]).max()))
+        gap_identity = max(gap_identity, float(
+            np.abs(concurrence_gap(t_f, js) - (p34 - p12)).max()))
+        for cols in site_cols:
+            monogamy_excess = max(monogamy_excess,
+                                  float((c[:, cols] ** 2).sum(axis=1).max()) - 1.0)
+        dev = np.abs(c[:, scan_cols] - 0.5).max(axis=1)
+        for j in np.flatnonzero(dev < cfg.threshold):
+            wstate_candidates.append({"t": t_f, "j": float(js[j]),
+                                      "max_deviation_from_half": float(dev[j])})
     results["closed_form_comparison"] = {
         "max_abs_diff_c12": d12, "max_abs_diff_c34": d34, "max_abs_diff_c13": d13,
         "max_abs_diff_c12_vs_square": d12_sq, "max_abs_diff_c34_vs_square": d34_sq,

@@ -15,13 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import closed_form_state
+from .dynamics import closed_form_state, closed_form_states
 from .entanglement import (
     SCAN_PAIRS,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
     concurrence_gap,
+    pair_concurrences,
     state_concurrence,
 )
 
@@ -347,11 +348,13 @@ def wstate_scan(t_range, J_range, resolution: int = 32,
     js = np.linspace(J_lo, J_hi, n_j) if J_hi > J_lo else np.array([J_lo])
     out = []
     for t in ts:
-        for J in js:
-            cand = wstate_candidate_from_state(
-                closed_form_state(float(t), float(J)), t=float(t), J=float(J))
-            if cand.max_deviation_from_half < threshold:
-                out.append(cand)
+        cs = pair_concurrences(closed_form_states(float(t), js), SCAN_PAIRS)
+        dev = np.abs(cs - 0.5).max(axis=1)
+        for j in np.flatnonzero(dev < threshold):
+            out.append(WStateCandidate(
+                t=float(t), J=float(js[j]),
+                concurrences=tuple(float(c) for c in cs[j]),
+                max_deviation_from_half=float(dev[j])))
     return out
 
 

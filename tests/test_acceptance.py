@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from triplaq.cli_io import main
-from triplaq.dynamics import closed_form_state, evolve_numeric, \
-    hermitian_eigendecompose, oracle_equivalence_report
+from triplaq.dynamics import closed_form_state, closed_form_states, \
+    evolve_numeric, hermitian_eigendecompose, oracle_equivalence_report
 from triplaq.entanglement import (
     ALL_PAIRS,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
     concurrence_gap,
+    pair_concurrences,
     state_concurrence,
 )
 from triplaq.qst_analysis import (
@@ -59,19 +60,20 @@ def _status(number, name, ok, detail=""):
 def grid_sweep():
     """Shared 129 x 65 sweep over t in [0, 4pi], J in [0, 2].
 
-    Returns per-point Wootters concurrences for all six pairs plus the three
-    closed-form signals.
+    Returns per-point Wootters concurrences for all six pairs, from the
+    batched grid engine, plus the three closed-form signals.
     """
     ts = np.linspace(0.0, 4 * np.pi, 129)
     js = np.linspace(0.0, 2.0, 65)
     points = []
     for t in ts:
-        for J in js:
-            t_f, j_f = float(t), float(J)
-            psi = closed_form_state(t_f, j_f)
-            conc = {pair: state_concurrence(psi, pair) for pair in ALL_PAIRS}
+        t_f = float(t)
+        row = pair_concurrences(closed_form_states(t_f, js), ALL_PAIRS)
+        for J, conc in zip(js, row):
+            j_f = float(J)
             points.append({
-                "t": t_f, "J": j_f, "conc": conc,
+                "t": t_f, "J": j_f,
+                "conc": {pair: float(c) for pair, c in zip(ALL_PAIRS, conc)},
                 "p12": float(closed_form_c12(t_f, j_f)),
                 "p34": float(closed_form_c34(t_f, j_f)),
                 "p13": float(closed_form_c13(t_f, j_f)),

@@ -47,6 +47,27 @@ class TestSweepConfig:
         cfg = config_from_text("# comment\nt_steps = 65\n")
         assert cfg.t_steps == 65
 
+    @pytest.mark.parametrize("field", ["t_min", "t_max", "j_min", "j_max", "d",
+                                       "threshold"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SweepConfig(**{field: value})
+
+
+@pytest.mark.parametrize("command", ["report", "surface", "evolve", "wstate"])
+@pytest.mark.parametrize("flags", [("--t-range", "0:inf:5"), ("--j-range", "0:inf:5"),
+                                   ("--t-range", "nan:1:5"), ("--d", "inf"),
+                                   ("--threshold", "nan")])
+def test_non_finite_input_is_exit_1(tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    code = main([command, *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "must be finite" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
 
 class TestGeometryResolution:
     def test_builtin_names(self):

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from triplaq.dynamics import (
+    EigenDecomposition,
+    _phase_aligned_distances,
     amplitudes_closed_form,
     closed_form_state,
+    closed_form_states,
     evolve_numeric,
+    evolve_numeric_states,
     hermitian_eigendecompose,
     oracle_equivalence_report,
     phase_aligned_distance,
 )
-from triplaq.errors import ContractViolationError
+from triplaq.errors import ContractViolationError, NormalizationError, NumericalHealthError
 from triplaq.spin_core import (
     build_hamiltonian,
     default_plaquette,
@@ -57,6 +61,8 @@ class TestClosedForm:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             amplitudes_closed_form(-0.1, 0.0)
+        with pytest.raises(ValueError):
+            closed_form_states(np.array([0.0, -0.1]), 0.5)
 
     def test_rescaling_identity(self):
         for (t, J, D) in ((1.3, 0.7, 2.5), (4.0, 1.9, 0.3)):
@@ -155,13 +161,67 @@ class TestPropagation:
             assert sector_leak(psi) < 1e-12
 
     def test_norm_drift_raises(self):
-        from triplaq.dynamics import EigenDecomposition
-        from triplaq.errors import NumericalHealthError
         H = build_hamiltonian(default_plaquette(J=0.5))
         good = hermitian_eigendecompose(H)
         broken = EigenDecomposition(good.eigenvalues, 0.9 * good.eigenvectors)
         with pytest.raises(NumericalHealthError, match="norm"):
             evolve_numeric(H, initial_bell_state(), 1.0, decomp=broken)
+
+
+class TestGridEngine:
+    """The batched routes against the per-point routes they replace."""
+
+    TS = np.linspace(0.0, 4 * np.pi, 129)
+    JS = np.linspace(0.0, 2.0, 65)
+
+    def test_closed_form_states_bit_identical(self):
+        pointwise = np.array([[closed_form_state(float(t), float(J)) for J in self.JS]
+                              for t in self.TS])
+        for i, t in enumerate(self.TS):
+            assert np.array_equal(closed_form_states(float(t), self.JS), pointwise[i])
+        grid = closed_form_states(self.TS[:, None], self.JS[None, :])
+        assert grid.shape == (129, 65, 16)
+        assert np.array_equal(grid, pointwise)
+
+    def test_closed_form_states_offscale_d(self):
+        for t in (0.0, 1.3, 9.7):
+            row = closed_form_states(t, self.JS, 2.5)
+            for J, psi in zip(self.JS, row):
+                assert np.array_equal(psi, closed_form_state(t, float(J), 2.5))
+
+    def test_closed_form_states_reject_non_finite(self):
+        with pytest.raises(NormalizationError):
+            closed_form_states(1.0, np.array([0.5, np.nan]))
+
+    @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
+    def test_batched_propagation_matches_pointwise(self, factory):
+        psi0 = initial_bell_state()
+        ts = np.arange(0.0, 8 * np.pi + 1e-12, np.pi / 64)
+        for J in (0.0, 0.5, 2.0 / 3.0, 1.0, 2.0):
+            H = build_hamiltonian(factory(J))
+            dec = hermitian_eigendecompose(H)
+            batch = evolve_numeric_states(H, psi0, ts)
+            pointwise = np.array([evolve_numeric(H, psi0, float(t), decomp=dec)
+                                  for t in ts])
+            assert batch.shape == (ts.size, 16)
+            assert np.abs(batch - pointwise).max() <= 1e-14
+
+    def test_batched_norm_drift_raises(self):
+        H = build_hamiltonian(default_plaquette(J=0.5))
+        good = hermitian_eigendecompose(H)
+        broken = EigenDecomposition(good.eigenvalues, 0.9 * good.eigenvectors)
+        with pytest.raises(NumericalHealthError, match="norm"):
+            evolve_numeric_states(H, initial_bell_state(), [0.0, 1.0], decomp=broken)
+
+    def test_vectorized_phase_aligned_distance(self):
+        rng = np.random.default_rng(11)
+        psi = rng.normal(size=(6, 16)) + 1j * rng.normal(size=(6, 16))
+        ref = np.exp(0.3j) * psi + 1e-3 * rng.normal(size=(6, 16))
+        psi[1] = 0.0                 # zero numerator
+        ref[2] = 0.0                 # zero reference
+        expected = [phase_aligned_distance(a, b) for a, b in zip(psi, ref)]
+        np.testing.assert_allclose(_phase_aligned_distances(psi, ref), expected,
+                                   rtol=1e-14, atol=1e-15)
 
 
 class TestOracle:

@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from triplaq.dynamics import amplitudes_closed_form, closed_form_state
+from triplaq.dynamics import (
+    amplitudes_closed_form,
+    closed_form_state,
+    closed_form_states,
+    evolve_numeric,
+    hermitian_eigendecompose,
+)
 from triplaq.entanglement import (
     ALL_PAIRS,
     closed_form_c12,
@@ -11,13 +17,19 @@ from triplaq.entanglement import (
     closed_form_c34,
     concurrence_gap,
     gap_from_state,
+    pair_concurrences,
     partial_trace_pair,
     single_excitation_concurrence,
     state_concurrence,
     wootters_concurrence,
 )
 from triplaq.errors import ContractViolationError, NumericalHealthError
-from triplaq.spin_core import embed_single_excitation, initial_bell_state
+from triplaq.spin_core import (
+    build_hamiltonian,
+    embed_single_excitation,
+    initial_bell_state,
+    swapped_control_plaquette,
+)
 
 RT2 = 1 / np.sqrt(2)
 
@@ -93,6 +105,68 @@ class TestPartialTrace:
     def test_bad_pairs_rejected(self, pair):
         with pytest.raises(ValueError):
             partial_trace_pair(initial_bell_state(), pair)
+
+
+def _small_c12_state():
+    """Swapped-control state at t = pi, J = 0.035 (a surface-sweep grid point)
+    whose (1,2) concurrence is ~9.25e-7."""
+    t = float(np.linspace(0.0, 4 * np.pi, 5)[1])
+    J = float(np.linspace(0.0, 2.0, 401)[7])
+    H = build_hamiltonian(swapped_control_plaquette(J))
+    return evolve_numeric(H, initial_bell_state(), t, decomp=hermitian_eigendecompose(H))
+
+
+class TestPairConcurrences:
+    def test_matches_scalar_route_on_default_grid(self):
+        ts = np.linspace(0.0, 4 * np.pi, 129)
+        js = np.linspace(0.0, 2.0, 65)
+        worst = 0.0
+        for t in ts:
+            states = closed_form_states(float(t), js)
+            batch = pair_concurrences(states, ALL_PAIRS)
+            scalar = [[state_concurrence(psi, pair) for pair in ALL_PAIRS]
+                      for psi in states]
+            worst = max(worst, float(np.abs(batch - scalar).max()))
+        assert worst <= 1e-14
+
+    def test_general_pure_states(self):
+        rng = np.random.default_rng(12)
+        psi = rng.normal(size=(20, 16)) + 1j * rng.normal(size=(20, 16))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        batch = pair_concurrences(psi, ALL_PAIRS)
+        assert batch.shape == (20, 6)
+        for k, pair in enumerate(ALL_PAIRS):
+            expected = [reference_concurrence(partial_trace_pair(p, pair).matrix)
+                        for p in psi]
+            np.testing.assert_allclose(batch[:, k], expected, atol=1e-10)
+
+    def test_shapes_and_pair_order(self):
+        psi = closed_form_state(1.1, 0.3)
+        one = pair_concurrences(psi, ((3, 4), (1, 2)))
+        assert one.shape == (2,)
+        assert one[0] == pytest.approx(state_concurrence(psi, (3, 4)), abs=1e-14)
+        assert one[1] == pytest.approx(state_concurrence(psi, (1, 2)), abs=1e-14)
+        assert pair_concurrences(np.stack([[psi] * 3] * 2)).shape == (2, 3, 6)
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ValueError):
+            pair_concurrences(np.zeros(8))
+        with pytest.raises(ValueError):
+            pair_concurrences(initial_bell_state(), ((2, 1),))
+
+    def test_small_concurrence_matches_sector_shortcut(self):
+        psi = _small_c12_state()
+        shortcut = 2.0 * abs(psi[8]) * abs(psi[4])   # sites 1 and 2
+        assert 9.2e-7 < shortcut < 9.3e-7
+        assert pair_concurrences(psi, ((1, 2),))[0] == pytest.approx(shortcut, rel=1e-8)
+
+    @pytest.mark.xfail(strict=True, reason="the quartic route deflates roots "
+                       "below 1e-12 of the coefficient scale, flushing "
+                       "concurrences under ~1e-6 to 0")
+    def test_scalar_route_flushes_small_concurrence(self):
+        psi = _small_c12_state()
+        shortcut = 2.0 * abs(psi[8]) * abs(psi[4])
+        assert state_concurrence(psi, (1, 2)) == pytest.approx(shortcut, rel=1e-8)
 
 
 class TestWootters:
