@@ -61,6 +61,7 @@ from .spin_core import (
     build_hamiltonian,
     default_plaquette,
     embed_single_excitation,
+    embed_single_excitations,
     initial_bell_state,
     norm_error,
     parse_geometry_text,

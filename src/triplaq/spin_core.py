@@ -35,6 +35,9 @@ DIM = 2 ** N_SITES
 #: Basis indices of the single-excitation sector, ordered
 #: (|0001>, |0010>, |0100>, |1000>).
 SINGLE_EXCITATION_INDICES = (1, 2, 4, 8)
+_SECTOR_SLOTS = np.array(SINGLE_EXCITATION_INDICES)
+_OFF_SECTOR = np.ones(DIM, dtype=bool)
+_OFF_SECTOR[_SECTOR_SLOTS] = False
 
 #: Site whose excitation each single-excitation basis slot represents.
 SITE_OF_SLOT = (4, 3, 2, 1)
@@ -235,12 +238,22 @@ def embed_single_excitation(amplitudes) -> np.ndarray:
     vec = np.asarray(tuple(amps), dtype=complex)
     if vec.shape != (4,):
         raise ValueError(f"expected 4 amplitudes, got shape {vec.shape}")
-    norm_sq = float(np.sum(np.abs(vec) ** 2))
-    if abs(norm_sq - 1.0) > 1e-10:
+    return embed_single_excitations(vec)
+
+
+def embed_single_excitations(amplitudes) -> np.ndarray:
+    """Lift a (..., 4) stack of single-excitation amplitudes to (..., 16).
+
+    Every row must be normalized to 1e-10 (a NaN row is not); the worst
+    deficit is reported otherwise.
+    """
+    vec = np.asarray(amplitudes, dtype=complex)
+    norm_defect = np.abs(np.sum(np.abs(vec) ** 2, axis=-1) - 1.0)
+    if not (norm_defect <= 1e-10).all():
         raise NormalizationError(
-            f"single-excitation amplitudes have |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
-    psi = np.zeros(DIM, dtype=complex)
-    psi[list(SINGLE_EXCITATION_INDICES)] = vec
+            f"single-excitation amplitudes have |norm^2 - 1| = {np.max(norm_defect):.3e}")
+    psi = np.zeros(vec.shape[:-1] + (DIM,), dtype=complex)
+    psi[..., _SECTOR_SLOTS] = vec
     return psi
 
 
@@ -257,9 +270,7 @@ def norm_error(psi: np.ndarray) -> float:
 
 def sector_leak(psi: np.ndarray) -> float:
     """Largest amplitude magnitude outside the single-excitation sector."""
-    mask = np.ones(DIM, dtype=bool)
-    mask[list(SINGLE_EXCITATION_INDICES)] = False
-    return float(np.abs(np.asarray(psi)[mask]).max())
+    return float(np.abs(np.asarray(psi)[_OFF_SECTOR]).max())
 
 
 # ---------------------------------------------------------------------------

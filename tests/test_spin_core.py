@@ -10,6 +10,7 @@ from triplaq.spin_core import (
     build_hamiltonian,
     default_plaquette,
     embed_single_excitation,
+    embed_single_excitations,
     format_geometry_text,
     initial_bell_state,
     parse_geometry_text,
@@ -204,6 +205,19 @@ class TestEmbedding:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             embed_single_excitation((1.0, 0.0))
+
+    def test_nan_amplitudes_rejected(self):
+        with pytest.raises(NormalizationError, match="nan"):
+            embed_single_excitation((np.nan, 0.0, 0.0, 1.0))
+
+    def test_stack_matches_rows(self):
+        rows = [(1, 0, 0, 0), (0.5, 0.5, 0.5, 0.5), (0.6j, 0, 0.8, 0)]
+        stack = embed_single_excitations(np.array(rows).reshape(3, 1, 4))
+        assert stack.shape == (3, 1, 16)
+        for row, psi in zip(rows, stack[:, 0]):
+            assert np.array_equal(psi, embed_single_excitation(row))
+        with pytest.raises(NormalizationError, match="norm"):
+            embed_single_excitations([(1, 0, 0, 0), (1, 1, 0, 0)])
 
 
 class TestGeometryText:
