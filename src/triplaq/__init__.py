@@ -7,9 +7,7 @@ from .dynamics import (
     SingleExcitationAmplitudes,
     amplitudes_closed_form,
     closed_form_state,
-    closed_form_states,
     evolve_numeric,
-    evolve_numeric_states,
     hermitian_eigendecompose,
     oracle_equivalence_report,
     phase_aligned_distance,
@@ -17,7 +15,6 @@ from .dynamics import (
 from .entanglement import (
     ConcurrenceRecord,
     ReducedDensityMatrix,
-    all_pair_concurrences,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
@@ -61,7 +58,6 @@ from .spin_core import (
     build_hamiltonian,
     default_plaquette,
     embed_single_excitation,
-    embed_single_excitations,
     initial_bell_state,
     norm_error,
     parse_geometry_text,

@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
-    amplitudes_closed_form,
+    TIME_CHUNK,
     closed_form_state,
-    closed_form_states,
     evolve_numeric,
     hermitian_eigendecompose,
     oracle_equivalence_report,
@@ -53,6 +52,7 @@ from .qst_analysis import (
     wstate_scan,
 )
 from .spin_core import (
+    SINGLE_EXCITATION_INDICES,
     build_hamiltonian,
     default_plaquette,
     embed_single_excitation,
@@ -223,24 +223,25 @@ _EVOLVE_HEADER = [
 def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
     """Closed-form trajectory at fixed J with the numeric-route deviation."""
     geom = resolve_geometry(cfg.geometry, J, cfg.d)
-    H = build_hamiltonian(geom)
-    decomp = hermitian_eigendecompose(H)
+    decomp = hermitian_eigendecompose(build_hamiltonian(geom))
     psi0 = initial_bell_state()
+    ts = cfg.t_grid()
     rows = []
     worst_dev = worst_norm = worst_leak = 0.0
-    for t in cfg.t_grid():
-        amps = amplitudes_closed_form(float(t), J, cfg.d)
-        psi_c = embed_single_excitation(amps)
-        psi_n = evolve_numeric(H, psi0, float(t), decomp=decomp)
+    for lo in range(0, ts.size, TIME_CHUNK):
+        t = ts[lo:lo + TIME_CHUNK]
+        psi_c = closed_form_state(t, J, cfg.d)
+        psi_n = evolve_numeric(decomp, psi0, t)
         dev = phase_aligned_distance(psi_n, psi_c)
         nerr, leak = norm_error(psi_n), sector_leak(psi_n)
-        worst_dev, worst_norm = max(worst_dev, dev), max(worst_norm, nerr)
-        worst_leak = max(worst_leak, leak)
-        a = amps.amplitudes
-        rows.append([float(t)]
-                    + [part for amp in a for part in (amp.real, amp.imag)]
-                    + [abs(amp) for amp in a]
-                    + [nerr, leak, dev])
+        worst_dev = max(worst_dev, float(dev.max()))
+        worst_norm = max(worst_norm, float(nerr.max()))
+        worst_leak = max(worst_leak, float(leak.max()))
+        amps = psi_c[:, SINGLE_EXCITATION_INDICES]
+        re, im = amps.real, amps.imag
+        # np.hypot rounds like Python's abs() of a complex; np.abs can be 1 ulp off
+        rows += np.column_stack([t, np.stack([re, im], axis=-1).reshape(-1, 8),
+                                 np.hypot(re, im), nerr, leak, dev]).tolist()
     payload = {"columns": _EVOLVE_HEADER, "rows": rows, "J": J, "D": cfg.d,
                "geometry": cfg.geometry}
     _write_table(cfg.out, cfg.fmt, _EVOLVE_HEADER, rows, payload)
@@ -255,17 +256,6 @@ _SIGNAL_COLUMNS = {
     "C24": ("c24_wootters",),
     "GAP": ("gap_closed_form", "gap_from_states"),
 }
-
-
-def _surface_state(cfg: SweepConfig, t: float, J: float,
-                   decomp_cache: dict) -> np.ndarray:
-    if cfg.geometry == "default":
-        return closed_form_state(t, J, cfg.d)
-    if J not in decomp_cache:
-        H = build_hamiltonian(resolve_geometry(cfg.geometry, J, cfg.d))
-        decomp_cache[J] = (H, hermitian_eigendecompose(H))
-    H, decomp = decomp_cache[J]
-    return evolve_numeric(H, initial_bell_state(), t, decomp=decomp)
 
 
 def cmd_surface(cfg: SweepConfig, signals) -> dict:
@@ -285,12 +275,20 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
     header = ["t", "j"]
     for s in ordered:
         header.extend(_SIGNAL_COLUMNS[s])
+    ts, js = cfg.t_grid(), cfg.j_grid()
+    if cfg.geometry == "default":
+        states = closed_form_state(ts[:, None], js, cfg.d)
+    else:
+        psi0 = initial_bell_state()
+        per_j = []
+        for J in js:
+            H = build_hamiltonian(resolve_geometry(cfg.geometry, float(J), cfg.d))
+            per_j.append(evolve_numeric(hermitian_eigendecompose(H), psi0, ts))
+        states = np.stack(per_j, axis=1)
     rows = []
-    cache: dict = {}
-    for t in cfg.t_grid():
-        for J in cfg.j_grid():
+    for t, row_states in zip(ts, states):
+        for J, psi in zip(js, row_states):
             t_f, j_f = float(t), float(J)
-            psi = _surface_state(cfg, t_f, j_f, cache)
             row = [t_f, j_f]
             for s in ordered:
                 if s == "C12":
@@ -360,6 +358,8 @@ def _event_dict(e) -> dict:
 
 
 def cmd_events(cfg: SweepConfig, resolution: int) -> dict:
+    if resolution < 64:
+        raise ConfigError(f"--resolution must be at least 64 points per pi, got {resolution}")
     events = locate_events_2d((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max),
                               resolution)
     payload = {"events": [_event_dict(e) for e in events], "count": len(events)}
@@ -372,6 +372,8 @@ def cmd_events(cfg: SweepConfig, resolution: int) -> dict:
 
 
 def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
+    if t_max_scan < 2.0 * np.pi:
+        raise ConfigError(f"--t-max must cover at least 2*pi, got {t_max_scan}")
     results = forbidden_J_scan(j_values, t_max_scan)
     payload = {"t_max": t_max_scan,
                "results": [asdict(r) for r in results]}
@@ -383,6 +385,8 @@ def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
 
 
 def cmd_wstate(cfg: SweepConfig, resolution: int) -> dict:
+    if resolution < 1:
+        raise ConfigError(f"--resolution must be at least 1, got {resolution}")
     cands = wstate_scan((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max),
                         resolution, cfg.threshold)
     payload = {"threshold": cfg.threshold,
@@ -431,7 +435,7 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
                  for site in range(1, 5)]
     for t in cfg.t_grid():
         t_f = float(t)
-        c = pair_concurrences(closed_form_states(t_f, js, cfg.d), ALL_PAIRS)
+        c = pair_concurrences(closed_form_state(t_f, js, cfg.d), ALL_PAIRS)
         p12, p34 = closed_form_c12(t_f, js), closed_form_c34(t_f, js)
         p13 = closed_form_c13(t_f, js)
         d12 = max(d12, float(np.abs(c[:, i12] - p12).max()))
@@ -513,15 +517,15 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     checks["all_events_confirmed"] = all(e.confirmed for e in events)
 
     # Conservation along numeric trajectories.
+    # 128 times, so one propagation batch of TIME_CHUNK per coupling
     worst_norm = worst_leak = 0.0
     psi0 = initial_bell_state()
+    ts = np.arange(0.0, 4.0 * np.pi, np.pi / 32.0)
     for J in (0.0, 0.5, 1.0, 2.0):
         H = build_hamiltonian(resolve_geometry(cfg.geometry, J, cfg.d))
-        decomp = hermitian_eigendecompose(H)
-        for t in np.arange(0.0, 4.0 * np.pi, np.pi / 32.0):
-            psi = evolve_numeric(H, psi0, float(t), decomp=decomp)
-            worst_norm = max(worst_norm, norm_error(psi))
-            worst_leak = max(worst_leak, sector_leak(psi))
+        psi = evolve_numeric(hermitian_eigendecompose(H), psi0, ts)
+        worst_norm = max(worst_norm, float(norm_error(psi).max()))
+        worst_leak = max(worst_leak, float(sector_leak(psi).max()))
     results["conservation"] = {"max_norm_error": worst_norm,
                                "max_sector_leak": worst_leak}
     checks["norm_sector_conservation"] = worst_norm < 1e-10 and worst_leak < 1e-12
@@ -584,6 +588,23 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"bad range {text!r}: {exc}") from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    values = [_finite_float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="triplaq",
                      description="Four-site plaquette dynamics and "
@@ -603,7 +624,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="trajectory at fixed J")
     common(p)
-    p.add_argument("--j", type=float, default=0.5, help="coupling (default 0.5)")
+    p.add_argument("--j", type=_finite_float, default=0.5,
+                   help="coupling (default 0.5)")
 
     p = sub.add_parser("surface", help="signal surfaces over (t, J)")
     common(p)
@@ -621,8 +643,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("forbidden", help="certify forbidden couplings")
     common(p)
-    p.add_argument("--j-values", default="1,3", help="comma list of couplings")
-    p.add_argument("--t-max", dest="t_max_scan", type=float,
+    p.add_argument("--j-values", type=_finite_floats, default="1,3",
+                   help="comma list of couplings")
+    p.add_argument("--t-max", dest="t_max_scan", type=_finite_float,
                    default=20.0 * np.pi, help="scan horizon")
 
     p = sub.add_parser("wstate", help="W-state witness scan")
@@ -673,8 +696,7 @@ def main(argv=None) -> int:
         elif args.command == "events":
             summary = cmd_events(cfg, args.resolution)
         elif args.command == "forbidden":
-            j_values = [float(v) for v in args.j_values.split(",") if v.strip()]
-            summary = cmd_forbidden(cfg, j_values, args.t_max_scan)
+            summary = cmd_forbidden(cfg, args.j_values, args.t_max_scan)
         elif args.command == "wstate":
             summary = cmd_wstate(cfg, args.resolution)
         else:

@@ -20,7 +20,6 @@ from .dynamics import SingleExcitationAmplitudes
 from .errors import ContractViolationError, NumericalHealthError
 
 WOOTTERS = "wootters"
-CLOSED_FORM = "closed_form"
 SINGLE_EXCITATION = "single_excitation"
 
 ALL_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -201,10 +200,6 @@ def pair_concurrences(psi: np.ndarray, pairs=ALL_PAIRS) -> np.ndarray:
     B = psi[..., np.stack([_BLOCK_INDEX[_check_pair(pair)] for pair in pairs])]
     gammas = np.linalg.svd(np.swapaxes(B, -1, -2) @ _SPIN_FLIP @ B, compute_uv=False)
     return np.maximum(0.0, 2.0 * gammas[..., 0] - gammas.sum(axis=-1))
-
-
-def all_pair_concurrences(psi: np.ndarray, pairs=SCAN_PAIRS) -> dict[tuple[int, int], float]:
-    return {pair: state_concurrence(psi, pair) for pair in pairs}
 
 
 # ---------------------------------------------------------------------------

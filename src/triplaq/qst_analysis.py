@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import closed_form_state, closed_form_states
+from .dynamics import closed_form_state
 from .entanglement import (
     SCAN_PAIRS,
     closed_form_c12,
@@ -348,7 +348,7 @@ def wstate_scan(t_range, J_range, resolution: int = 32,
     js = np.linspace(J_lo, J_hi, n_j) if J_hi > J_lo else np.array([J_lo])
     out = []
     for t in ts:
-        cs = pair_concurrences(closed_form_states(float(t), js), SCAN_PAIRS)
+        cs = pair_concurrences(closed_form_state(float(t), js), SCAN_PAIRS)
         dev = np.abs(cs - 0.5).max(axis=1)
         for j in np.flatnonzero(dev < threshold):
             out.append(WStateCandidate(

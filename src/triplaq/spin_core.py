@@ -87,9 +87,6 @@ class BondSpec:
     def unordered_pair(self) -> tuple[int, int]:
         return tuple(sorted((self.from_site, self.to_site)))
 
-    def reversed(self) -> "BondSpec":
-        return BondSpec(self.kind, self.to_site, self.from_site, self.strength)
-
 
 @dataclass(frozen=True)
 class PlaquetteGeometry:
@@ -129,12 +126,6 @@ class PlaquetteGeometry:
             J=self.J if J is None else J,
             name=self.name,
         )
-
-    def dm_bonds(self) -> tuple[BondSpec, ...]:
-        return tuple(b for b in self.bonds if b.kind is BondKind.DM_Z)
-
-    def heisenberg_bonds(self) -> tuple[BondSpec, ...]:
-        return tuple(b for b in self.bonds if b.kind is BondKind.HEISENBERG_ISO)
 
 
 _RING = ((1, 2), (2, 3), (3, 4), (4, 1))
@@ -227,27 +218,16 @@ def single_excitation_block(H: np.ndarray) -> np.ndarray:
 
 
 def embed_single_excitation(amplitudes) -> np.ndarray:
-    """Lift four single-excitation amplitudes to a full 16-vector.
+    """Lift single-excitation amplitudes, shape (..., 4), to states (..., 16).
 
-    ``amplitudes`` is a length-4 sequence ordered over
-    (|0001>, |0010>, |0100>, |1000>), or any object exposing that sequence
-    through an ``amplitudes`` attribute.  The input must be normalized to
-    1e-10; the deficit is reported otherwise.
+    The last axis is ordered over (|0001>, |0010>, |0100>, |1000>); an
+    object exposing that sequence through an ``amplitudes`` attribute is
+    accepted too.  Every row must be normalized to 1e-10 (a NaN row is
+    not); the worst deficit is reported otherwise.
     """
-    amps = getattr(amplitudes, "amplitudes", amplitudes)
-    vec = np.asarray(tuple(amps), dtype=complex)
-    if vec.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes, got shape {vec.shape}")
-    return embed_single_excitations(vec)
-
-
-def embed_single_excitations(amplitudes) -> np.ndarray:
-    """Lift a (..., 4) stack of single-excitation amplitudes to (..., 16).
-
-    Every row must be normalized to 1e-10 (a NaN row is not); the worst
-    deficit is reported otherwise.
-    """
-    vec = np.asarray(amplitudes, dtype=complex)
+    vec = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=complex)
+    if vec.shape[-1:] != (4,):
+        raise ValueError(f"expected (..., 4) amplitudes, got shape {vec.shape}")
     norm_defect = np.abs(np.sum(np.abs(vec) ** 2, axis=-1) - 1.0)
     if not (norm_defect <= 1e-10).all():
         raise NormalizationError(
@@ -263,14 +243,15 @@ def initial_bell_state() -> np.ndarray:
     return embed_single_excitation((0.0, 0.0, r, r))
 
 
-def norm_error(psi: np.ndarray) -> float:
-    """|  ||psi||_2 - 1  |."""
-    return abs(float(np.linalg.norm(psi)) - 1.0)
+def norm_error(psi: np.ndarray):
+    """|  ||psi||_2 - 1  | of each state of a (..., 16) stack."""
+    return np.abs(np.linalg.norm(psi, axis=-1) - 1.0)
 
 
-def sector_leak(psi: np.ndarray) -> float:
-    """Largest amplitude magnitude outside the single-excitation sector."""
-    return float(np.abs(np.asarray(psi)[_OFF_SECTOR]).max())
+def sector_leak(psi: np.ndarray):
+    """Largest amplitude magnitude outside the single-excitation sector,
+    for each state of a (..., 16) stack."""
+    return np.abs(np.asarray(psi)[..., _OFF_SECTOR]).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +295,3 @@ def parse_geometry_text(text: str, *, D: float = 1.0, J: float = 0.0,
         raise ConfigError("geometry file contains no bond records")
     return PlaquetteGeometry(tuple(bonds), D=D, J=J, name=name)
 
-
-def format_geometry_text(geom: PlaquetteGeometry) -> str:
-    lines = ["# kind from to strength"]
-    for b in geom.bonds:
-        lines.append(f"{b.kind.value} {b.from_site} {b.to_site} {b.strength:.17g}")
-    return "\n".join(lines) + "\n"

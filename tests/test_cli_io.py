@@ -69,6 +69,28 @@ def test_non_finite_input_is_exit_1(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["evolve", "--j", "nan"], "--j"),
+    (["evolve", "--j", "inf"], "--j"),
+    (["forbidden", "--j-values", "nan"], "--j-values"),
+    (["forbidden", "--j-values", "1,abc"], "--j-values"),
+    (["forbidden", "--t-max", "inf"], "--t-max"),
+    (["forbidden", "--t-max", "nan"], "--t-max"),
+    (["forbidden", "--t-max", "1"], "--t-max"),
+    (["forbidden", "--j-values", ","], "--j-values"),
+    (["events", "--resolution", "10"], "--resolution"),
+    (["wstate", "--resolution", "0"], "--resolution"),
+])
+def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and flag in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestGeometryResolution:
     def test_builtin_names(self):
         assert resolve_geometry("default", 0.5, 1.0).name == "default"
@@ -109,6 +131,15 @@ class TestEvolveCommand:
         assert float(r[15]) < 1e-9  # numeric deviation
         assert all(float(row[13]) < 1e-10 for row in rows[1:])  # norm error
         assert all(float(row[14]) < 1e-12 for row in rows[1:])  # sector leak
+
+    def test_abs_columns_match_python_abs(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        main(["evolve", "--j", "0.5", "--t-range", f"0:{40 * np.pi}:1001",
+              "--out", str(out)])
+        rows = list(csv.reader(out.open()))
+        for row in rows[1:]:
+            amps = [complex(float(row[k]), float(row[k + 1])) for k in range(1, 9, 2)]
+            assert row[9:13] == [f"{abs(a):.17g}" for a in amps]
 
     def test_byte_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

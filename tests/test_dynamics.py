@@ -5,9 +5,7 @@ from triplaq.dynamics import (
     EigenDecomposition,
     amplitudes_closed_form,
     closed_form_state,
-    closed_form_states,
     evolve_numeric,
-    evolve_numeric_states,
     hermitian_eigendecompose,
     oracle_equivalence_report,
     phase_aligned_distance,
@@ -16,6 +14,7 @@ from triplaq.errors import ContractViolationError, NormalizationError, Numerical
 from triplaq.spin_core import (
     build_hamiltonian,
     default_plaquette,
+    embed_single_excitation,
     initial_bell_state,
     norm_error,
     sector_leak,
@@ -43,7 +42,8 @@ class TestClosedForm:
             [abs(x) for x in a.amplitudes], (RT2, RT2, 0, 0), atol=1e-15)
 
     def test_normalized_everywhere(self):
-        worst = max(abs(amplitudes_closed_form(t, J).norm_sq - 1.0)
+        worst = max(abs(sum(abs(a) ** 2 for a in amplitudes_closed_form(t, J).amplitudes)
+                        - 1.0)
                     for t in np.linspace(0, 30, 121)
                     for J in np.linspace(0, 2, 21))
         assert worst < 1e-10
@@ -61,7 +61,7 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             amplitudes_closed_form(-0.1, 0.0)
         with pytest.raises(ValueError):
-            closed_form_states(np.array([0.0, -0.1]), 0.5)
+            closed_form_state(np.array([0.0, -0.1]), 0.5)
 
     def test_rescaling_identity(self):
         for (t, J, D) in ((1.3, 0.7, 2.5), (4.0, 1.9, 0.3)):
@@ -123,94 +123,92 @@ class TestJacobiEigensolver:
             hermitian_eigendecompose(m)
 
 
+def _dec(J, factory=default_plaquette):
+    return hermitian_eigendecompose(build_hamiltonian(factory(J)))
+
+
 class TestPropagation:
     def test_identity_at_t0(self):
-        H = build_hamiltonian(default_plaquette(J=0.3))
         psi0 = initial_bell_state()
-        np.testing.assert_allclose(evolve_numeric(H, psi0, 0.0), psi0, atol=1e-14)
+        np.testing.assert_allclose(evolve_numeric(_dec(0.3), psi0, 0.0), psi0, atol=1e-14)
 
     def test_zero_hamiltonian(self):
         psi0 = initial_bell_state()
-        np.testing.assert_allclose(
-            evolve_numeric(np.zeros((16, 16)), psi0, 5.7), psi0, atol=1e-14)
+        dec = hermitian_eigendecompose(np.zeros((16, 16)))
+        np.testing.assert_allclose(evolve_numeric(dec, psi0, 5.7), psi0, atol=1e-14)
 
     def test_matches_closed_form(self):
-        H = build_hamiltonian(default_plaquette(J=0.5))
-        psi_n = evolve_numeric(H, initial_bell_state(), 2 * np.pi)
+        psi_n = evolve_numeric(_dec(0.5), initial_bell_state(), 2 * np.pi)
         psi_c = closed_form_state(2 * np.pi, 0.5)
         assert phase_aligned_distance(psi_n, psi_c) < 1e-9
 
     def test_composition(self):
-        H = build_hamiltonian(default_plaquette(J=1.2))
-        dec = hermitian_eigendecompose(H)
+        dec = _dec(1.2)
         psi0 = initial_bell_state()
         for t1, t2 in ((0.3, 1.9), (2.0, 4.5)):
-            once = evolve_numeric(H, psi0, t1 + t2, decomp=dec)
-            twice = evolve_numeric(H, evolve_numeric(H, psi0, t1, decomp=dec),
-                                   t2, decomp=dec)
+            once = evolve_numeric(dec, psi0, t1 + t2)
+            twice = evolve_numeric(dec, evolve_numeric(dec, psi0, t1), t2)
             assert np.abs(once - twice).max() < 1e-9
 
     def test_norm_and_sector_conserved(self):
-        H = build_hamiltonian(default_plaquette(J=0.8))
-        dec = hermitian_eigendecompose(H)
-        psi0 = initial_bell_state()
-        for t in np.linspace(0, 12 * np.pi, 97):
-            psi = evolve_numeric(H, psi0, float(t), decomp=dec)
-            assert norm_error(psi) < 1e-10
-            assert sector_leak(psi) < 1e-12
+        psi = evolve_numeric(_dec(0.8), initial_bell_state(), np.linspace(0, 12 * np.pi, 97))
+        assert psi.shape == (97, 16)
+        assert norm_error(psi).max() < 1e-10
+        assert sector_leak(psi).max() < 1e-12
 
     def test_norm_drift_raises(self):
-        H = build_hamiltonian(default_plaquette(J=0.5))
-        good = hermitian_eigendecompose(H)
+        good = _dec(0.5)
         broken = EigenDecomposition(good.eigenvalues, 0.9 * good.eigenvectors)
         with pytest.raises(NumericalHealthError, match="norm"):
-            evolve_numeric(H, initial_bell_state(), 1.0, decomp=broken)
+            evolve_numeric(broken, initial_bell_state(), 1.0)
 
 
 class TestGridEngine:
-    """The batched routes against the per-point routes they replace."""
+    """Broadcast state operations against independent per-point references."""
 
     TS = np.linspace(0.0, 4 * np.pi, 129)
     JS = np.linspace(0.0, 2.0, 65)
 
+    @staticmethod
+    def _reference(t, J, D=1.0):
+        return embed_single_excitation(amplitudes_closed_form(float(t), float(J), D))
+
     def test_closed_form_states_bit_identical(self):
-        pointwise = np.array([[closed_form_state(float(t), float(J)) for J in self.JS]
-                              for t in self.TS])
-        for i, t in enumerate(self.TS):
-            assert np.array_equal(closed_form_states(float(t), self.JS), pointwise[i])
-        grid = closed_form_states(self.TS[:, None], self.JS[None, :])
+        grid = closed_form_state(self.TS[:, None], self.JS[None, :])
         assert grid.shape == (129, 65, 16)
-        assert np.array_equal(grid, pointwise)
+        for i, t in enumerate(self.TS):
+            assert np.array_equal(closed_form_state(t, self.JS), grid[i])
+            for k, J in enumerate(self.JS):
+                assert np.array_equal(grid[i, k], self._reference(t, J))
 
     def test_closed_form_states_offscale_d(self):
         for t in (0.0, 1.3, 9.7):
-            row = closed_form_states(t, self.JS, 2.5)
+            row = closed_form_state(t, self.JS, 2.5)
             for J, psi in zip(self.JS, row):
-                assert np.array_equal(psi, closed_form_state(t, float(J), 2.5))
+                assert np.array_equal(psi, self._reference(t, J, 2.5))
 
     def test_closed_form_states_reject_non_finite(self):
         with pytest.raises(NormalizationError):
-            closed_form_states(1.0, np.array([0.5, np.nan]))
+            closed_form_state(1.0, np.array([0.5, np.nan]))
 
     @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
     def test_batched_propagation_matches_pointwise(self, factory):
         psi0 = initial_bell_state()
         ts = np.arange(0.0, 8 * np.pi + 1e-12, np.pi / 64)
         for J in (0.0, 0.5, 2.0 / 3.0, 1.0, 2.0):
-            H = build_hamiltonian(factory(J))
-            dec = hermitian_eigendecompose(H)
-            batch = evolve_numeric_states(dec, psi0, ts)
-            pointwise = np.array([evolve_numeric(H, psi0, float(t), decomp=dec)
-                                  for t in ts])
+            dec = _dec(J, factory)
+            V, E = dec.eigenvectors, dec.eigenvalues
+            explicit = np.array([V @ np.diag(np.exp(-1j * E * t)) @ V.conj().T @ psi0
+                                 for t in ts])
+            batch = evolve_numeric(dec, psi0, ts)
             assert batch.shape == (ts.size, 16)
-            assert np.abs(batch - pointwise).max() <= 1e-14
+            assert np.abs(batch - explicit).max() <= 1e-14
 
     def test_batched_norm_drift_raises(self):
-        H = build_hamiltonian(default_plaquette(J=0.5))
-        good = hermitian_eigendecompose(H)
+        good = _dec(0.5)
         broken = EigenDecomposition(good.eigenvalues, 0.9 * good.eigenvectors)
         with pytest.raises(NumericalHealthError, match="norm"):
-            evolve_numeric_states(broken, initial_bell_state(), [0.0, 1.0])
+            evolve_numeric(broken, initial_bell_state(), [0.0, 1.0])
 
 
 class TestOracle:
@@ -248,3 +246,7 @@ def test_phase_alignment_skipped_at_zero_pivot():
     psi = closed_form_state(1.1, 0.4)
     assert phase_aligned_distance(np.zeros(16), psi) == pytest.approx(1.0, abs=1e-15)
     assert phase_aligned_distance(psi, np.zeros(16)) == pytest.approx(1.0, abs=1e-15)
+    # the fallback is decided row by row in a stack
+    rows = phase_aligned_distance(np.stack([np.zeros(16), np.exp(0.7j) * psi]), psi)
+    assert rows.shape == (2,)
+    assert rows[0] == pytest.approx(1.0, abs=1e-15) and rows[1] < 1e-15

@@ -6,7 +6,6 @@ import pytest
 from triplaq.dynamics import (
     amplitudes_closed_form,
     closed_form_state,
-    closed_form_states,
     evolve_numeric,
     hermitian_eigendecompose,
 )
@@ -113,7 +112,7 @@ def _small_c12_state():
     t = float(np.linspace(0.0, 4 * np.pi, 5)[1])
     J = float(np.linspace(0.0, 2.0, 401)[7])
     H = build_hamiltonian(swapped_control_plaquette(J))
-    return evolve_numeric(H, initial_bell_state(), t, decomp=hermitian_eigendecompose(H))
+    return evolve_numeric(hermitian_eigendecompose(H), initial_bell_state(), t)
 
 
 class TestPairConcurrences:
@@ -122,7 +121,7 @@ class TestPairConcurrences:
         js = np.linspace(0.0, 2.0, 65)
         worst = 0.0
         for t in ts:
-            states = closed_form_states(float(t), js)
+            states = closed_form_state(float(t), js)
             batch = pair_concurrences(states, ALL_PAIRS)
             scalar = [[state_concurrence(psi, pair) for pair in ALL_PAIRS]
                       for psi in states]

@@ -10,8 +10,6 @@ from triplaq.spin_core import (
     build_hamiltonian,
     default_plaquette,
     embed_single_excitation,
-    embed_single_excitations,
-    format_geometry_text,
     initial_bell_state,
     parse_geometry_text,
     sector_leak,
@@ -61,8 +59,10 @@ class TestSpinOperators:
 class TestGeometry:
     def test_default_pattern(self):
         geom = default_plaquette(J=0.7)
-        dm_pairs = {(b.from_site, b.to_site) for b in geom.dm_bonds()}
-        heis_pairs = {b.unordered_pair for b in geom.heisenberg_bonds()}
+        dm_pairs = {(b.from_site, b.to_site) for b in geom.bonds
+                    if b.kind is BondKind.DM_Z}
+        heis_pairs = {b.unordered_pair for b in geom.bonds
+                      if b.kind is BondKind.HEISENBERG_ISO}
         assert dm_pairs == {(1, 2), (2, 3), (3, 4), (4, 1)}
         assert heis_pairs == {(1, 3), (2, 4)}
 
@@ -171,8 +171,9 @@ class TestHamiltonian:
 
     def test_reversing_dm_bonds_negates_dm_part(self):
         forward = default_plaquette(J=0.0, D=1.3)
-        rev = PlaquetteGeometry(tuple(b.reversed() for b in forward.bonds),
-                                D=1.3, J=0.0)
+        rev = PlaquetteGeometry(
+            tuple(BondSpec(b.kind, b.to_site, b.from_site, b.strength)
+                  for b in forward.bonds), D=1.3, J=0.0)
         np.testing.assert_allclose(build_hamiltonian(rev),
                                    -build_hamiltonian(forward), atol=1e-15)
 
@@ -212,18 +213,23 @@ class TestEmbedding:
 
     def test_stack_matches_rows(self):
         rows = [(1, 0, 0, 0), (0.5, 0.5, 0.5, 0.5), (0.6j, 0, 0.8, 0)]
-        stack = embed_single_excitations(np.array(rows).reshape(3, 1, 4))
+        stack = embed_single_excitation(np.array(rows).reshape(3, 1, 4))
         assert stack.shape == (3, 1, 16)
         for row, psi in zip(rows, stack[:, 0]):
-            assert np.array_equal(psi, embed_single_excitation(row))
+            expected = np.zeros(16, dtype=complex)
+            for index, amp in zip(SINGLE_EXCITATION_INDICES, row):
+                expected[index] = amp
+            assert np.array_equal(psi, expected)
         with pytest.raises(NormalizationError, match="norm"):
-            embed_single_excitations([(1, 0, 0, 0), (1, 1, 0, 0)])
+            embed_single_excitation([(1, 0, 0, 0), (1, 1, 0, 0)])
 
 
 class TestGeometryText:
     def test_round_trip(self):
         geom = default_plaquette(J=0.25, D=1.5)
-        parsed = parse_geometry_text(format_geometry_text(geom), D=1.5, J=0.25)
+        text = "".join(f"{b.kind.value} {b.from_site} {b.to_site} {b.strength!r}\n"
+                       for b in geom.bonds)
+        parsed = parse_geometry_text(text, D=1.5, J=0.25)
         assert parsed.bonds == geom.bonds
 
     def test_parse_with_comments(self):
