@@ -45,9 +45,11 @@ from .qst_analysis import (
     find_qst_J,
     forbidden_J_scan,
     gap_at_transfer_times,
+    is_lattice_transfer,
     locate_events_2d,
     periodicity_report,
     sequence_table,
+    verify_transfers,
     wstate_candidate_from_state,
     wstate_scan,
 )
@@ -65,6 +67,8 @@ from .spin_core import (
 
 SCHEMA_VERSION = 1
 KNOWN_SIGNALS = ("C12", "C34", "C13", "C24", "GAP")
+#: Largest grid a command may evaluate, checked before anything is allocated.
+MAX_GRID_POINTS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,18 @@ def load_config(path: str) -> SweepConfig:
     return config_from_text(p.read_text())
 
 
+def _check_grid(points: float, *flags: str) -> None:
+    if not points <= MAX_GRID_POINTS:
+        raise ConfigError(f"{', '.join(flags)}: a grid of {points:.3g} points "
+                          f"exceeds the limit of {MAX_GRID_POINTS}")
+
+
+def _scan_points(cfg: SweepConfig, resolution: int) -> float:
+    """Points of an events or wstate grid, ``resolution`` per pi and per unit J."""
+    return ((cfg.t_max - cfg.t_min) / np.pi * resolution
+            * ((cfg.j_max - cfg.j_min) * resolution + 1))
+
+
 def resolve_geometry(name_or_path: str, J: float, D: float):
     """Builtin name ('default', 'swapped-control') or a bond-record file."""
     if name_or_path == "default":
@@ -222,6 +238,7 @@ _EVOLVE_HEADER = [
 
 def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
     """Closed-form trajectory at fixed J with the numeric-route deviation."""
+    _check_grid(cfg.t_steps, "--t-range")
     geom = resolve_geometry(cfg.geometry, J, cfg.d)
     decomp = hermitian_eigendecompose(build_hamiltonian(geom))
     psi0 = initial_bell_state()
@@ -271,6 +288,7 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
     unknown = [s for s in signals if s not in KNOWN_SIGNALS]
     if unknown:
         raise ConfigError(f"unknown signals {unknown}; choose from {KNOWN_SIGNALS}")
+    _check_grid(cfg.t_steps * cfg.j_steps, "--t-range", "--j-range")
     ordered = [s for s in KNOWN_SIGNALS if s in signals]
     header = ["t", "j"]
     for s in ordered:
@@ -309,15 +327,10 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
 
 
 def _verify_cell(m: int, j_values) -> tuple[bool, bool]:
-    gap_ok, wootters_ok = True, True
-    for j in j_values:
-        j_f = float(j)
-        gap_ok &= abs(gap_at_transfer_times(m, j) - 1.0) <= 1e-12
-        gap_ok &= abs(concurrence_gap(m * np.pi, j_f) - 1.0) <= 1e-12
-        psi = closed_form_state(m * np.pi, j_f)
-        wootters_ok &= state_concurrence(psi, (1, 2)) <= 1e-8
-        wootters_ok &= state_concurrence(psi, (3, 4)) >= 1.0 - 1e-8
-    return bool(gap_ok), bool(wootters_ok)
+    js = np.array([float(j) for j in j_values])
+    gap_ok = (all(is_lattice_transfer(m, j) for j in j_values)
+              and bool(np.all(np.abs(concurrence_gap(m * np.pi, js) - 1.0) <= 1e-12)))
+    return gap_ok, bool(verify_transfers(m * np.pi, js)[2].all())
 
 
 def cmd_table1(cfg: SweepConfig, max_m: int) -> dict:
@@ -360,6 +373,7 @@ def _event_dict(e) -> dict:
 def cmd_events(cfg: SweepConfig, resolution: int) -> dict:
     if resolution < 64:
         raise ConfigError(f"--resolution must be at least 64 points per pi, got {resolution}")
+    _check_grid(_scan_points(cfg, resolution), "--t-range", "--j-range", "--resolution")
     events = locate_events_2d((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max),
                               resolution)
     payload = {"events": [_event_dict(e) for e in events], "count": len(events)}
@@ -374,6 +388,7 @@ def cmd_events(cfg: SweepConfig, resolution: int) -> dict:
 def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
     if t_max_scan < 2.0 * np.pi:
         raise ConfigError(f"--t-max must cover at least 2*pi, got {t_max_scan}")
+    _check_grid(t_max_scan / np.pi * 256, "--t-max")
     results = forbidden_J_scan(j_values, t_max_scan)
     payload = {"t_max": t_max_scan,
                "results": [asdict(r) for r in results]}
@@ -387,6 +402,7 @@ def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
 def cmd_wstate(cfg: SweepConfig, resolution: int) -> dict:
     if resolution < 1:
         raise ConfigError(f"--resolution must be at least 1, got {resolution}")
+    _check_grid(_scan_points(cfg, resolution), "--t-range", "--j-range", "--resolution")
     cands = wstate_scan((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max),
                         resolution, cfg.threshold)
     payload = {"threshold": cfg.threshold,
@@ -407,6 +423,12 @@ _ORACLE_J = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
 def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     results: dict = {}
     checks: dict = {}
+    _check_grid(max(cfg.t_steps * cfg.j_steps, _scan_points(cfg, 64)),
+                "--t-range", "--j-range")
+    # the conservation check's Hamiltonians, built first so that a bad
+    # --geometry fails before any scan runs
+    hamiltonians = [build_hamiltonian(resolve_geometry(cfg.geometry, J, cfg.d))
+                    for J in (0.0, 0.5, 1.0, 2.0)]
 
     # Route equivalence, committed geometry vs swapped negative control.
     t_fine = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
@@ -479,28 +501,21 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     reduction_defect = 0.0
     for m in range(1, 11):
         lhs = concurrence_gap(m * np.pi, j_dense)
-        rhs = (-1.0) ** (m + 1) * np.cos(m * np.pi * j_dense)
+        rhs = gap_at_transfer_times(m, j_dense)
         reduction_defect = max(reduction_defect, float(np.abs(lhs - rhs).max()))
     results["gap_reduction_max_defect"] = reduction_defect
     checks["gap_reduction_exact"] = reduction_defect <= 1e-12
 
     # Fractional table and per-event transfer verification, m <= 7.
-    table_ok, transfers_ok = True, True
-    transfer_stats = {"max_c12": 0.0, "min_c34": 1.0}
-    for m in range(1, 8):
-        sol = find_qst_J(m)
-        cells = {v for e in sequence_table(7) if e.m == m for v in e.values}
-        table_ok &= cells <= set(sol)
-        for j in sol:
-            psi = closed_form_state(m * np.pi, float(j))
-            c12 = state_concurrence(psi, (1, 2))
-            c34 = state_concurrence(psi, (3, 4))
-            transfer_stats["max_c12"] = max(transfer_stats["max_c12"], c12)
-            transfer_stats["min_c34"] = min(transfer_stats["min_c34"], c34)
-            transfers_ok &= c12 <= 1e-8 and c34 >= 1.0 - 1e-8
-    results["transfer_verification"] = transfer_stats
-    checks["table1_families_in_solution_sets"] = table_ok
-    checks["transfers_verified"] = transfers_ok
+    solutions = {m: find_qst_J(m) for m in range(1, 8)}
+    c12, c34, ok = verify_transfers(
+        np.array([m * np.pi for m, sol in solutions.items() for _ in sol]),
+        np.array([float(j) for sol in solutions.values() for j in sol]))
+    results["transfer_verification"] = {"max_c12": float(c12.max()),
+                                        "min_c34": float(c34.min())}
+    checks["table1_families_in_solution_sets"] = all(
+        v in solutions[e.m] for e in sequence_table(7) for v in e.values)
+    checks["transfers_verified"] = bool(ok.all())
 
     # Forbidden couplings and the event finder at a pinned forbidden J.
     forb = forbidden_J_scan((1.0, 3.0), 20.0 * np.pi)
@@ -521,8 +536,7 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     worst_norm = worst_leak = 0.0
     psi0 = initial_bell_state()
     ts = np.arange(0.0, 4.0 * np.pi, np.pi / 32.0)
-    for J in (0.0, 0.5, 1.0, 2.0):
-        H = build_hamiltonian(resolve_geometry(cfg.geometry, J, cfg.d))
+    for H in hamiltonians:
         psi = evolve_numeric(hermitian_eigendecompose(H), psi0, ts)
         worst_norm = max(worst_norm, float(norm_error(psi).max()))
         worst_leak = max(worst_leak, float(sector_leak(psi).max()))

@@ -112,14 +112,13 @@ def _require_hermitian(H: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return H
 
 
-def hermitian_eigendecompose(H: np.ndarray, *, tol: float = 1e-13,
-                             max_sweeps: int = 100) -> EigenDecomposition:
+def hermitian_eigendecompose(H: np.ndarray) -> EigenDecomposition:
     """Cyclic Jacobi diagonalization of a Hermitian matrix.
 
     Rotations are applied in a fixed row-major order, which makes the output
     deterministic (including the basis chosen inside degenerate eigenspaces).
-    Convergence: off-diagonal Frobenius norm below ``tol`` relative to the
-    matrix scale, within ``max_sweeps`` sweeps.
+    Convergence: off-diagonal Frobenius norm below 1e-13 relative to the
+    matrix scale, within 100 sweeps.
     """
     A = _require_hermitian(H).copy()
     n = A.shape[0]
@@ -127,10 +126,10 @@ def hermitian_eigendecompose(H: np.ndarray, *, tol: float = 1e-13,
     scale = max(1.0, float(np.linalg.norm(A)))
     # elements this small cannot move the off-norm past the tolerance, and
     # rotating on denormal-range values would overflow the phase division
-    skip_below = tol * scale / (10.0 * n * n)
-    for _ in range(max_sweeps):
+    skip_below = 1e-13 * scale / (10.0 * n * n)
+    for _ in range(100):
         off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= tol * scale:
+        if off <= 1e-13 * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

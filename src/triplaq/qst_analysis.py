@@ -10,7 +10,7 @@ that reduction and verified independently through the Wootters route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,20 +23,22 @@ from .entanglement import (
     closed_form_c34,
     concurrence_gap,
     pair_concurrences,
-    state_concurrence,
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Wootters tolerance of a complete transfer: c12 <= TOL and c34 >= 1 - TOL.
+TRANSFER_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
 # Exact sequences at the transfer times
 # ---------------------------------------------------------------------------
 
-def gap_at_transfer_times(m: int, J) -> float:
-    """Closed reduction of the gap at t = m*pi: (-1)**(m+1) * cos(m*pi*J)."""
+def gap_at_transfer_times(m: int, J):
+    """Gap at t = m*pi, (-1)**(m+1) * cos(m*pi*J), broadcast over J."""
     m = _check_m(m)
-    return float((-1.0) ** (m + 1) * np.cos(m * np.pi * float(J)))
+    return (-1.0) ** (m + 1) * np.cos(m * np.pi * np.asarray(J, dtype=float))
 
 
 def _check_m(m) -> int:
@@ -45,18 +47,31 @@ def _check_m(m) -> int:
     return int(m)
 
 
+def is_lattice_transfer(m: int, J: Fraction) -> bool:
+    """Exact rule for gap(m*pi, J) = 1, that is cos(m*pi*J) = (-1)**(m+1):
+    m*J is an integer of the parity of m + 1."""
+    mJ = _check_m(m) * Fraction(J)
+    return mJ.denominator == 1 and (mJ.numerator - m - 1) % 2 == 0
+
+
 def find_qst_J(m: int) -> tuple[Fraction, ...]:
     """All couplings in [0, 2] with a complete transfer at t = m*pi.
 
-    Solves gap_at_transfer_times(m, J) = 1 exactly: J = 2k/m for odd m and
-    J = (2k+1)/m for even m, reduced and ascending.
+    The lattice points n/m of [0, 2] that pass :func:`is_lattice_transfer`
+    (J = 2k/m for odd m, (2k+1)/m for even m), reduced and ascending.
     """
     m = _check_m(m)
-    if m % 2 == 1:
-        values = {Fraction(2 * k, m) for k in range(0, m + 1)}
-    else:
-        values = {Fraction(2 * k + 1, m) for k in range(0, m)}
-    return tuple(sorted(values))
+    return tuple(J for J in (Fraction(n, m) for n in range(2 * m + 1))
+                 if is_lattice_transfer(m, J))
+
+
+def verify_transfers(t, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c12, c34, ok) of the closed-form states at broadcast (t, J), by one
+    :func:`pair_concurrences` call; ``ok`` is the complete transfer of Bose
+    (PRL 91, 207901, 2003): c12 <= TRANSFER_TOL and c34 >= 1 - TRANSFER_TOL."""
+    c = pair_concurrences(closed_form_state(t, J), ((1, 2), (3, 4)))
+    c12, c34 = c[..., 0], c[..., 1]
+    return c12, c34, (c12 <= TRANSFER_TOL) & (c34 >= 1.0 - TRANSFER_TOL)
 
 
 @dataclass(frozen=True)
@@ -151,8 +166,7 @@ class QstEvent:
 
     ``J`` is an exact Fraction when the event snapped onto the rational
     lattice (``snapped=True``), otherwise a float.  ``confirmed`` requires
-    the gap to reach 1 within 1e-10 and the Wootters concurrences to satisfy
-    c12 <= 1e-8 and c34 >= 1 - 1e-8.
+    the gap to reach 1 within 1e-10 and :func:`verify_transfers` to pass.
     """
 
     m: int | None
@@ -165,23 +179,16 @@ class QstEvent:
     snapped: bool
 
 
-def _verify_transfer(t: float, J: float) -> tuple[float, float]:
-    psi = closed_form_state(t, J)
-    return state_concurrence(psi, (1, 2)), state_concurrence(psi, (3, 4))
-
-
-def locate_events_2d(t_range, J_range, resolution: int = 64, *,
-                     max_denominator: int = 64, refine_budget: int = 200,
-                     peak_threshold: float = 1e-4,
-                     confirm_tol: float = 1e-10) -> list[QstEvent]:
+def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     """Scan the gap surface for complete-transfer events.
 
     Grid-scans gap(t, J) at ``resolution`` points per pi in t (per unit in
     J), refines every grid local maximum by coordinate-wise golden-section
-    ascent, keeps peaks reaching 1 - ``peak_threshold``, snaps them onto
-    (m*pi, p/q) when the exact reduction certifies the snapped point, and
-    verifies each event through the Wootters route.  The t interval is
-    half-open: [t_lo, t_hi).
+    ascent (at most 200 gap evaluations each), keeps peaks reaching
+    1 - 1e-4, snaps them onto (m*pi, p/q) with q <= 64 when
+    :func:`is_lattice_transfer` certifies the snapped point, and verifies
+    all events through one :func:`verify_transfers` call.  The t interval
+    is half-open: [t_lo, t_hi).
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     J_lo, J_hi = float(J_range[0]), float(J_range[1])
@@ -213,32 +220,30 @@ def locate_events_2d(t_range, J_range, resolution: int = 64, *,
         for _ in range(2):  # alternate t / J line searches twice
             t_c, n_used = _golden_max(
                 lambda x: concurrence_gap(x, j_c),
-                max(t_lo, t_c - t_step), min(t_hi, t_c + t_step),
-                refine_budget - used)
+                max(t_lo, t_c - t_step), min(t_hi, t_c + t_step), 200 - used)
             used += n_used
-            if j_step > 0.0 and used < refine_budget:
+            if j_step > 0.0 and used < 200:
                 j_c, n_used = _golden_max(
                     lambda x: concurrence_gap(t_c, x),
-                    max(J_lo, j_c - j_step), min(J_hi, j_c + j_step),
-                    refine_budget - used)
+                    max(J_lo, j_c - j_step), min(J_hi, j_c + j_step), 200 - used)
                 used += n_used
-            if used >= refine_budget:
+            if used >= 200:
                 break
         value = float(concurrence_gap(t_c, j_c))
-        if value < 1.0 - peak_threshold:
+        if value < 1.0 - 1e-4:
             continue
-        reached_tol = abs(value - 1.0) < confirm_tol
+        reached_tol = abs(value - 1.0) < 1e-10
 
-        # Snap onto the exact lattice when the closed reduction certifies it;
-        # the snap window is half a grid cell, and a wrong hypothesis cannot
-        # pass the exact certification below.
+        # Snap onto the exact lattice when the exact rule certifies it; the
+        # snap window is half a grid cell, and a wrong hypothesis cannot pass
+        # the rule.
         m_hyp = int(round(t_c / np.pi))
-        j_frac = Fraction(j_c).limit_denominator(max_denominator)
+        j_frac = Fraction(j_c).limit_denominator(64)
         snap_ok = (m_hyp >= 1
                    and abs(t_c - m_hyp * np.pi) < 0.5 * t_step
                    and abs(j_c - float(j_frac)) < max(0.5 * j_step, 1e-8)
                    and J_lo - 1e-12 <= float(j_frac) <= J_hi + 1e-12
-                   and abs(gap_at_transfer_times(m_hyp, j_frac) - 1.0) < 1e-12)
+                   and is_lattice_transfer(m_hyp, j_frac))
         if snap_ok:
             t_ev, j_ev = m_hyp * np.pi, float(j_frac)
             key = (m_hyp, j_frac)
@@ -248,20 +253,22 @@ def locate_events_2d(t_range, J_range, resolution: int = 64, *,
             t_ev, j_ev = t_c, j_c
             key = (round(t_ev, 6), round(j_ev, 6))
             gap_ev = value
-        if t_ev >= t_hi - 1e-9:  # keep the window half-open after refinement
+        if t_ev >= t_hi - 1e-9 or key in events:  # window stays half-open
             continue
-        if key in events:
-            continue
-        c12, c34 = _verify_transfer(t_ev, j_ev)
+        # c12, c34 and the Wootters half of ``confirmed`` are filled in below
         events[key] = QstEvent(
             m=m_hyp if snap_ok else None,
             t=float(t_ev),
             J=j_frac if snap_ok else j_ev,
             gap_value=gap_ev,
-            c12=c12, c34=c34,
-            confirmed=bool(reached_tol and c12 <= 1e-8 and c34 >= 1.0 - 1e-8),
+            c12=math.nan, c34=math.nan,
+            confirmed=reached_tol,
             snapped=snap_ok)
-    return sorted(events.values(), key=lambda e: (e.t, float(e.J)))
+    pending = sorted(events.values(), key=lambda e: (e.t, float(e.J)))
+    c12, c34, ok = verify_transfers(np.array([e.t for e in pending]),
+                                    np.array([float(e.J) for e in pending]))
+    return [replace(e, c12=float(a), c34=float(b), confirmed=e.confirmed and bool(k))
+            for e, a, b, k in zip(pending, c12, c34, ok)]
 
 
 @dataclass(frozen=True)
@@ -273,20 +280,24 @@ class ForbiddenScanResult:
     forbidden: bool
 
 
-def forbidden_J_scan(J_values, t_max: float, *,
-                     resolution: int = 256) -> list[ForbiddenScanResult]:
-    """Supremum of the gap over t for each coupling, with local refinement.
+def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
+    """Gap supremum on [0, t_max] (256 points per pi, locally refined) and
+    the exact forbidden verdict per coupling.
 
-    A coupling is certified forbidden when the refined supremum stays below
-    1 by a strictly positive margin (the margin is reported, not assumed).
+    J is forbidden when it is p/q (q <= 512, within 1e-12) with p and q odd:
+    the gap is periodic and fails :func:`is_lattice_transfer` at every m.
+    Other rational J transfer at t = q*pi; irrational J come arbitrarily
+    close to a transfer.
     """
     t_max = float(t_max)
-    if t_max < 2 * np.pi:
+    if not t_max >= 2 * np.pi:
         raise ValueError(f"t_max must cover at least 2*pi, got {t_max}")
-    ts = np.arange(0.0, t_max + 1e-12, np.pi / resolution)
+    ts = np.arange(0.0, t_max + 1e-12, np.pi / 256)
     results = []
     for J in J_values:
         J = float(J)
+        if not math.isfinite(J):
+            raise ValueError(f"coupling must be finite, got {J}")
         values = concurrence_gap(ts, J)
         sup, t_sup = float(values.max()), float(ts[int(np.argmax(values))])
         # refine every grid maximum close to the leader
@@ -302,10 +313,10 @@ def forbidden_J_scan(J_values, t_max: float, *,
             v = float(concurrence_gap(t_ref, J))
             if v > sup:
                 sup, t_sup = v, float(t_ref)
-        margin = 1.0 - sup
+        p_q = _as_small_fraction(J)
         results.append(ForbiddenScanResult(
-            J=J, sup_gap=sup, t_at_sup=t_sup, margin=margin,
-            forbidden=bool(margin > 1e-9)))
+            J=J, sup_gap=sup, t_at_sup=t_sup, margin=1.0 - sup,
+            forbidden=p_q is not None and p_q.numerator * p_q.denominator % 2 == 1))
     return results
 
 
@@ -325,8 +336,9 @@ class WStateCandidate:
 
 def wstate_candidate_from_state(psi: np.ndarray, t: float = float("nan"),
                                 J: float = float("nan")) -> WStateCandidate:
-    """Evaluate the W-state witness on an arbitrary state (harness self-test)."""
-    cs = tuple(state_concurrence(psi, pair) for pair in SCAN_PAIRS)
+    """Evaluate the W-state witness on an arbitrary state (harness self-test),
+    through the grid engine the scans use."""
+    cs = tuple(float(c) for c in pair_concurrences(psi, SCAN_PAIRS))
     return WStateCandidate(
         t=float(t), J=float(J), concurrences=cs,
         max_deviation_from_half=float(max(abs(c - 0.5) for c in cs)))
@@ -475,27 +487,27 @@ class PeriodEstimate:
     degenerate: bool
 
 
-def periodicity_report(J, t_max: float | None = None, samples: int = 8192,
-                       signals=tuple(_SIGNALS)) -> list[PeriodEstimate]:
-    """Estimated and (for rational J) exact fundamental periods per signal.
+def periodicity_report(J, t_max: float | None = None) -> list[PeriodEstimate]:
+    """Estimated and (for rational J) exact fundamental periods per signal,
+    from 8192 samples of each closed-form signal on [0, t_max].
 
     ``t_max`` must cover at least four periods of each signal; by default it
     is sized automatically from the exact periods (16*pi fallback).
     """
-    exact = {name: exact_signal_period(name, J) for name in signals}
+    exact = {name: exact_signal_period(name, J) for name in _SIGNALS}
     if t_max is None:
         known = [p for p in exact.values() if p]
         t_max = 4.5 * max(known) if known else 16.0 * np.pi
     t_max = float(t_max)
-    for name in signals:
+    for name in _SIGNALS:
         if exact[name] and t_max < 4.0 * exact[name]:
             raise ValueError(
                 f"t_max={t_max:.3f} covers fewer than 4 periods of {name} "
                 f"(exact period {exact[name]:.3f})")
-    ts = np.linspace(0.0, t_max, samples)
+    ts = np.linspace(0.0, t_max, 8192)
     dt = ts[1] - ts[0]
     out = []
-    for name in signals:
+    for name in _SIGNALS:
         values = _SIGNALS[name](ts, float(J))
         est = estimate_period(values, float(dt))
         out.append(PeriodEstimate(

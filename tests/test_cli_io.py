@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from triplaq import cli_io
 from triplaq.cli_io import (
     SweepConfig,
     config_from_text,
@@ -80,6 +81,12 @@ def test_non_finite_input_is_exit_1(tmp_path, capsys, command, flags):
     (["forbidden", "--j-values", ","], "--j-values"),
     (["events", "--resolution", "10"], "--resolution"),
     (["wstate", "--resolution", "0"], "--resolution"),
+    (["forbidden", "--t-max", "1e300"], "--t-max"),
+    (["events", "--t-range", "0:1e300:2"], "--t-range"),
+    (["events", "--j-range", "0:1e300:2"], "--j-range"),
+    (["wstate", "--j-range", "0:1e12:5"], "--j-range"),
+    (["surface", "--t-range", "0:1:100000000"], "--t-range"),
+    (["evolve", "--t-range", "0:1:100000000"], "--t-range"),
 ])
 def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -319,6 +326,20 @@ class TestReportCommand:
         assert code == 1
         payload = json.loads(out.read_text())
         assert "error" in payload and "geom.txt" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--geometry", "/missing/geom.txt"], "geom.txt"),
+        (["--t-range", "0:1e300:5"], "--t-range"),
+    ])
+    def test_config_errors_precede_every_scan(self, tmp_path, monkeypatch,
+                                              argv, message):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan ran before the configuration was checked")
+
+        monkeypatch.setattr(cli_io, "oracle_equivalence_report", no_scan)
+        out = tmp_path / "report.json"
+        assert main(["report", *argv, "--out", str(out)]) == 1
+        assert message in json.loads(out.read_text())["error"]["message"]
 
 
 def test_usage_error_is_exit_1(tmp_path):

@@ -2,17 +2,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from triplaq.entanglement import concurrence_gap
+from triplaq import qst_analysis
+from triplaq.dynamics import closed_form_state
+from triplaq.entanglement import concurrence_gap, state_concurrence
 from triplaq.qst_analysis import (
     estimate_period,
     exact_signal_period,
     find_qst_J,
     forbidden_J_scan,
     gap_at_transfer_times,
+    is_lattice_transfer,
     locate_events_2d,
     periodicity_report,
     sequence_table,
+    verify_transfers,
     wstate_candidate_from_state,
     wstate_scan,
 )
@@ -44,11 +50,20 @@ class TestTransferTimeReduction:
             worst = max(abs(gap_at_transfer_times(m, J)
                             - concurrence_gap(m * np.pi, J)) for J in js)
             assert worst <= 1e-12
+            assert np.array_equal(gap_at_transfer_times(m, js),
+                                  [gap_at_transfer_times(m, J) for J in js])
 
     @pytest.mark.parametrize("m", [0, -2, 1.5])
     def test_bad_m_rejected(self, m):
         with pytest.raises(ValueError):
             gap_at_transfer_times(m, 0.5)
+        with pytest.raises(ValueError):
+            is_lattice_transfer(m, F(1, 2))
+
+    @given(m=st.integers(1, 64), p=st.integers(-256, 256), q=st.integers(1, 64))
+    def test_lattice_rule_matches_float_gap(self, m, p, q):
+        exact = is_lattice_transfer(m, F(p, q))
+        assert exact == (abs(gap_at_transfer_times(m, F(p, q)) - 1.0) < 1e-12)
 
 
 class TestSolutionSets:
@@ -68,6 +83,16 @@ class TestSolutionSets:
         for m in range(1, 11):
             for j in find_qst_J(m):
                 assert gap_at_transfer_times(m, j) == pytest.approx(1.0, abs=1e-12)
+
+    def test_batched_verification_matches_scalar_route(self):
+        for m in range(1, 11):
+            js = np.array([float(j) for j in find_qst_J(m)])
+            c12, c34, ok = verify_transfers(m * np.pi, js)
+            assert ok.all()
+            for J, a, b in zip(js, c12, c34):
+                psi = closed_form_state(m * np.pi, J)
+                assert abs(a - state_concurrence(psi, (1, 2))) <= 1e-14
+                assert abs(b - state_concurrence(psi, (3, 4))) <= 1e-14
 
     def test_solutions_are_reduced_and_sorted(self):
         for m in range(1, 11):
@@ -133,6 +158,21 @@ class TestForbiddenScan:
         with pytest.raises(ValueError):
             forbidden_J_scan([1.0], np.pi)
 
+    @pytest.mark.parametrize("J, forbidden", [
+        ((np.sqrt(5.0) - 1.0) / 2.0, False),  # irrational: approaches 1
+        (2 / 511, False),                     # transfers at t = 511 pi
+        (1 / 3, True), (1.0, True), (3.0, True),
+    ])
+    def test_verdict_is_exact_beyond_the_horizon(self, J, forbidden):
+        (res,) = forbidden_J_scan([J], 20 * np.pi)
+        assert res.forbidden is forbidden
+        assert res.margin > 0  # no transfer inside the scanned horizon
+
+    @pytest.mark.parametrize("J", [np.nan, np.inf])
+    def test_non_finite_coupling_rejected(self, J):
+        with pytest.raises(ValueError, match="finite"):
+            forbidden_J_scan([J], 20 * np.pi)
+
 
 class TestEventLocation:
     def test_window_through_m3(self):
@@ -154,6 +194,17 @@ class TestEventLocation:
 
     def test_pinned_forbidden_coupling(self):
         assert locate_events_2d((0.0, 6 * np.pi), (1.0, 1.0), 64) == []
+
+    def test_events_verified_in_one_batched_call(self, monkeypatch):
+        calls = []
+
+        def spy(t, J):
+            calls.append(np.shape(t))
+            return verify_transfers(t, J)
+
+        monkeypatch.setattr(qst_analysis, "verify_transfers", spy)
+        events = locate_events_2d((0.0, 4 * np.pi), (0.0, 2.0), 64)
+        assert calls == [(len(events),)]
 
     def test_coarse_resolution_rejected(self):
         with pytest.raises(ValueError):
