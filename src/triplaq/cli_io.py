@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,7 @@ from .entanglement import (
     pair_concurrences,
     state_concurrence,
 )
-from .errors import ConfigError, NumericalHealthError, TriplaqError
+from .errors import ConfigError, ContractViolationError, NumericalHealthError, TriplaqError
 from .qst_analysis import (
     find_qst_J,
     forbidden_J_scan,
@@ -173,6 +174,16 @@ def resolve_geometry(name_or_path: str, J: float, D: float):
     return parse_geometry_text(p.read_text(), D=D, J=J, name=p.name)
 
 
+@contextmanager
+def _hamiltonian_flags(flags: str):
+    """Turn a Hamiltonian the eigensolver rejects (a non-finite entry or an
+    overflowing norm) into a configuration error naming the flags that set it."""
+    try:
+        yield
+    except ContractViolationError as exc:
+        raise ConfigError(f"{flags}: Hamiltonian cannot be diagonalized: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -240,7 +251,8 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
     """Closed-form trajectory at fixed J with the numeric-route deviation."""
     _check_grid(cfg.t_steps, "--t-range")
     geom = resolve_geometry(cfg.geometry, J, cfg.d)
-    decomp = hermitian_eigendecompose(build_hamiltonian(geom))
+    with _hamiltonian_flags("--j, --d"):
+        decomp = hermitian_eigendecompose(build_hamiltonian(geom))
     psi0 = initial_bell_state()
     ts = cfg.t_grid()
     rows = []
@@ -297,12 +309,18 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
     if cfg.geometry == "default":
         states = closed_form_state(ts[:, None], js, cfg.d)
     else:
+        # one stacked decomposition per chunk of at most TIME_CHUNK
+        # couplings, chunks of equal size, bounds the memory of each stack
+        geom = resolve_geometry(cfg.geometry, 0.0, cfg.d)
         psi0 = initial_bell_state()
         per_j = []
-        for J in js:
-            H = build_hamiltonian(resolve_geometry(cfg.geometry, float(J), cfg.d))
-            per_j.append(evolve_numeric(hermitian_eigendecompose(H), psi0, ts))
-        states = np.stack(per_j, axis=1)
+        for chunk in np.array_split(js, -(-js.size // TIME_CHUNK)):
+            with _hamiltonian_flags("--j-range, --d"):
+                decomp = hermitian_eigendecompose(np.stack(
+                    [build_hamiltonian(geom.with_couplings(J=float(J))) for J in chunk]))
+            per_j.append(evolve_numeric(decomp, psi0, ts))
+            del decomp      # free it before the next stack is built
+        states = np.concatenate(per_j).swapaxes(0, 1)
     rows = []
     for t, row_states in zip(ts, states):
         for J, psi in zip(js, row_states):
@@ -425,17 +443,20 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     checks: dict = {}
     _check_grid(max(cfg.t_steps * cfg.j_steps, _scan_points(cfg, 64)),
                 "--t-range", "--j-range")
-    # the conservation check's Hamiltonians, built first so that a bad
-    # --geometry fails before any scan runs
-    hamiltonians = [build_hamiltonian(resolve_geometry(cfg.geometry, J, cfg.d))
-                    for J in (0.0, 0.5, 1.0, 2.0)]
+    # the conservation check's Hamiltonians, diagonalized first so that a
+    # bad --geometry or --d fails before any scan runs
+    geom = resolve_geometry(cfg.geometry, 0.0, cfg.d)
+    with _hamiltonian_flags("--d, --geometry"):
+        conservation = hermitian_eigendecompose(np.stack(
+            [build_hamiltonian(geom.with_couplings(J=J)) for J in (0.0, 0.5, 1.0, 2.0)]))
 
     # Route equivalence, committed geometry vs swapped negative control.
     t_fine = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
-    oracle = oracle_equivalence_report(_ORACLE_J, t_fine, D=cfg.d)
     t_coarse = np.arange(0.0, 2.0 * np.pi + 1e-12, np.pi / 16.0)
-    control = oracle_equivalence_report(_ORACLE_J, t_coarse, D=cfg.d,
-                                        geometry_factory=swapped_control_plaquette)
+    with _hamiltonian_flags("--d"):
+        oracle = oracle_equivalence_report(_ORACLE_J, t_fine, D=cfg.d)
+        control = oracle_equivalence_report(_ORACLE_J, t_coarse, D=cfg.d,
+                                            geometry_factory=swapped_control_plaquette)
     results["oracle"] = {
         "max_deviation": oracle.max_deviation, "worst_t": oracle.worst_t,
         "worst_j": oracle.worst_J, "points": oracle.points,
@@ -531,15 +552,12 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     results["events"] = [_event_dict(e) for e in events]
     checks["all_events_confirmed"] = all(e.confirmed for e in events)
 
-    # Conservation along numeric trajectories.
-    # 128 times, so one propagation batch of TIME_CHUNK per coupling
-    worst_norm = worst_leak = 0.0
-    psi0 = initial_bell_state()
-    ts = np.arange(0.0, 4.0 * np.pi, np.pi / 32.0)
-    for H in hamiltonians:
-        psi = evolve_numeric(hermitian_eigendecompose(H), psi0, ts)
-        worst_norm = max(worst_norm, float(norm_error(psi).max()))
-        worst_leak = max(worst_leak, float(sector_leak(psi).max()))
+    # Conservation along numeric trajectories: 128 times, so one
+    # propagation batch of TIME_CHUNK for the whole stack of couplings
+    psi = evolve_numeric(conservation, initial_bell_state(),
+                         np.arange(0.0, 4.0 * np.pi, np.pi / 32.0))
+    worst_norm = float(norm_error(psi).max())
+    worst_leak = float(sector_leak(psi).max())
     results["conservation"] = {"max_norm_error": worst_norm,
                                "max_sector_leak": worst_leak}
     checks["norm_sector_conservation"] = worst_norm < 1e-10 and worst_leak < 1e-12
@@ -720,6 +738,7 @@ def main(argv=None) -> int:
                 verdict = "all checks pass" if code == 0 else f"{n_fail} failed checks"
             else:
                 verdict = "error"
+                print(f"error: {payload['error']['message']}", file=sys.stderr)
             print(f"wrote {cfg.out} ({verdict})")
             return code
         print(f"wrote {cfg.out} " + " ".join(f"{k}={v}" for k, v in summary.items()))

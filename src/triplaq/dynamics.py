@@ -93,9 +93,10 @@ def closed_form_state(t, J, D: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Full spectral decomposition of a Hermitian matrix.
+    """Full spectral decomposition of a Hermitian matrix or of a stack of them.
 
-    eigenvalues are ascending; eigenvectors[:, k] belongs to eigenvalues[k].
+    eigenvalues, shape (..., n), are ascending; eigenvectors[..., :, k],
+    shape (..., n, n), belongs to eigenvalues[..., k].
     """
 
     eigenvalues: np.ndarray
@@ -104,80 +105,142 @@ class EigenDecomposition:
 
 def _require_hermitian(H: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    defect = np.abs(H - H.conj().T).max()
-    if defect > tol:
-        raise ContractViolationError(f"matrix is not Hermitian (defect {defect:.3e})")
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2] or H.size == 0:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {H.shape}")
+    # a NaN or infinite entry makes the defect NaN or infinite, so it fails
+    # too; one temporary of H's size, as stacks can be large
+    adjoint = H.conj().swapaxes(-1, -2)
+    with np.errstate(invalid="ignore"):
+        adjoint -= H
+    defect = np.abs(adjoint).max()
+    if not defect <= tol:
+        raise ContractViolationError(
+            f"matrix is not finite and Hermitian (defect {defect:.3e})")
     return H
 
 
+def _rotate(A, Vt, sel, p, q, r):
+    """One Jacobi rotation in the (p, q) plane of the matrices ``sel`` of
+    the stacks A and Vt, the transposed eigenvector matrices.  ``sel`` is a
+    plain slice when every matrix rotates, and ``r`` is |A_pq| of each."""
+    phase = A[sel, p, q] / r
+    diff = (A[sel, q, q] - A[sel, p, p]).real
+    tau = diff / (2.0 * r)
+    abs_tau = np.abs(tau)
+    t = np.sign(tau) / (abs_tau + np.hypot(1.0, tau))
+    big = abs_tau > 1e12
+    if np.count_nonzero(big):
+        # asymptotic branch avoids overflow in tau**2
+        t[big] = 1.0 / (2.0 * tau[big])
+    equal = diff == 0.0
+    if np.count_nonzero(equal):
+        t[equal] = 1.0
+    c = 1.0 / np.hypot(1.0, t)
+    s = t * c
+    # c cast to complex once, as each complex-times-real product would cast it
+    sp, sc, c = (s * phase)[:, None], (s * np.conj(phase))[:, None], c.astype(complex)[:, None]
+    # A <- U+ A U and V <- V U with the 2x2 unitary
+    # [[c, s*phase], [-s*conj(phase), c]]; column k of V is row k of Vt
+    ap, aq = A[sel, :, p], A[sel, :, q]
+    A[sel, :, p], A[sel, :, q] = ap * c - aq * sc, ap * sp + aq * c
+    ap, aq = A[sel, p, :], A[sel, q, :]
+    A[sel, p, :], A[sel, q, :] = ap * c - aq * sp, ap * sc + aq * c
+    A[sel, p, q] = A[sel, q, p] = 0.0
+    vp, vq = Vt[sel, p, :], Vt[sel, q, :]
+    Vt[sel, p, :], Vt[sel, q, :] = vp * c - vq * sc, vp * sp + vq * c
+
+
+def _jacobi_sweep(A, Vt, skip_below):
+    """One cyclic sweep over the pairs p < q in row-major order, on every
+    matrix of the stacks A and Vt (see :func:`_rotate`) at once.
+
+    A matrix rotates at (p, q) only when its own |A_pq| exceeds its own
+    ``skip_below``.  A skipped pair changes nothing, so each row p is
+    searched ahead for its next pair that rotates in any matrix.
+    """
+    n = A.shape[-1]
+    for p in range(n - 1):
+        q = p + 1
+        while q < n:
+            row = A[:, p, q:]
+            # |A_pq| by hypot: np.abs of a complex array can be 1 ulp off
+            # the abs() of one element
+            r = np.hypot(row.real, row.imag)
+            rot = r > skip_below[:, None]
+            hits = np.flatnonzero(rot.T)    # column-major: pairs in q order
+            if hits.size == 0:
+                break
+            k = int(hits[0]) // rot.shape[0]
+            q += k
+            if np.count_nonzero(rot[:, k]) == rot.shape[0]:
+                _rotate(A, Vt, slice(None), p, q, r[:, k])
+            else:
+                sel = np.flatnonzero(rot[:, k])
+                _rotate(A, Vt, sel, p, q, r[sel, k])
+            q += 1
+
+
 def hermitian_eigendecompose(H: np.ndarray) -> EigenDecomposition:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
+    """Cyclic Jacobi diagonalization of a Hermitian matrix, shape (n, n), or
+    of a stack of them, shape (..., n, n), in one pass over the stack.
 
     Rotations are applied in a fixed row-major order, which makes the output
     deterministic (including the basis chosen inside degenerate eigenspaces).
-    Convergence: off-diagonal Frobenius norm below 1e-13 relative to the
-    matrix scale, within 100 sweeps.
+    Convergence, per matrix: off-diagonal Frobenius norm below 1e-13
+    relative to the matrix's own scale, within 100 sweeps.  Each matrix of
+    a stack gets exactly the rotations it would get alone, so the result
+    equals per-matrix calls bit for bit.  Raises ContractViolationError for
+    a non-finite or non-Hermitian input and for a Frobenius norm that
+    overflows.
     """
-    A = _require_hermitian(H).copy()
-    n = A.shape[0]
-    V = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(A)))
+    H = _require_hermitian(H)
+    lead, n = H.shape[:-2], H.shape[-1]
+    A = H.reshape(-1, n, n).copy()
+    m = A.shape[0]
+    with np.errstate(over="ignore"):
+        scale = np.array([max(1.0, float(np.linalg.norm(a))) for a in A])
+    if not np.isfinite(scale).all():
+        raise ContractViolationError("matrix Frobenius norm overflows")
     # elements this small cannot move the off-norm past the tolerance, and
     # rotating on denormal-range values would overflow the phase division
     skip_below = 1e-13 * scale / (10.0 * n * n)
+    Vt = np.empty_like(A)
+    Vt[:] = np.eye(n)
+    live = np.ones(m, dtype=bool)       # the matrices not yet converged
     for _ in range(100):
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off <= 1e-13 * scale:
+        for k in np.flatnonzero(live):
+            live[k] = float(np.linalg.norm(A[k] - np.diag(np.diag(A[k])))) > 1e-13 * scale[k]
+        if not live.any():
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(A[p, q])
-                if r <= skip_below:
-                    continue
-                phase = A[p, q] / r
-                diff = float((A[q, q] - A[p, p]).real)
-                if diff == 0.0:
-                    t = 1.0
-                else:
-                    tau = diff / (2.0 * r)
-                    if abs(tau) > 1e12:
-                        # asymptotic branch avoids overflow in tau**2
-                        t = 1.0 / (2.0 * tau)
-                    else:
-                        t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # A <- U+ A U with the 2x2 unitary [[c, s*phase], [-s*conj(phase), c]]
-                colp = A[:, p] * c - A[:, q] * (s * np.conj(phase))
-                colq = A[:, p] * (s * phase) + A[:, q] * c
-                A[:, p], A[:, q] = colp, colq
-                rowp = A[p, :] * c - A[q, :] * (s * phase)
-                rowq = A[p, :] * (s * np.conj(phase)) + A[q, :] * c
-                A[p, :], A[q, :] = rowp, rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p] * c - V[:, q] * (s * np.conj(phase))
-                vq = V[:, p] * (s * phase) + V[:, q] * c
-                V[:, p], V[:, q] = vp, vq
-    evals = np.diag(A).real.copy()
-    order = np.argsort(evals, kind="stable")
-    return EigenDecomposition(evals[order], V[:, order])
+        # a converged matrix skips every pair, so it never rotates again
+        _jacobi_sweep(A, Vt, np.where(live, skip_below, np.inf))
+    evals = np.diagonal(A, axis1=-2, axis2=-1).real
+    order = np.argsort(evals, axis=-1, kind="stable")
+    evals = np.take_along_axis(evals, order, axis=-1)
+    del A       # free it before the eigenvectors are copied out
+    # rows of Vt in eigenvalue order: each eigenvector matrix column-major,
+    # as V[:, order] lays out one matrix, so that propagation runs the same
+    # BLAS calls for a stack
+    vecs = Vt[np.arange(m)[:, None], order].swapaxes(-1, -2)
+    return EigenDecomposition(evals.reshape(lead + (n,)), vecs.reshape(lead + (n, n)))
 
 
 def evolve_numeric(decomp: EigenDecomposition, psi0: np.ndarray, t) -> np.ndarray:
     """Spectral propagation psi(t) = V exp(-i E t) V+ psi0 of a diagonalized H.
 
     ``t`` is a scalar, giving one 16-vector, or a vector of times, giving
-    one row per time from a single matmul.  Raises NumericalHealthError if
-    any row's norm moved by more than 1e-8.
+    one row per time from a single matmul.  A stacked decomposition (leading
+    axes ``...``) gives shape (..., 16) or (..., nt, 16), each stack entry
+    bit-identical to propagating its own decomposition.  Raises
+    NumericalHealthError if any row's norm moved by more than 1e-8.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    V = decomp.eigenvectors
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float),
-                                            decomp.eigenvalues))
-    psi_t = (phases * (V.conj().T @ psi0)) @ V.T
+    V, E = decomp.eigenvectors, decomp.eigenvalues
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(-1j * (t.reshape(-1, 1) * E[..., None, :]))
+    coef = np.conj(V).swapaxes(-1, -2) @ psi0
+    psi_t = np.matmul(phases * coef[..., None, :], V.swapaxes(-1, -2))
+    psi_t = psi_t.reshape(E.shape[:-1] + t.shape + E.shape[-1:])
     drift = np.abs(np.linalg.norm(psi_t, axis=-1) - float(np.linalg.norm(psi0)))
     if not np.all(drift <= 1e-8):
         raise NumericalHealthError(f"propagation changed the norm by {drift.max():.3e}")
@@ -203,8 +266,9 @@ def phase_aligned_distance(psi: np.ndarray, reference: np.ndarray):
     return np.linalg.norm(psi - ph / np.abs(ph) * reference, axis=-1)
 
 
-#: Times propagated per batch; keeps each batch of states small
-#: (128 x 16 complex, 32 KiB) however long the time vector is.
+#: Times propagated per batch, and couplings per stacked decomposition in
+#: ``surface``; keeps each batch small (128 x 16 complex states, 32 KiB;
+#: 128 Hamiltonians, 512 KiB) however long the grid is.
 TIME_CHUNK = 128
 
 
@@ -224,23 +288,28 @@ def oracle_equivalence_report(J_values, t_values, D: float = 1.0,
 
     The deviation per point is the phase-quotiented distance between the
     numerically propagated state and the embedded closed-form amplitudes.
-    A wrong bond geometry shows up as an O(1) deviation.
+    A wrong bond geometry shows up as an O(1) deviation.  All Hamiltonians
+    are diagonalized as one stack; ties go to the first J, then the first t.
+    Propagation runs one J and at most TIME_CHUNK times at a time, so every
+    temporary stays at 32 KiB; larger ones took fresh pages from the kernel
+    on every call, at a cost that follows the host's memory load.
     """
-    J_values = list(J_values)
-    t_values = list(t_values)
-    if not J_values or not t_values:
+    J_values = [float(J) for J in J_values]
+    ts = np.asarray(list(t_values), dtype=float)
+    if not J_values or not ts.size:
         raise ValueError("J and t grids must be nonempty")
     psi0 = initial_bell_state()
-    ts = np.asarray(t_values, dtype=float)
+    stack = hermitian_eigendecompose(np.stack(
+        [build_hamiltonian(geometry_factory(J, D)) for J in J_values]))
     worst = (-1.0, 0.0, 0.0)
-    for J in J_values:
-        decomp = hermitian_eigendecompose(build_hamiltonian(geometry_factory(J, D)))
+    for j, J in enumerate(J_values):
+        decomp = EigenDecomposition(stack.eigenvalues[j], stack.eigenvectors[j])
         for lo in range(0, ts.size, TIME_CHUNK):
             chunk = ts[lo:lo + TIME_CHUNK]
             dev = phase_aligned_distance(evolve_numeric(decomp, psi0, chunk),
                                          closed_form_state(chunk, J, D))
             k = int(np.argmax(dev))
             if dev[k] > worst[0]:
-                worst = (float(dev[k]), float(chunk[k]), float(J))
+                worst = (float(dev[k]), float(chunk[k]), J)
     return OracleReport(max_deviation=worst[0], worst_t=worst[1],
-                        worst_J=worst[2], points=len(J_values) * len(ts))
+                        worst_J=worst[2], points=len(J_values) * ts.size)

@@ -458,13 +458,19 @@ def estimate_period(values, dt: float) -> float | None:
 
     Returns None for a flat (degenerate) signal; otherwise the lag of the
     first strong autocorrelation maximum, refined by parabolic interpolation.
+    The peak is searched in the inverse FFT of the power spectrum of the
+    signal zero-padded to at least 2n - 1 samples (Wiener-Khinchin), so no
+    circular wrap reaches a lag below n; the interpolation, which amplifies
+    rounding, takes its three lags from direct products.
     """
     x = np.asarray(values, dtype=float)
     if x.size < 8 or float(np.std(x)) < 1e-12:
         return None
     x = x - x.mean()
     n = x.size
-    num = np.correlate(x, x, mode="full")[n - 1:]
+    nfft = 1 << (2 * n - 1).bit_length()
+    spectrum = np.fft.rfft(x, nfft)
+    num = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, nfft)[:n]
     cum = np.concatenate(([0.0], np.cumsum(x * x)))
     lead = cum[1:][::-1]          # sum x_i^2 over i < n-k, for lag k = 0..n-1
     trail = cum[n] - cum[:n]      # sum x_i^2 over i >= k
@@ -473,8 +479,10 @@ def estimate_period(values, dt: float) -> float | None:
         r = np.where(norm > 0, num / norm, 0.0)
     for k in range(2, n - 1):
         if r[k] >= r[k - 1] and r[k] >= r[k + 1] and r[k] >= 0.99:
-            denom = r[k - 1] - 2.0 * r[k] + r[k + 1]
-            delta = 0.5 * (r[k - 1] - r[k + 1]) / denom if denom != 0 else 0.0
+            lo, mid, hi = (np.dot(x[j:], x[:n - j]) / norm[j] if norm[j] > 0 else 0.0
+                           for j in (k - 1, k, k + 1))
+            denom = lo - 2.0 * mid + hi
+            delta = 0.5 * (lo - hi) / denom if denom != 0 else 0.0
             return float((k + delta) * dt)
     return None
 

@@ -23,7 +23,9 @@ contributes +iD/2 to <i-excited|H|j-excited>.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,6 +84,8 @@ class BondSpec:
                 raise ValueError(f"site index {s} outside 1..{N_SITES}")
         if self.from_site == self.to_site:
             raise ValueError("bond endpoints must differ")
+        if not math.isfinite(self.strength):
+            raise ValueError(f"bond strength must be finite, got {self.strength}")
 
     @property
     def unordered_pair(self) -> tuple[int, int]:
@@ -174,24 +178,33 @@ def total_sz() -> np.ndarray:
     return sum(spin_operator_at(s, "z") for s in range(1, N_SITES + 1))
 
 
+@lru_cache(maxsize=None)
+def _bond_terms(kind: BondKind, i: int, j: int) -> tuple[np.ndarray, ...]:
+    """The operator products a bond i-j adds to H per unit coupling, read-only:
+    one for DM_Z (Sx_i Sy_j - Sy_i Sx_j), one per axis for HEISENBERG_ISO."""
+    if kind is BondKind.DM_Z:
+        terms = (spin_operator_at(i, "x") @ spin_operator_at(j, "y")
+                 - spin_operator_at(i, "y") @ spin_operator_at(j, "x"),)
+    else:
+        terms = tuple(spin_operator_at(i, axis) @ spin_operator_at(j, axis)
+                      for axis in ("x", "y", "z"))
+    for term in terms:
+        term.flags.writeable = False
+    return terms
+
+
 def build_hamiltonian(geom: PlaquetteGeometry) -> np.ndarray:
     """Assemble the 16x16 Hamiltonian from a geometry's bond list.
 
     Each DM_Z bond i->j adds ``strength*D*(Sx_i Sy_j - Sy_i Sx_j)``; each
-    HEISENBERG_ISO bond adds ``strength*J*(Sx Sx + Sy Sy + Sz Sz)``.  The
-    result is Hermitian and commutes with total S^z.
+    HEISENBERG_ISO bond adds ``strength*J*(Sx Sx + Sy Sy + Sz Sz)``, one axis
+    at a time.  The result is Hermitian and commutes with total S^z.
     """
     H = np.zeros((DIM, DIM), dtype=complex)
     for b in geom.bonds:
-        i, j = b.from_site, b.to_site
-        if b.kind is BondKind.DM_Z:
-            coeff = b.strength * geom.D
-            H += coeff * (spin_operator_at(i, "x") @ spin_operator_at(j, "y")
-                          - spin_operator_at(i, "y") @ spin_operator_at(j, "x"))
-        else:
-            coeff = b.strength * geom.J
-            for axis in ("x", "y", "z"):
-                H += coeff * (spin_operator_at(i, axis) @ spin_operator_at(j, axis))
+        coeff = b.strength * (geom.D if b.kind is BondKind.DM_Z else geom.J)
+        for term in _bond_terms(b.kind, b.from_site, b.to_site):
+            H += coeff * term
     return H
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from triplaq import cli_io
+from triplaq import cli_io, dynamics
 from triplaq.cli_io import (
     SweepConfig,
     config_from_text,
@@ -12,6 +12,7 @@ from triplaq.cli_io import (
     main,
     resolve_geometry,
 )
+from triplaq.dynamics import TIME_CHUNK
 from triplaq.errors import ConfigError
 
 FOUR_PI = 4 * np.pi
@@ -87,6 +88,11 @@ def test_non_finite_input_is_exit_1(tmp_path, capsys, command, flags):
     (["wstate", "--j-range", "0:1e12:5"], "--j-range"),
     (["surface", "--t-range", "0:1:100000000"], "--t-range"),
     (["evolve", "--t-range", "0:1:100000000"], "--t-range"),
+    # finite Hamiltonians whose Frobenius norm overflows
+    (["evolve", "--j", "1e200", "--t-range", "0:1:3"], "--j"),
+    (["evolve", "--d", "1e200", "--t-range", "0:1:3"], "--d"),
+    (["surface", "--geometry", "swapped-control", "--signals", "GAP",
+      "--t-range", "0:1:2", "--j-range", "0:1e200:3"], "--j-range"),
 ])
 def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -96,6 +102,51 @@ def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
     assert err.startswith("error: ") and flag in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_overflowing_hamiltonian_report_is_exit_1(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran before the Hamiltonians were checked")
+
+    monkeypatch.setattr(cli_io, "oracle_equivalence_report", no_scan)
+    out = tmp_path / "report.json"
+    assert main(["report", "--d", "1e200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --d") and err.count("\n") == 1
+    assert "--d" in json.loads(out.read_text())["error"]["message"]
+
+
+class TestNoPerCouplingLoops:
+    """The spectral route diagonalizes stacks of Hamiltonians, not one per J."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for module in (cli_io, dynamics):
+            original = module.hermitian_eigendecompose
+
+            def counted(H, original=original):
+                calls.append(np.shape(H))
+                return original(H)
+
+            monkeypatch.setattr(module, "hermitian_eigendecompose", counted)
+        return calls
+
+    def test_surface_decomposes_j_in_chunks(self, tmp_path, monkeypatch):
+        calls = self._spy(monkeypatch)
+        code = main(["surface", "--geometry", "swapped-control", "--signals", "GAP",
+                     "--t-range", f"0:{FOUR_PI}:5", "--j-range", "0:2:401",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert len(calls) == -(-401 // TIME_CHUNK)
+        assert sum(shape[0] for shape in calls) == 401
+
+    def test_report_makes_three_stacked_calls(self, tmp_path, monkeypatch):
+        calls = self._spy(monkeypatch)
+        main(["report", "--t-range", f"0:{FOUR_PI}:9", "--j-range", "0:2:5",
+              "--out", str(tmp_path / "r.json")])
+        assert len(calls) <= 3
+        assert all(len(shape) == 3 for shape in calls)
 
 
 class TestGeometryResolution:

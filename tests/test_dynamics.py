@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,88 @@ class TestJacobiEigensolver:
             hermitian_eigendecompose(m)
 
 
+class TestStackedJacobi:
+    """A stack is one pass of the solver; each matrix must come out exactly
+    as a call on that matrix alone (np.array_equal, not allclose)."""
+
+    @staticmethod
+    def _assert_matches_per_matrix(stack):
+        dec = hermitian_eigendecompose(stack)
+        assert dec.eigenvalues.shape == stack.shape[:-1]
+        assert dec.eigenvectors.shape == stack.shape
+        for k, h in enumerate(stack):
+            one = hermitian_eigendecompose(h)
+            assert one.eigenvalues.shape == (16,)
+            assert np.array_equal(dec.eigenvalues[k], one.eigenvalues), k
+            assert np.array_equal(dec.eigenvectors[k], one.eigenvectors), k
+        return dec
+
+    def test_swapped_control_jsweep_grid(self):
+        # the spectral J sweep's 401 couplings, degenerate J = 0 included
+        js = np.linspace(0.0, 2.0, 401)
+        self._assert_matches_per_matrix(np.stack(
+            [build_hamiltonian(swapped_control_plaquette(float(J))) for J in js]))
+
+    @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
+    def test_report_oracle_couplings(self, factory):
+        js = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
+        self._assert_matches_per_matrix(
+            np.stack([build_hamiltonian(factory(J)) for J in js]))
+
+    def test_random_stack_mixes_convergence(self):
+        # already diagonal, degenerate diagonals (diff == 0), off-diagonals
+        # so small that tau takes the asymptotic branch, and dense matrices:
+        # the matrices converge after different sweep counts and rotate at
+        # different pairs, which exercises the per-matrix skip mask
+        rng = np.random.default_rng(11)
+        stack = []
+        for k in range(24):
+            b = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+            h = b + b.conj().T
+            diag = np.diag(np.round(2.0 * rng.normal(size=16)) / 2.0)
+            sparse = rng.random((16, 16)) < 0.05
+            stack.append([diag, diag + 1e-13 * h, diag + (sparse | sparse.T) * h,
+                          h / 2][k % 4])
+        self._assert_matches_per_matrix(np.array(stack))
+
+    def test_leading_axes_kept(self):
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        stack = b + b.conj().swapaxes(-1, -2)
+        dec = hermitian_eigendecompose(stack)
+        assert dec.eigenvalues.shape == (2, 3, 4)
+        assert dec.eigenvectors.shape == (2, 3, 4, 4)
+        flat = hermitian_eigendecompose(stack.reshape(6, 4, 4))
+        assert np.array_equal(dec.eigenvectors.reshape(6, 4, 4), flat.eigenvectors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        H = build_hamiltonian(default_plaquette(0.5))
+        H[3, 5] = bad
+        with pytest.raises(ContractViolationError, match="finite"):
+            hermitian_eigendecompose(H)
+        H = build_hamiltonian(default_plaquette(0.5))
+        H[7, 7] = bad
+        with pytest.raises(ContractViolationError, match="finite"):
+            hermitian_eigendecompose(np.stack([build_hamiltonian(default_plaquette(0.0)), H]))
+
+    def test_all_nan_matrix_rejected_before_any_sweep(self):
+        with pytest.raises(ContractViolationError):
+            hermitian_eigendecompose(np.full((16, 16), np.nan))
+
+    def test_overflowing_norm_rejected(self):
+        # every entry is finite, but the Frobenius norm overflows; the old
+        # solver skipped every rotation and returned the diagonal
+        H = build_hamiltonian(default_plaquette(1e200))
+        assert np.isfinite(H).all()
+        with pytest.raises(ContractViolationError, match="overflows"):
+            hermitian_eigendecompose(H)
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError):
+            hermitian_eigendecompose(np.zeros((0, 16, 16)))
+
+
 def _dec(J, factory=default_plaquette):
     return hermitian_eigendecompose(build_hamiltonian(factory(J)))
 
@@ -204,6 +288,27 @@ class TestGridEngine:
             assert batch.shape == (ts.size, 16)
             assert np.abs(batch - explicit).max() <= 1e-14
 
+    @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
+    def test_stacked_propagation_matches_per_j(self, factory):
+        psi0 = initial_bell_state()
+        js = np.linspace(0.0, 2.0, 9)
+        stacked = hermitian_eigendecompose(np.stack(
+            [build_hamiltonian(factory(float(J))) for J in js]))
+        ts = np.linspace(0.01, 4 * np.pi, 37)
+        batch = evolve_numeric(stacked, psi0, ts)
+        assert batch.shape == (js.size, ts.size, 16)
+        for k, J in enumerate(js):
+            dec = _dec(J, factory)
+            assert np.array_equal(batch[k], evolve_numeric(dec, psi0, ts))
+            # the propagator written out: one (nt, 16) @ (16, 16) matmul
+            V, E = dec.eigenvectors, dec.eigenvalues
+            inline = (np.exp(-1j * np.multiply.outer(ts, E)) * (V.conj().T @ psi0)) @ V.T
+            assert np.array_equal(batch[k], inline)
+        at_one_t = evolve_numeric(stacked, psi0, 1.3)
+        assert at_one_t.shape == (js.size, 16)
+        for k, J in enumerate(js):
+            assert np.array_equal(at_one_t[k], evolve_numeric(_dec(J, factory), psi0, [1.3])[0])
+
     def test_batched_norm_drift_raises(self):
         good = _dec(0.5)
         broken = EigenDecomposition(good.eigenvalues, 0.9 * good.eigenvectors)
@@ -235,6 +340,38 @@ class TestOracle:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             oracle_equivalence_report([], [0.0])
+
+    @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
+    def test_worst_point_matches_per_j_decompositions(self, factory):
+        js = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
+        ts = np.arange(0.0, 3 * np.pi, np.pi / 64)
+        worst = (-1.0, 0.0, 0.0)
+        for J in js:
+            decomp = hermitian_eigendecompose(build_hamiltonian(factory(J, 1.0)))
+            for lo in range(0, ts.size, 128):
+                chunk = ts[lo:lo + 128]
+                dev = phase_aligned_distance(evolve_numeric(decomp, initial_bell_state(), chunk),
+                                             closed_form_state(chunk, J))
+                k = int(np.argmax(dev))
+                if dev[k] > worst[0]:
+                    worst = (float(dev[k]), float(chunk[k]), J)
+        rep = oracle_equivalence_report(js, ts, geometry_factory=factory)
+        assert (rep.max_deviation, rep.worst_t, rep.worst_J) == worst
+        assert rep.points == len(js) * ts.size
+
+    def test_temporaries_stay_small_on_the_report_grid(self):
+        # the report's 8 J x 1025 t: one J and 128 times per batch keeps each
+        # temporary at 32 KiB; a batch of all 8 J is 256 KiB per temporary
+        # and peaks above 1 MiB
+        js = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
+        ts = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
+        tracemalloc.start()
+        try:
+            oracle_equivalence_report(js, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
 
 
 def test_phase_alignment_ignores_global_phase():

@@ -260,6 +260,37 @@ class TestPeriodicity:
     def test_degenerate_signal(self):
         assert estimate_period(np.zeros(512), 0.01) is None
 
+    @staticmethod
+    def _direct_estimate(values, dt):
+        """The same normalized autocorrelation and peak picking, with the
+        O(n^2) direct correlation."""
+        x = np.asarray(values, dtype=float)
+        x = x - x.mean()
+        n = x.size
+        num = np.correlate(x, x, mode="full")[n - 1:]
+        cum = np.concatenate(([0.0], np.cumsum(x * x)))
+        norm = np.sqrt(cum[1:][::-1] * (cum[n] - cum[:n]))
+        r = num / norm
+        for k in range(2, n - 1):
+            if r[k] >= r[k - 1] and r[k] >= r[k + 1] and r[k] >= 0.99:
+                denom = r[k - 1] - 2.0 * r[k] + r[k + 1]
+                delta = 0.5 * (r[k - 1] - r[k + 1]) / denom if denom != 0 else 0.0
+                return float((k + delta) * dt)
+        return None
+
+    @pytest.mark.parametrize("J", [0.0, 0.2, 0.123, 0.5, 2.0 / 3.0, 1.0, 1.4, 2.0])
+    def test_fft_autocorrelation_matches_direct(self, J):
+        ts = np.linspace(0.0, 16.0 * np.pi, 8192)
+        for name, signal in qst_analysis._SIGNALS.items():
+            values = signal(ts, J)
+            if float(np.std(values)) < 1e-12:
+                continue
+            fast = estimate_period(values, ts[1])
+            slow = self._direct_estimate(values, ts[1])
+            assert (fast is None) == (slow is None), name
+            if slow is not None:
+                assert abs(fast - slow) <= 1e-12, name
+
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
             periodicity_report(0.0, t_max=np.pi)

@@ -90,6 +90,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             BondSpec(BondKind.DM_Z, 0, 2)
 
+    @pytest.mark.parametrize("strength", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_strength_rejected(self, strength):
+        with pytest.raises(ValueError, match="finite"):
+            BondSpec(BondKind.HEISENBERG_ISO, 1, 3, strength)
+
     def test_with_couplings_keeps_pattern(self):
         geom = default_plaquette(J=0.2).with_couplings(J=1.5, D=2.0)
         assert geom.J == 1.5 and geom.D == 2.0
@@ -118,6 +123,47 @@ class TestHamiltonian:
             assert np.abs(H - H.conj().T).max() == 0.0
             sz = total_sz()
             assert np.abs(H @ sz - sz @ H).max() < 1e-12
+
+    @staticmethod
+    def _kron_reference(geom):
+        """H assembled term by term from explicit Kronecker products, in the
+        bond order and the axis order of the documented sum."""
+        pauli = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+                 "y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
+                 "z": np.array([[-1, 0], [0, 1]], dtype=complex)}
+
+        def op(site, axis):
+            out = np.ones((1, 1), dtype=complex)
+            for s in range(1, 5):
+                out = np.kron(out, 0.5 * pauli[axis] if s == site else np.eye(2))
+            return out
+
+        H = np.zeros((16, 16), dtype=complex)
+        for b in geom.bonds:
+            i, j = b.from_site, b.to_site
+            if b.kind is BondKind.DM_Z:
+                H += b.strength * geom.D * (op(i, "x") @ op(j, "y") - op(i, "y") @ op(j, "x"))
+            else:
+                for axis in "xyz":
+                    H += b.strength * geom.J * (op(i, axis) @ op(j, axis))
+        return H
+
+    @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
+    def test_cached_terms_match_kron_reference(self, factory):
+        for J, D in ((0.0, 1.0), (0.37, 1.0), (2.0 / 3.0, 2.5), (-1.3, 0.2)):
+            geom = factory(J, D)
+            assert np.array_equal(build_hamiltonian(geom), self._kron_reference(geom))
+
+    def test_cached_terms_match_kron_reference_for_file(self):
+        geom = parse_geometry_text(
+            "dm_z 2 1 0.75\ndm_z 3 4 -1.25\nheisenberg_iso 1 3 0.3\n"
+            "heisenberg_iso 4 2 1.7\nheisenberg_iso 1 2 -0.45\n", D=1.3, J=0.8)
+        H = build_hamiltonian(geom)
+        assert np.array_equal(H, self._kron_reference(geom))
+        # the cached terms are shared, so a caller writing into one H must
+        # not reach the next
+        H[:] = 7.0
+        assert np.array_equal(build_hamiltonian(geom), self._kron_reference(geom))
 
     def test_heisenberg_leg_matrix_element(self):
         # <1000|H|0010> couples excitations on sites 1 and 3 through
@@ -248,6 +294,10 @@ class TestGeometryText:
     def test_bad_field_count_reports_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_geometry_text("dm_z 1 2\n")
+
+    def test_non_finite_strength_reports_line(self):
+        with pytest.raises(ConfigError, match="line 2.*finite"):
+            parse_geometry_text("dm_z 1 2 1.0\nheisenberg_iso 1 3 nan\n")
 
     def test_empty_file_rejected(self):
         with pytest.raises(ConfigError):
