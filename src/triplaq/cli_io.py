@@ -1,6 +1,8 @@
 """Command-line front end: sweeps, reports, and file output.
 
 Subcommands: evolve, surface, table1, events, forbidden, wstate, report.
+Every result is in units of the ring coupling D; ``evolve`` and ``surface``
+take ``--d`` and evaluate at (D*t, J/D), writing the t and J they were given.
 CSV output is comma-separated with a header row, LF line endings and
 17-significant-digit floats, so downstream equality checks are exact;
 repeated runs with the same configuration are byte-identical.
@@ -16,7 +18,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,6 +72,11 @@ SCHEMA_VERSION = 1
 KNOWN_SIGNALS = ("C12", "C34", "C13", "C24", "GAP")
 #: Largest grid a command may evaluate, checked before anything is allocated.
 MAX_GRID_POINTS = 2 ** 24
+#: Largest phase (|J| + D)*|t| that evolve and surface evaluate.  Over
+#: J in {0, +-0.5, +-2, 3, +-1e3, L - 1} at 4001 samples the numeric route
+#: misses the closed form by at most 3.3e-10 at L = 2**20, 8.0e-10 at 2**21
+#: and 1.3e-9 at 2**22, beyond the report's 1e-9 oracle bound.
+MAX_PHASE = 2.0 ** 20
 
 
 @dataclass(frozen=True)
@@ -112,14 +119,38 @@ class SweepConfig:
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(SweepConfig)}
 
+#: The options that set SweepConfig fields: the fields each one sets, and its
+#: parser arguments.  ``--out`` sets ``out``, which every subcommand reads.
+_SHARED_OPTIONS = {
+    "--t-range": (("t_min", "t_max", "t_steps"),
+                  {"metavar": "A:B:N", "help": "time grid, in units of 1/D"}),
+    "--j-range": (("j_min", "j_max", "j_steps"),
+                  {"metavar": "A:B:N", "help": "coupling grid, in units of D"}),
+    "--d": (("d",), {"type": float, "help": "ring coupling D, the unit (default 1)"}),
+    "--geometry": (("geometry",), {"help": "default, swapped-control or a file path"}),
+    "--threshold": (("threshold",), {"type": float, "help": "W-scan threshold"}),
+    "--format": (("fmt",), {"dest": "fmt", "choices": ("csv", "json")}),
+}
 
-def config_to_text(cfg: SweepConfig) -> str:
-    """Flat key=value serialization; parses back field-for-field identical."""
-    lines = [f"{name} = {getattr(cfg, name)!r}" for name in _CONFIG_TYPES]
-    return "\n".join(lines) + "\n"
+#: The shared options, and so the SweepConfig fields, each subcommand reads.
+#: It builds each subcommand's parser, and a config file may set only the
+#: fields its subcommand reads.
+COMMAND_OPTIONS = {
+    "evolve": ("--t-range", "--d", "--geometry", "--format"),
+    "surface": ("--t-range", "--j-range", "--d", "--geometry", "--format"),
+    "table1": ("--format",),
+    "events": ("--t-range", "--j-range", "--format"),
+    "forbidden": ("--format",),
+    "wstate": ("--t-range", "--j-range", "--threshold", "--format"),
+    "report": ("--t-range", "--j-range", "--geometry", "--threshold"),
+}
 
 
-def config_from_text(text: str) -> SweepConfig:
+def config_from_text(text: str, command: str | None = None) -> SweepConfig:
+    """Parse flat ``key = value`` lines; given ``command``, a key for a field
+    that command does not read is an error."""
+    reads = None if command is None else {"out", *(
+        name for option in COMMAND_OPTIONS[command] for name in _SHARED_OPTIONS[option][0])}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -131,6 +162,8 @@ def config_from_text(text: str) -> SweepConfig:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if reads is not None and key not in reads:
+            raise ConfigError(f"config line {lineno}: {command} does not read {key!r}")
         try:
             if key in ("t_steps", "j_steps"):
                 values[key] = int(value)
@@ -143,11 +176,11 @@ def config_from_text(text: str) -> SweepConfig:
     return SweepConfig(**values)
 
 
-def load_config(path: str) -> SweepConfig:
+def load_config(path: str, command: str) -> SweepConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return config_from_text(p.read_text())
+    return config_from_text(p.read_text(), command)
 
 
 def _check_grid(points: float, *flags: str) -> None:
@@ -162,24 +195,33 @@ def _scan_points(cfg: SweepConfig, resolution: int) -> float:
             * ((cfg.j_max - cfg.j_min) * resolution + 1))
 
 
-def resolve_geometry(name_or_path: str, J: float, D: float):
+def _check_phases(cfg: SweepConfig, j_abs: float, j_flag: str) -> None:
+    phase = (j_abs + cfg.d) * max(abs(cfg.t_min), abs(cfg.t_max))
+    if not phase <= MAX_PHASE:
+        raise ConfigError(f"{j_flag}, --d, --t-range: phases (|J| + D)*t up to "
+                          f"{phase:.3g} exceed the limit of {MAX_PHASE:.0f}")
+
+
+def resolve_geometry(name_or_path: str, J: float):
     """Builtin name ('default', 'swapped-control') or a bond-record file."""
     if name_or_path == "default":
-        return default_plaquette(J, D)
+        return default_plaquette(J)
     if name_or_path == "swapped-control":
-        return swapped_control_plaquette(J, D)
+        return swapped_control_plaquette(J)
     p = Path(name_or_path)
     if not p.is_file():
         raise ConfigError(f"geometry file not found: {name_or_path}")
-    return parse_geometry_text(p.read_text(), D=D, J=J, name=p.name)
+    return parse_geometry_text(p.read_text(), J=J, name=p.name)
 
 
 @contextmanager
 def _hamiltonian_flags(flags: str):
     """Turn a Hamiltonian the eigensolver rejects (a non-finite entry or an
-    overflowing norm) into a configuration error naming the flags that set it."""
+    overflowing norm) into a configuration error naming the flags that set it;
+    the arithmetic that makes one raises no numpy warning on the way."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except ContractViolationError as exc:
         raise ConfigError(f"{flags}: Hamiltonian cannot be diagonalized: {exc}") from None
 
@@ -248,9 +290,11 @@ _EVOLVE_HEADER = [
 
 
 def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
-    """Closed-form trajectory at fixed J with the numeric-route deviation."""
+    """Closed-form trajectory at fixed J with the numeric-route deviation,
+    evaluated at (D*t, J/D); the rows carry the t given."""
     _check_grid(cfg.t_steps, "--t-range")
-    geom = resolve_geometry(cfg.geometry, J, cfg.d)
+    _check_phases(cfg, abs(J), "--j")
+    geom = resolve_geometry(cfg.geometry, J / cfg.d)
     with _hamiltonian_flags("--j, --d"):
         decomp = hermitian_eigendecompose(build_hamiltonian(geom))
     psi0 = initial_bell_state()
@@ -259,8 +303,9 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
     worst_dev = worst_norm = worst_leak = 0.0
     for lo in range(0, ts.size, TIME_CHUNK):
         t = ts[lo:lo + TIME_CHUNK]
-        psi_c = closed_form_state(t, J, cfg.d)
-        psi_n = evolve_numeric(decomp, psi0, t)
+        t_d = cfg.d * t
+        psi_c = closed_form_state(t_d, J / cfg.d)
+        psi_n = evolve_numeric(decomp, psi0, t_d)
         dev = phase_aligned_distance(psi_n, psi_c)
         nerr, leak = norm_error(psi_n), sector_leak(psi_n)
         worst_dev = max(worst_dev, float(dev.max()))
@@ -292,7 +337,8 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
 
     For each requested signal both the Wootters column and the closed-form
     column are emitted when both exist, so the discrepancy between them can
-    be plotted externally.
+    be plotted externally.  Every point is evaluated at (D*t, J/D); the rows
+    carry the t and J given.
     """
     signals = list(signals)
     if not signals:
@@ -305,27 +351,29 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
     header = ["t", "j"]
     for s in ordered:
         header.extend(_SIGNAL_COLUMNS[s])
+    _check_phases(cfg, max(abs(cfg.j_min), abs(cfg.j_max)), "--j-range")
     ts, js = cfg.t_grid(), cfg.j_grid()
+    ts_d, js_d = cfg.d * ts, js / cfg.d
     if cfg.geometry == "default":
-        states = closed_form_state(ts[:, None], js, cfg.d)
+        states = closed_form_state(ts_d[:, None], js_d)
     else:
         # one stacked decomposition per chunk of at most TIME_CHUNK
         # couplings, chunks of equal size, bounds the memory of each stack
-        geom = resolve_geometry(cfg.geometry, 0.0, cfg.d)
+        geom = resolve_geometry(cfg.geometry, 0.0)
         psi0 = initial_bell_state()
         per_j = []
-        for chunk in np.array_split(js, -(-js.size // TIME_CHUNK)):
+        for chunk in np.array_split(js_d, -(-js_d.size // TIME_CHUNK)):
             with _hamiltonian_flags("--j-range, --d"):
                 decomp = hermitian_eigendecompose(np.stack(
                     [build_hamiltonian(geom.with_couplings(J=float(J))) for J in chunk]))
-            per_j.append(evolve_numeric(decomp, psi0, ts))
+            per_j.append(evolve_numeric(decomp, psi0, ts_d))
             del decomp      # free it before the next stack is built
         states = np.concatenate(per_j).swapaxes(0, 1)
     rows = []
-    for t, row_states in zip(ts, states):
-        for J, psi in zip(js, row_states):
-            t_f, j_f = float(t), float(J)
-            row = [t_f, j_f]
+    for t, t_d, row_states in zip(ts, ts_d, states):
+        for J, j_d, psi in zip(js, js_d, row_states):
+            t_f, j_f = float(t_d), float(j_d)
+            row = [float(t), float(J)]
             for s in ordered:
                 if s == "C12":
                     row += [state_concurrence(psi, (1, 2)), closed_form_c12(t_f, j_f)]
@@ -444,19 +492,18 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     _check_grid(max(cfg.t_steps * cfg.j_steps, _scan_points(cfg, 64)),
                 "--t-range", "--j-range")
     # the conservation check's Hamiltonians, diagonalized first so that a
-    # bad --geometry or --d fails before any scan runs
-    geom = resolve_geometry(cfg.geometry, 0.0, cfg.d)
-    with _hamiltonian_flags("--d, --geometry"):
+    # bad --geometry fails before any scan runs
+    geom = resolve_geometry(cfg.geometry, 0.0)
+    with _hamiltonian_flags("--geometry"):
         conservation = hermitian_eigendecompose(np.stack(
             [build_hamiltonian(geom.with_couplings(J=J)) for J in (0.0, 0.5, 1.0, 2.0)]))
 
     # Route equivalence, committed geometry vs swapped negative control.
     t_fine = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
     t_coarse = np.arange(0.0, 2.0 * np.pi + 1e-12, np.pi / 16.0)
-    with _hamiltonian_flags("--d"):
-        oracle = oracle_equivalence_report(_ORACLE_J, t_fine, D=cfg.d)
-        control = oracle_equivalence_report(_ORACLE_J, t_coarse, D=cfg.d,
-                                            geometry_factory=swapped_control_plaquette)
+    oracle = oracle_equivalence_report(_ORACLE_J, t_fine)
+    control = oracle_equivalence_report(_ORACLE_J, t_coarse,
+                                        geometry_factory=swapped_control_plaquette)
     results["oracle"] = {
         "max_deviation": oracle.max_deviation, "worst_t": oracle.worst_t,
         "worst_j": oracle.worst_J, "points": oracle.points,
@@ -478,7 +525,7 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
                  for site in range(1, 5)]
     for t in cfg.t_grid():
         t_f = float(t)
-        c = pair_concurrences(closed_form_state(t_f, js, cfg.d), ALL_PAIRS)
+        c = pair_concurrences(closed_form_state(t_f, js), ALL_PAIRS)
         p12, p34 = closed_form_c12(t_f, js), closed_form_c34(t_f, js)
         p13 = closed_form_c13(t_f, js)
         d12 = max(d12, float(np.abs(c[:, i12] - p12).max()))
@@ -643,70 +690,45 @@ def build_parser() -> _Parser:
                                  "entanglement-transfer analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--t-range", metavar="A:B:N", help="time grid")
-        p.add_argument("--j-range", metavar="A:B:N", help="coupling grid")
-        p.add_argument("--d", type=float, help="ring coupling scale (default 1)")
-        p.add_argument("--geometry",
-                       help="builtin name (default, swapped-control) or file path")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"))
         p.add_argument("--out", help="output file path")
-        p.add_argument("--threshold", type=float, help="W-scan threshold")
+        for option in COMMAND_OPTIONS[name]:
+            p.add_argument(option, **_SHARED_OPTIONS[option][1])
+        return p
 
-    p = sub.add_parser("evolve", help="trajectory at fixed J")
-    common(p)
-    p.add_argument("--j", type=_finite_float, default=0.5,
-                   help="coupling (default 0.5)")
-
-    p = sub.add_parser("surface", help="signal surfaces over (t, J)")
-    common(p)
-    p.add_argument("--signals", default="C12,C34,C13,C24,GAP",
-                   help="comma list from C12,C34,C13,C24,GAP")
-
-    p = sub.add_parser("table1", help="fractional coupling table")
-    common(p)
-    p.add_argument("--max-m", type=int, default=7)
-
-    p = sub.add_parser("events", help="locate complete-transfer events")
-    common(p)
-    p.add_argument("--resolution", type=int, default=64,
-                   help="grid points per pi (>= 64)")
-
-    p = sub.add_parser("forbidden", help="certify forbidden couplings")
-    common(p)
+    command("evolve", "trajectory at fixed J").add_argument(
+        "--j", type=_finite_float, default=0.5, help="coupling (default 0.5)")
+    command("surface", "signal surfaces over (t, J)").add_argument(
+        "--signals", default="C12,C34,C13,C24,GAP",
+        help="comma list from C12,C34,C13,C24,GAP")
+    command("table1", "fractional coupling table").add_argument(
+        "--max-m", type=int, default=7)
+    command("events", "locate complete-transfer events").add_argument(
+        "--resolution", type=int, default=64, help="grid points per pi (>= 64)")
+    p = command("forbidden", "certify forbidden couplings")
     p.add_argument("--j-values", type=_finite_floats, default="1,3",
                    help="comma list of couplings")
     p.add_argument("--t-max", dest="t_max_scan", type=_finite_float,
                    default=20.0 * np.pi, help="scan horizon")
-
-    p = sub.add_parser("wstate", help="W-state witness scan")
-    common(p)
-    p.add_argument("--resolution", type=int, default=32,
-                   help="grid points per pi / per unit J")
-
-    p = sub.add_parser("report", help="consolidated certification report")
-    common(p)
+    command("wstate", "W-state witness scan").add_argument(
+        "--resolution", type=int, default=32, help="grid points per pi / per unit J")
+    command("report", "consolidated certification report")
     return parser
 
 
 def _config_from_args(args) -> SweepConfig:
-    cfg = load_config(args.config) if args.config else SweepConfig()
+    cfg = load_config(args.config, args.command) if args.config else SweepConfig()
     overrides = {}
-    if args.t_range:
-        overrides["t_min"], overrides["t_max"], overrides["t_steps"] = \
-            _parse_range(args.t_range)
-    if args.j_range:
-        overrides["j_min"], overrides["j_max"], overrides["j_steps"] = \
-            _parse_range(args.j_range)
-    for attr, key in (("d", "d"), ("geometry", "geometry"), ("fmt", "fmt"),
-                      ("out", "out"), ("threshold", "threshold")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    merged = {**{f.name: getattr(cfg, f.name) for f in fields(SweepConfig)},
-              **overrides}
-    return SweepConfig(**merged)
+    for dest, value in vars(args).items():
+        if value is None:
+            continue
+        if dest in ("t_range", "j_range"):
+            overrides.update(zip(_SHARED_OPTIONS[f"--{dest[0]}-range"][0], _parse_range(value)))
+        elif dest in _CONFIG_TYPES:
+            overrides[dest] = value
+    return replace(cfg, **overrides)
 
 
 def main(argv=None) -> int:
@@ -715,9 +737,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if not cfg.out:
             ext = "json" if (cfg.fmt == "json" or args.command == "report") else "csv"
-            cfg = SweepConfig(**{**{f.name: getattr(cfg, f.name)
-                                    for f in fields(SweepConfig)},
-                                 "out": f"{args.command}.{ext}"})
+            cfg = replace(cfg, out=f"{args.command}.{ext}")
         if args.command == "evolve":
             summary = cmd_evolve(cfg, args.j)
         elif args.command == "surface":

@@ -3,7 +3,8 @@
 Route one evaluates the closed-form single-excitation amplitudes; route two
 diagonalizes the Hamiltonian (cyclic Jacobi) and applies the spectral
 propagator.  :func:`oracle_equivalence_report` certifies that both routes
-agree, which is what pins down the committed bond geometry.
+agree, which is what pins down the committed bond geometry.  Times and
+couplings are in units of the ring coupling D (see :mod:`triplaq.spin_core`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .spin_core import (
 
 @dataclass(frozen=True)
 class SingleExcitationAmplitudes:
-    """The four single-excitation amplitudes at one point of (t, J, D).
+    """The four single-excitation amplitudes at one point of (t, J).
 
     ``amplitudes`` is ordered over (|0001>, |0010>, |0100>, |1000>), i.e. an
     excitation sitting at site 4, 3, 2, 1 respectively.
@@ -33,7 +34,6 @@ class SingleExcitationAmplitudes:
     amplitudes: tuple[complex, complex, complex, complex]
     t: float
     J: float
-    D: float = 1.0
 
     def site_amplitude(self, site: int) -> complex:
         """Amplitude of the excitation located at ``site`` (1..4)."""
@@ -44,16 +44,16 @@ class SingleExcitationAmplitudes:
         return self.amplitudes[slot]
 
 
-def _closed_form_components(t, J, D):
-    """The four closed-form amplitudes, elementwise over broadcast (t, J, D).
+def _closed_form_components(t, J):
+    """The four closed-form amplitudes, elementwise over broadcast (t, J).
 
     The one source of the amplitude formula: scalar and grid callers both
     evaluate it, so their values agree bit for bit.
     """
     c = np.cos(J * t / 2.0)
     s = np.sin(J * t / 2.0)
-    sin_d = np.sin(D * t)
-    cos_d = np.cos(D * t)
+    sin_d = np.sin(t)
+    cos_d = np.cos(t)
     pref = 1.0 / (2.0 * np.sqrt(2.0))
     a0001 = pref * (c * (sin_d - cos_d + 1) - 1j * s * (-sin_d + cos_d + 1))
     a0010 = pref * (c * (-sin_d - cos_d + 1) - 1j * s * (sin_d + cos_d + 1))
@@ -62,22 +62,21 @@ def _closed_form_components(t, J, D):
     return a0001, a0010, a0100, a1000
 
 
-def amplitudes_closed_form(t: float, J: float, D: float = 1.0) -> SingleExcitationAmplitudes:
+def amplitudes_closed_form(t: float, J: float) -> SingleExcitationAmplitudes:
     """Closed-form amplitudes of the evolved Bell-pair initial state.
 
     Total function of t >= 0; the result is exactly normalized for every
-    (t, J, D).  For D != 1 the evaluation is equivalent to rescaling
-    (t, J) -> (D*t, J/D) at unit D.
+    (t, J).
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    a0001, a0010, a0100, a1000 = _closed_form_components(t, J, D)
+    a0001, a0010, a0100, a1000 = _closed_form_components(t, J)
     return SingleExcitationAmplitudes(
         (complex(a0001), complex(a0010), complex(a0100), complex(a1000)),
-        t=float(t), J=float(J), D=float(D))
+        t=float(t), J=float(J))
 
 
-def closed_form_state(t, J, D: float = 1.0) -> np.ndarray:
+def closed_form_state(t, J) -> np.ndarray:
     """Closed-form states over broadcast (t, J): shape (..., 16).
 
     Elementwise equal, bit for bit, to embedding
@@ -88,7 +87,7 @@ def closed_form_state(t, J, D: float = 1.0) -> np.ndarray:
     if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {t.min()}")
     return embed_single_excitation(np.stack(
-        _closed_form_components(t, np.asarray(J, dtype=float), D), axis=-1))
+        _closed_form_components(t, np.asarray(J, dtype=float)), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ class OracleReport:
     points: int
 
 
-def oracle_equivalence_report(J_values, t_values, D: float = 1.0,
+def oracle_equivalence_report(J_values, t_values,
                               geometry_factory=default_plaquette) -> OracleReport:
     """Sweep both evolution routes over a (J, t) grid and report the worst point.
 
@@ -300,14 +299,14 @@ def oracle_equivalence_report(J_values, t_values, D: float = 1.0,
         raise ValueError("J and t grids must be nonempty")
     psi0 = initial_bell_state()
     stack = hermitian_eigendecompose(np.stack(
-        [build_hamiltonian(geometry_factory(J, D)) for J in J_values]))
+        [build_hamiltonian(geometry_factory(J)) for J in J_values]))
     worst = (-1.0, 0.0, 0.0)
     for j, J in enumerate(J_values):
         decomp = EigenDecomposition(stack.eigenvalues[j], stack.eigenvectors[j])
         for lo in range(0, ts.size, TIME_CHUNK):
             chunk = ts[lo:lo + TIME_CHUNK]
             dev = phase_aligned_distance(evolve_numeric(decomp, psi0, chunk),
-                                         closed_form_state(chunk, J, D))
+                                         closed_form_state(chunk, J))
             k = int(np.argmax(dev))
             if dev[k] > worst[0]:
                 worst = (float(dev[k]), float(chunk[k]), J)

@@ -17,14 +17,15 @@ The couplings are a z-axis antisymmetric (cross-product) exchange on directed
 bonds and an isotropic exchange on undirected bonds.  The default geometry
 puts the antisymmetric coupling on the directed ring 1->2->3->4->1 and the
 isotropic coupling on the diagonals (1,3) and (2,4); a directed bond i->j
-contributes +iD/2 to <i-excited|H|j-excited>.
+contributes +i/2 to <i-excited|H|j-excited>.  Energies are in units of the
+ring coupling D, so D itself is 1 and J is the ratio J/D.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -67,10 +68,10 @@ class BondKind(enum.Enum):
 class BondSpec:
     """One coupling between two sites.
 
-    ``strength`` is a dimensionless multiplier: the physical coupling is
-    ``strength * D`` for DM_Z bonds and ``strength * J`` for HEISENBERG_ISO
-    bonds.  DM bonds are directed; swapping ``from_site`` and ``to_site``
-    flips the sign of the contribution.
+    ``strength`` is a dimensionless multiplier: the coupling is ``strength``
+    (in units of the ring coupling D) for DM_Z bonds and ``strength * J`` for
+    HEISENBERG_ISO bonds.  DM bonds are directed; swapping ``from_site`` and
+    ``to_site`` flips the sign of the contribution.
     """
 
     kind: BondKind
@@ -94,25 +95,25 @@ class BondSpec:
 
 @dataclass(frozen=True)
 class PlaquetteGeometry:
-    """Bond list plus the two global coupling scales D and J.
+    """Bond list plus the isotropic coupling J, in units of the ring coupling D.
 
-    ``D`` (> 0) sets the energy unit of the directed-ring coupling and ``J``
-    is the isotropic coupling in the same units; per-bond ``strength``
-    multiplies the respective scale.  The bond pattern is independent of
-    (D, J), so one geometry can be re-scaled across a sweep.
+    DM_Z bonds couple with their ``strength`` and HEISENBERG_ISO bonds with
+    ``strength * J``.  The bond pattern is independent of J, so one geometry
+    can be re-coupled across a sweep.  Another D is a change of units,
+    H(J, D) = D * H(J/D, 1), made at the command line.
     """
 
     bonds: tuple[BondSpec, ...]
-    D: float = 1.0
     J: float = 0.0
     name: str = ""
+    #: The unit, a constant; kept because the Hamiltonian observer of
+    #: bench/tracer.py reads ``geom.J`` and ``geom.D``.
+    D = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "bonds", tuple(self.bonds))
         if not self.bonds:
             raise ConfigError("geometry has an empty bond list")
-        if not self.D > 0:
-            raise ConfigError(f"D must be positive, got {self.D}")
         seen = set()
         for b in self.bonds:
             key = (b.kind, b.unordered_pair)
@@ -121,22 +122,16 @@ class PlaquetteGeometry:
                     f"duplicate {b.kind.value} bond on sites {b.unordered_pair}")
             seen.add(key)
 
-    def with_couplings(self, *, J: float | None = None,
-                       D: float | None = None) -> "PlaquetteGeometry":
-        """Same bond pattern with new global coupling scales."""
-        return PlaquetteGeometry(
-            self.bonds,
-            D=self.D if D is None else D,
-            J=self.J if J is None else J,
-            name=self.name,
-        )
+    def with_couplings(self, *, J: float) -> "PlaquetteGeometry":
+        """Same bond pattern with a new isotropic coupling."""
+        return replace(self, J=J)
 
 
 _RING = ((1, 2), (2, 3), (3, 4), (4, 1))
 _DIAGONALS = ((1, 3), (2, 4))
 
 
-def default_plaquette(J: float, D: float = 1.0) -> PlaquetteGeometry:
+def default_plaquette(J: float) -> PlaquetteGeometry:
     """Committed geometry: directed-ring DM coupling, diagonal isotropic legs.
 
     This is the unique assignment (up to site relabeling) whose
@@ -146,14 +141,14 @@ def default_plaquette(J: float, D: float = 1.0) -> PlaquetteGeometry:
     """
     bonds = [BondSpec(BondKind.DM_Z, i, j) for i, j in _RING]
     bonds += [BondSpec(BondKind.HEISENBERG_ISO, i, j) for i, j in _DIAGONALS]
-    return PlaquetteGeometry(tuple(bonds), D=D, J=J, name="default")
+    return PlaquetteGeometry(tuple(bonds), J=J, name="default")
 
 
-def swapped_control_plaquette(J: float, D: float = 1.0) -> PlaquetteGeometry:
+def swapped_control_plaquette(J: float) -> PlaquetteGeometry:
     """Negative control: couplings exchanged (isotropic ring, DM diagonals)."""
     bonds = [BondSpec(BondKind.HEISENBERG_ISO, i, j) for i, j in _RING]
     bonds += [BondSpec(BondKind.DM_Z, i, j) for i, j in _DIAGONALS]
-    return PlaquetteGeometry(tuple(bonds), D=D, J=J, name="swapped-control")
+    return PlaquetteGeometry(tuple(bonds), J=J, name="swapped-control")
 
 
 def spin_operator_at(site: int, axis: str) -> np.ndarray:
@@ -196,13 +191,13 @@ def _bond_terms(kind: BondKind, i: int, j: int) -> tuple[np.ndarray, ...]:
 def build_hamiltonian(geom: PlaquetteGeometry) -> np.ndarray:
     """Assemble the 16x16 Hamiltonian from a geometry's bond list.
 
-    Each DM_Z bond i->j adds ``strength*D*(Sx_i Sy_j - Sy_i Sx_j)``; each
+    Each DM_Z bond i->j adds ``strength*(Sx_i Sy_j - Sy_i Sx_j)``; each
     HEISENBERG_ISO bond adds ``strength*J*(Sx Sx + Sy Sy + Sz Sz)``, one axis
     at a time.  The result is Hermitian and commutes with total S^z.
     """
     H = np.zeros((DIM, DIM), dtype=complex)
     for b in geom.bonds:
-        coeff = b.strength * (geom.D if b.kind is BondKind.DM_Z else geom.J)
+        coeff = b.strength if b.kind is BondKind.DM_Z else b.strength * geom.J
         for term in _bond_terms(b.kind, b.from_site, b.to_site):
             H += coeff * term
     return H
@@ -278,8 +273,7 @@ _KIND_TOKENS = {
 }
 
 
-def parse_geometry_text(text: str, *, D: float = 1.0, J: float = 0.0,
-                        name: str = "") -> PlaquetteGeometry:
+def parse_geometry_text(text: str, *, J: float = 0.0, name: str = "") -> PlaquetteGeometry:
     """Parse bond records into a geometry; errors carry the offending line number."""
     bonds = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -306,5 +300,5 @@ def parse_geometry_text(text: str, *, D: float = 1.0, J: float = 0.0,
             raise ConfigError(f"geometry line {lineno}: {exc}") from None
     if not bonds:
         raise ConfigError("geometry file contains no bond records")
-    return PlaquetteGeometry(tuple(bonds), D=D, J=J, name=name)
+    return PlaquetteGeometry(tuple(bonds), J=J, name=name)
 

@@ -7,8 +7,8 @@ import pytest
 from triplaq import cli_io, dynamics
 from triplaq.cli_io import (
     SweepConfig,
+    build_parser,
     config_from_text,
-    config_to_text,
     main,
     resolve_geometry,
 )
@@ -36,10 +36,12 @@ class TestSweepConfig:
             SweepConfig(fmt="xml")
 
     def test_round_trip_identical(self):
-        cfg = SweepConfig(t_min=0.25, t_max=7.5, t_steps=33, j_min=0.1,
-                          j_max=1.9, j_steps=5, d=2.0, geometry="default",
-                          out="x.csv", fmt="json", threshold=0.5)
-        assert config_from_text(config_to_text(cfg)) == cfg
+        text = ("t_min = 0.25\nt_max = 7.5\nt_steps = 33\nj_min = 0.1\n"
+                "j_max = 1.9\nj_steps = 5\nd = 2.0\ngeometry = 'default'\n"
+                "out = 'x.csv'\nfmt = \"json\"\nthreshold = 0.5\n")
+        assert config_from_text(text) == SweepConfig(
+            t_min=0.25, t_max=7.5, t_steps=33, j_min=0.1, j_max=1.9, j_steps=5,
+            d=2.0, geometry="default", out="x.csv", fmt="json", threshold=0.5)
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -57,10 +59,32 @@ class TestSweepConfig:
             SweepConfig(**{field: value})
 
 
-@pytest.mark.parametrize("command", ["report", "surface", "evolve", "wstate"])
-@pytest.mark.parametrize("flags", [("--t-range", "0:inf:5"), ("--j-range", "0:inf:5"),
-                                   ("--t-range", "nan:1:5"), ("--d", "inf"),
-                                   ("--threshold", "nan")])
+#: The options each subcommand reads besides --config and --out; every
+#: other shared option is rejected.
+READS = {
+    "evolve": ("--t-range", "--d", "--geometry", "--format"),
+    "surface": ("--t-range", "--j-range", "--d", "--geometry", "--format"),
+    "table1": ("--format",),
+    "events": ("--t-range", "--j-range", "--format"),
+    "forbidden": ("--format",),
+    "wstate": ("--t-range", "--j-range", "--threshold", "--format"),
+    "report": ("--t-range", "--j-range", "--geometry", "--threshold"),
+}
+SHARED = ("--t-range", "--j-range", "--d", "--geometry", "--threshold", "--format")
+NON_FINITE_FLAGS = [("--t-range", "0:inf:5"), ("--j-range", "0:inf:5"),
+                    ("--t-range", "nan:1:5"), ("--d", "inf"), ("--threshold", "nan")]
+UNREAD_VALUES = {"--t-range": "0:inf:5", "--j-range": "0:inf:5", "--d": "inf",
+                 "--geometry": "/no/such/geometry.txt", "--threshold": "nan",
+                 "--format": "json"}
+UNREAD = [(command, option) for command, reads in READS.items()
+          for option in SHARED if option not in reads]
+
+
+@pytest.mark.parametrize("command, flags", [
+    pytest.param(command, flags, id=f"flags{k}-{command}")
+    for k, flags in enumerate(NON_FINITE_FLAGS)
+    for command in ("evolve", "report", "surface", "wstate")
+    if flags[0] in READS[command]])
 def test_non_finite_input_is_exit_1(tmp_path, capsys, command, flags):
     out = tmp_path / "out"
     code = main([command, *flags, "--out", str(out)])
@@ -69,6 +93,61 @@ def test_non_finite_input_is_exit_1(tmp_path, capsys, command, flags):
     assert err.startswith("error: ") and "must be finite" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_unread_options_number_twenty():
+    assert len(UNREAD) == 20
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option, id=f"{command}{option}") for command, option in UNREAD])
+def test_unread_option_is_exit_1(tmp_path, capsys, command, option):
+    out = tmp_path / "out"
+    code = main([command, option, UNREAD_VALUES[option], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and option in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", READS)
+def test_read_options_parse(command):
+    values = {**UNREAD_VALUES, "--t-range": "0:1:3", "--j-range": "0:1:3",
+              "--d": "2", "--geometry": "default", "--threshold": "0.1"}
+    argv = [command, "--config", "c.cfg", "--out", "x"]
+    for option in READS[command]:
+        argv += [option, values[option]]
+    assert build_parser().parse_args(argv).command == command
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("surface", "threshold = 0.5\n", "threshold"),
+    ("report", "t_steps = 9\nd = 2.0\n", "d"),
+    ("report", "fmt = json\n", "fmt"),
+    ("table1", "j_max = 3.0\n", "j_max"),
+    ("events", "geometry = swapped-control\n", "geometry"),
+])
+def test_unread_config_key_is_exit_1(tmp_path, capsys, command, text, key):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and repr(key) in err and command in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_read_config_keys_accepted(tmp_path):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text("d = 2.0\ngeometry = default\nt_max = 1.0\nt_steps = 3\n"
+                        "fmt = json\nout = unused.json\n")
+    out = tmp_path / "traj.json"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["D"] == 2.0 and len(payload["rows"]) == 3
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -88,11 +167,20 @@ def test_non_finite_input_is_exit_1(tmp_path, capsys, command, flags):
     (["wstate", "--j-range", "0:1e12:5"], "--j-range"),
     (["surface", "--t-range", "0:1:100000000"], "--t-range"),
     (["evolve", "--t-range", "0:1:100000000"], "--t-range"),
-    # finite Hamiltonians whose Frobenius norm overflows
+    # phases (|J| + D)*t beyond 2**20
     (["evolve", "--j", "1e200", "--t-range", "0:1:3"], "--j"),
     (["evolve", "--d", "1e200", "--t-range", "0:1:3"], "--d"),
     (["surface", "--geometry", "swapped-control", "--signals", "GAP",
       "--t-range", "0:1:2", "--j-range", "0:1e200:3"], "--j-range"),
+    (["evolve", "--j", "1e15", "--t-range", "0:1:3"], "--j"),
+    (["evolve", "--j", "1048575", "--t-range", "0:1.000001:3"], "--t-range"),
+    (["surface", "--d", "4", "--t-range", "0:262144.1:2", "--j-range", "0:1:2"], "--d"),
+    # phases that fit, but Hamiltonians that are not finite or whose
+    # Frobenius norm overflows
+    (["evolve", "--j", "1e200", "--t-range", "0:1e-300:3"], "--j"),
+    (["evolve", "--d", "1e-320", "--t-range", "0:1:3"], "--d"),
+    (["surface", "--geometry", "swapped-control", "--signals", "GAP",
+      "--t-range", "0:1e-300:2", "--j-range", "0:1e200:3"], "--j-range"),
 ])
 def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -109,11 +197,13 @@ def test_overflowing_hamiltonian_report_is_exit_1(tmp_path, capsys, monkeypatch)
         raise AssertionError("a scan ran before the Hamiltonians were checked")
 
     monkeypatch.setattr(cli_io, "oracle_equivalence_report", no_scan)
+    geometry = tmp_path / "geom.txt"
+    geometry.write_text("dm_z 1 2 1e200\nheisenberg_iso 1 3 1.0\n")
     out = tmp_path / "report.json"
-    assert main(["report", "--d", "1e200", "--out", str(out)]) == 1
+    assert main(["report", "--geometry", str(geometry), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --d") and err.count("\n") == 1
-    assert "--d" in json.loads(out.read_text())["error"]["message"]
+    assert err.startswith("error: --geometry") and err.count("\n") == 1
+    assert "--geometry" in json.loads(out.read_text())["error"]["message"]
 
 
 class TestNoPerCouplingLoops:
@@ -151,18 +241,18 @@ class TestNoPerCouplingLoops:
 
 class TestGeometryResolution:
     def test_builtin_names(self):
-        assert resolve_geometry("default", 0.5, 1.0).name == "default"
-        assert resolve_geometry("swapped-control", 0.5, 1.0).name == "swapped-control"
+        assert resolve_geometry("default", 0.5).name == "default"
+        assert resolve_geometry("swapped-control", 0.5).name == "swapped-control"
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
-            resolve_geometry("/no/such/file.txt", 0.5, 1.0)
+            resolve_geometry("/no/such/file.txt", 0.5)
 
     def test_custom_file(self, tmp_path):
         path = tmp_path / "geom.txt"
         path.write_text("dm_z 1 2 1.0\ndm_z 2 3 1.0\ndm_z 3 4 1.0\ndm_z 4 1 1.0\n"
                         "heisenberg_iso 1 3 1.0\nheisenberg_iso 2 4 1.0\n")
-        geom = resolve_geometry(str(path), 0.5, 1.0)
+        geom = resolve_geometry(str(path), 0.5)
         assert len(geom.bonds) == 6 and geom.J == 0.5
 
     def test_malformed_file_reports_line_through_cli(self, tmp_path, capsys):
@@ -225,6 +315,29 @@ class TestEvolveCommand:
         payload = json.loads(out.read_text())
         assert payload["columns"][0] == "t" and len(payload["rows"]) == 3
 
+    def test_d_is_a_change_of_units(self, tmp_path):
+        # H(J, D) = D H(J/D, 1), so psi(t; J, D) = psi(D t; J/D, 1): the
+        # amplitude columns of --d 2 --j 1 over [0, T] are those of --j 0.5
+        # over [0, 2T], and the rows carry the t given
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        T = 3 * np.pi
+        assert main(["evolve", "--d", "2", "--j", "1", "--t-range", f"0:{T!r}:201",
+                     "--out", str(a)]) == 0
+        assert main(["evolve", "--j", "0.5", "--t-range", f"0:{2 * T!r}:201",
+                     "--out", str(b)]) == 0
+        rows_a = np.loadtxt(a, delimiter=",", skiprows=1)
+        rows_b = np.loadtxt(b, delimiter=",", skiprows=1)
+        assert np.array_equal(rows_a[:, 0], np.linspace(0.0, T, 201))
+        assert np.abs(rows_a[:, 1:13] - rows_b[:, 1:13]).max() <= 1e-14
+        assert rows_a[:, 15].max() < 1e-9   # numeric deviation
+
+    def test_phase_limit_is_inclusive(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        # (|J| + D) * t_max = 2**20 exactly
+        assert main(["evolve", "--j", "1048575", "--t-range", "0:1:3",
+                     "--out", str(out)]) == 0
+        assert np.loadtxt(out, delimiter=",", skiprows=1)[:, 15].max() < 1e-9
+
 
 class TestSurfaceCommand:
     def test_header_and_first_row(self, tmp_path):
@@ -250,6 +363,32 @@ class TestSurfaceCommand:
         # documented discrepancy: the closed form is 0.125 at t=0, truth is 0
         assert float(rows[1][2]) == pytest.approx(0.0, abs=1e-10)
         assert float(rows[1][3]) == pytest.approx(0.125, abs=1e-12)
+
+    def test_d_keeps_closed_forms_on_squared_wootters(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["surface", "--d", "2", "--signals", "C12,C34",
+                     "--t-range", "0:6.2832:17", "--j-range", "0:2:9",
+                     "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.abs(rows[:, 2] ** 2 - rows[:, 3]).max() <= 1e-8
+        assert np.abs(rows[:, 4] ** 2 - rows[:, 5]).max() <= 1e-8
+        # the rows carry the grid given, not the one evaluated
+        assert rows[-1, :2].tolist() == [6.2832, 2.0]
+
+    def test_d_agrees_between_routes(self, tmp_path):
+        # the default bond pattern read from a file takes the spectral route
+        geometry = tmp_path / "geom.txt"
+        geometry.write_text("dm_z 1 2 1\ndm_z 2 3 1\ndm_z 3 4 1\ndm_z 4 1 1\n"
+                            "heisenberg_iso 1 3 1\nheisenberg_iso 2 4 1\n")
+        argv = ["surface", "--d", "0.7", "--signals", "C12,C34,C24",
+                "--t-range", "0:9:13", "--j-range=-1:2:7"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*argv, "--out", str(a)]) == 0
+        assert main([*argv, "--geometry", str(geometry), "--out", str(b)]) == 0
+        rows_a = np.loadtxt(a, delimiter=",", skiprows=1)
+        rows_b = np.loadtxt(b, delimiter=",", skiprows=1)
+        assert np.array_equal(rows_a[:, :2], rows_b[:, :2])
+        assert np.abs(rows_a - rows_b).max() <= 1e-12
 
     def test_no_signals_rejected(self, tmp_path):
         assert main(["surface", "--signals", "",

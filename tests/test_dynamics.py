@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from triplaq.cli_io import SweepConfig, cmd_evolve
 from triplaq.dynamics import (
     EigenDecomposition,
     amplitudes_closed_form,
@@ -14,6 +15,9 @@ from triplaq.dynamics import (
 )
 from triplaq.errors import ContractViolationError, NormalizationError, NumericalHealthError
 from triplaq.spin_core import (
+    BondKind,
+    BondSpec,
+    PlaquetteGeometry,
     build_hamiltonian,
     default_plaquette,
     embed_single_excitation,
@@ -25,6 +29,14 @@ from triplaq.spin_core import (
 )
 
 RT2 = 1 / np.sqrt(2)
+
+
+def _ring_at(D, J):
+    """The default bond pattern with ring strength D: the Hamiltonian H(J, D)
+    in units where the ring coupling is 1, built without any unit change."""
+    return PlaquetteGeometry(
+        tuple(BondSpec(b.kind, b.from_site, b.to_site, D if b.kind is BondKind.DM_Z else 1.0)
+              for b in default_plaquette(J).bonds), J=J)
 
 
 class TestClosedForm:
@@ -66,10 +78,13 @@ class TestClosedForm:
             closed_form_state(np.array([0.0, -0.1]), 0.5)
 
     def test_rescaling_identity(self):
-        for (t, J, D) in ((1.3, 0.7, 2.5), (4.0, 1.9, 0.3)):
-            a = amplitudes_closed_form(t, J, D)
-            b = amplitudes_closed_form(D * t, J / D, 1.0)
-            np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+        # the unit change the command line makes for --d: the closed form at
+        # (D t, J/D) is the state H(J, D) propagates to at t
+        psi0 = initial_bell_state()
+        for (t, J, D) in ((1.3, 0.7, 2.5), (4.0, 1.9, 0.3), (7.1, -0.4, 1.7)):
+            decomp = hermitian_eigendecompose(build_hamiltonian(_ring_at(D, J)))
+            a = embed_single_excitation(amplitudes_closed_form(D * t, J / D))
+            assert phase_aligned_distance(evolve_numeric(decomp, psi0, t), a) < 1e-12
 
     def test_recurrence_period_at_half_coupling(self):
         # J = 1/2: all phase factors recur after 8*pi
@@ -254,8 +269,8 @@ class TestGridEngine:
     JS = np.linspace(0.0, 2.0, 65)
 
     @staticmethod
-    def _reference(t, J, D=1.0):
-        return embed_single_excitation(amplitudes_closed_form(float(t), float(J), D))
+    def _reference(t, J):
+        return embed_single_excitation(amplitudes_closed_form(float(t), float(J)))
 
     def test_closed_form_states_bit_identical(self):
         grid = closed_form_state(self.TS[:, None], self.JS[None, :])
@@ -266,10 +281,14 @@ class TestGridEngine:
                 assert np.array_equal(grid[i, k], self._reference(t, J))
 
     def test_closed_form_states_offscale_d(self):
-        for t in (0.0, 1.3, 9.7):
-            row = closed_form_state(t, self.JS, 2.5)
-            for J, psi in zip(self.JS, row):
-                assert np.array_equal(psi, self._reference(t, J, 2.5))
+        # the grid surface --d evaluates, (D t, J/D), holds the states a stack
+        # of Hamiltonians H(J, D) propagates to over the grid given
+        D, ts, js = 2.5, self.TS[::8], self.JS[::4]
+        grid = closed_form_state(D * ts[:, None], js / D)
+        stack = hermitian_eigendecompose(np.stack(
+            [build_hamiltonian(_ring_at(D, float(J))) for J in js]))
+        numeric = evolve_numeric(stack, initial_bell_state(), ts).swapaxes(0, 1)
+        assert phase_aligned_distance(numeric, grid).max() < 1e-12
 
     def test_closed_form_states_reject_non_finite(self):
         with pytest.raises(NormalizationError):
@@ -326,10 +345,12 @@ class TestOracle:
         rep = oracle_equivalence_report([0.0, 0.5, 1.0, 2.0], ts)
         assert rep.max_deviation < 1e-9
 
-    def test_committed_geometry_matches_offscale_d(self):
-        ts = np.arange(0.0, 4 * np.pi, np.pi / 32)
-        rep = oracle_equivalence_report([0.0, 0.5, 1.5], ts, D=2.0)
-        assert rep.max_deviation < 1e-9
+    def test_committed_geometry_matches_offscale_d(self, tmp_path):
+        # both routes of evolve --d 2, each at (2 t, J/2)
+        cfg = SweepConfig(t_max=4 * np.pi, t_steps=129, d=2.0,
+                          out=str(tmp_path / "traj.csv"))
+        for J in (0.0, 0.5, 1.5):
+            assert cmd_evolve(cfg, J)["max_numeric_deviation"] < 1e-9
 
     def test_swapped_geometry_fails_loudly(self):
         ts = np.arange(0.0, 2 * np.pi, np.pi / 16)
@@ -347,7 +368,7 @@ class TestOracle:
         ts = np.arange(0.0, 3 * np.pi, np.pi / 64)
         worst = (-1.0, 0.0, 0.0)
         for J in js:
-            decomp = hermitian_eigendecompose(build_hamiltonian(factory(J, 1.0)))
+            decomp = hermitian_eigendecompose(build_hamiltonian(factory(J)))
             for lo in range(0, ts.size, 128):
                 chunk = ts[lo:lo + 128]
                 dev = phase_aligned_distance(evolve_numeric(decomp, initial_bell_state(), chunk),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from triplaq.cli_io import SweepConfig
 from triplaq.errors import ConfigError, ContractViolationError, NormalizationError
 from triplaq.spin_core import (
     SINGLE_EXCITATION_INDICES,
@@ -81,8 +82,14 @@ class TestGeometry:
         PlaquetteGeometry(bonds)
 
     def test_nonpositive_d_rejected(self):
-        with pytest.raises(ConfigError):
-            default_plaquette(J=0.0, D=0.0)
+        # D is the unit: the library fixes it at 1, and only the command line
+        # takes another D, which must be positive
+        assert default_plaquette(J=0.3).D == 1.0
+        with pytest.raises(TypeError):
+            PlaquetteGeometry(default_plaquette(J=0.0).bonds, D=2.0)
+        for d in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="d must be positive"):
+                SweepConfig(d=d)
 
     def test_bond_site_validation(self):
         with pytest.raises(ValueError):
@@ -96,8 +103,8 @@ class TestGeometry:
             BondSpec(BondKind.HEISENBERG_ISO, 1, 3, strength)
 
     def test_with_couplings_keeps_pattern(self):
-        geom = default_plaquette(J=0.2).with_couplings(J=1.5, D=2.0)
-        assert geom.J == 1.5 and geom.D == 2.0
+        geom = default_plaquette(J=0.2).with_couplings(J=1.5)
+        assert geom.J == 1.5 and geom.D == 1.0 and geom.name == "default"
         assert geom.bonds == default_plaquette(J=0.2).bonds
 
 
@@ -117,8 +124,7 @@ class TestHamiltonian:
                                       float(rng.uniform(-2, 2))))
             if not bonds:
                 continue
-            geom = PlaquetteGeometry(tuple(bonds), D=float(rng.uniform(0.1, 3)),
-                                     J=float(rng.uniform(-2, 2)))
+            geom = PlaquetteGeometry(tuple(bonds), J=float(rng.uniform(-2, 2)))
             H = build_hamiltonian(geom)
             assert np.abs(H - H.conj().T).max() == 0.0
             sz = total_sz()
@@ -142,7 +148,7 @@ class TestHamiltonian:
         for b in geom.bonds:
             i, j = b.from_site, b.to_site
             if b.kind is BondKind.DM_Z:
-                H += b.strength * geom.D * (op(i, "x") @ op(j, "y") - op(i, "y") @ op(j, "x"))
+                H += b.strength * (op(i, "x") @ op(j, "y") - op(i, "y") @ op(j, "x"))
             else:
                 for axis in "xyz":
                     H += b.strength * geom.J * (op(i, axis) @ op(j, axis))
@@ -150,14 +156,14 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
     def test_cached_terms_match_kron_reference(self, factory):
-        for J, D in ((0.0, 1.0), (0.37, 1.0), (2.0 / 3.0, 2.5), (-1.3, 0.2)):
-            geom = factory(J, D)
+        for J in (0.0, 0.37, 2.0 / 3.0, -1.3):
+            geom = factory(J)
             assert np.array_equal(build_hamiltonian(geom), self._kron_reference(geom))
 
     def test_cached_terms_match_kron_reference_for_file(self):
         geom = parse_geometry_text(
             "dm_z 2 1 0.75\ndm_z 3 4 -1.25\nheisenberg_iso 1 3 0.3\n"
-            "heisenberg_iso 4 2 1.7\nheisenberg_iso 1 2 -0.45\n", D=1.3, J=0.8)
+            "heisenberg_iso 4 2 1.7\nheisenberg_iso 1 2 -0.45\n", J=0.8)
         H = build_hamiltonian(geom)
         assert np.array_equal(H, self._kron_reference(geom))
         # the cached terms are shared, so a caller writing into one H must
@@ -172,7 +178,7 @@ class TestHamiltonian:
         assert H[8, 2] == pytest.approx(0.3, abs=1e-15)
 
     def test_single_excitation_spectrum_ring_only(self):
-        H = build_hamiltonian(default_plaquette(J=0.0, D=1.0))
+        H = build_hamiltonian(default_plaquette(J=0.0))
         block = single_excitation_block(H)
         np.testing.assert_allclose(np.linalg.eigvalsh(block), [-1, 0, 0, 1],
                                    atol=1e-14)
@@ -189,7 +195,7 @@ class TestHamiltonian:
     def test_block_structure_heisenberg_only(self):
         geom = PlaquetteGeometry(
             tuple(BondSpec(BondKind.HEISENBERG_ISO, i, j) for i, j in ((1, 3), (2, 4))),
-            D=1.0, J=1.0)
+            J=1.0)
         block = single_excitation_block(build_hamiltonian(geom))
         # the two diagonal ZZ contributions cancel in every single-excitation state
         assert np.abs(np.diag(block)).max() < 1e-15
@@ -199,11 +205,14 @@ class TestHamiltonian:
         np.testing.assert_allclose(block, expected, atol=1e-15)
 
     def test_block_linear_in_couplings(self):
+        # a ring coupling d other than the unit is a ring bond strength d
         d, j = 1.7, -0.8
-        blk = single_excitation_block(build_hamiltonian(default_plaquette(J=j, D=d)))
-        blk_d = single_excitation_block(build_hamiltonian(default_plaquette(J=0.0, D=1.0)))
-        geom_j = PlaquetteGeometry(default_plaquette(J=1.0).bonds, D=1.0, J=1.0)
-        blk_j = single_excitation_block(build_hamiltonian(geom_j)) - blk_d
+        ring_d = tuple(BondSpec(b.kind, b.from_site, b.to_site,
+                                d if b.kind is BondKind.DM_Z else 1.0)
+                       for b in default_plaquette(J=0.0).bonds)
+        blk = single_excitation_block(build_hamiltonian(PlaquetteGeometry(ring_d, J=j)))
+        blk_d = single_excitation_block(build_hamiltonian(default_plaquette(J=0.0)))
+        blk_j = single_excitation_block(build_hamiltonian(default_plaquette(J=1.0))) - blk_d
         np.testing.assert_allclose(blk, d * blk_d + j * blk_j, atol=1e-14)
 
     def test_zero_hamiltonian_block(self):
@@ -216,10 +225,10 @@ class TestHamiltonian:
             single_excitation_block(H)
 
     def test_reversing_dm_bonds_negates_dm_part(self):
-        forward = default_plaquette(J=0.0, D=1.3)
+        forward = default_plaquette(J=0.0)
         rev = PlaquetteGeometry(
             tuple(BondSpec(b.kind, b.to_site, b.from_site, b.strength)
-                  for b in forward.bonds), D=1.3, J=0.0)
+                  for b in forward.bonds), J=0.0)
         np.testing.assert_allclose(build_hamiltonian(rev),
                                    -build_hamiltonian(forward), atol=1e-15)
 
@@ -272,11 +281,11 @@ class TestEmbedding:
 
 class TestGeometryText:
     def test_round_trip(self):
-        geom = default_plaquette(J=0.25, D=1.5)
+        geom = default_plaquette(J=0.25)
         text = "".join(f"{b.kind.value} {b.from_site} {b.to_site} {b.strength!r}\n"
                        for b in geom.bonds)
-        parsed = parse_geometry_text(text, D=1.5, J=0.25)
-        assert parsed.bonds == geom.bonds
+        parsed = parse_geometry_text(text, J=0.25, name="default")
+        assert parsed == geom
 
     def test_parse_with_comments(self):
         text = """
