@@ -99,6 +99,8 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_steps < 2 or self.j_steps < 2:
             raise ConfigError("t_steps and j_steps must both be at least 2")
+        if self.t_min < 0:
+            raise ConfigError(f"--t-range: times must be nonnegative, got t_min = {self.t_min}")
         if not self.t_min < self.t_max:
             raise ConfigError(f"need t_min < t_max, got {self.t_min} >= {self.t_max}")
         if not self.j_min < self.j_max:
@@ -230,17 +232,24 @@ def _hamiltonian_flags(flags: str):
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Stream ``rows`` (any iterable of sequences) under ``header``.
+
+    Every row is formatted by one ``%`` template built from the first row:
+    ``%s`` where it holds a str, ``%.17g`` elsewhere.  A str in a number
+    column, or a row of another length, raises TypeError.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(
-                    v if isinstance(v, str) else _fmt_float(v) for v in row) + "\n")
+            if first is None:
+                return
+            template = ",".join("%s" if isinstance(v, str) else "%.17g"
+                                for v in first) + "\n"
+            fh.write(template % tuple(first))
+            fh.writelines(template % tuple(row) for row in rows)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
@@ -299,7 +308,7 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
         decomp = hermitian_eigendecompose(build_hamiltonian(geom))
     psi0 = initial_bell_state()
     ts = cfg.t_grid()
-    rows = []
+    table = np.empty((ts.size, len(_EVOLVE_HEADER)))
     worst_dev = worst_norm = worst_leak = 0.0
     for lo in range(0, ts.size, TIME_CHUNK):
         t = ts[lo:lo + TIME_CHUNK]
@@ -314,12 +323,20 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
         amps = psi_c[:, SINGLE_EXCITATION_INDICES]
         re, im = amps.real, amps.imag
         # np.hypot rounds like Python's abs() of a complex; np.abs can be 1 ulp off
-        rows += np.column_stack([t, np.stack([re, im], axis=-1).reshape(-1, 8),
-                                 np.hypot(re, im), nerr, leak, dev]).tolist()
-    payload = {"columns": _EVOLVE_HEADER, "rows": rows, "J": J, "D": cfg.d,
-               "geometry": cfg.geometry}
-    _write_table(cfg.out, cfg.fmt, _EVOLVE_HEADER, rows, payload)
-    return {"rows": len(rows), "max_numeric_deviation": worst_dev,
+        table[lo:lo + t.size] = np.column_stack(
+            [t, np.stack([re, im], axis=-1).reshape(-1, 8),
+             np.hypot(re, im), nerr, leak, dev])
+    if cfg.fmt == "csv":
+        # one block of Python floats at a time, never the whole table as lists
+        write_csv(cfg.out, _EVOLVE_HEADER,
+                  (row for lo in range(0, ts.size, TIME_CHUNK)
+                   for row in table[lo:lo + TIME_CHUNK].tolist()))
+    else:
+        payload = {"columns": _EVOLVE_HEADER, "rows": table.tolist(), "J": J,
+                   "D": cfg.d, "geometry": cfg.geometry}
+        del table       # the lists hold every value; free the array first
+        write_json(cfg.out, payload)
+    return {"rows": ts.size, "max_numeric_deviation": worst_dev,
             "max_norm_error": worst_norm, "max_sector_leak": worst_leak}
 
 

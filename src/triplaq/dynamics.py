@@ -237,7 +237,7 @@ def evolve_numeric(decomp: EigenDecomposition, psi0: np.ndarray, t) -> np.ndarra
     V, E = decomp.eigenvectors, decomp.eigenvalues
     t = np.asarray(t, dtype=float)
     phases = np.exp(-1j * (t.reshape(-1, 1) * E[..., None, :]))
-    coef = np.conj(V).swapaxes(-1, -2) @ psi0
+    coef = (psi0.conj() @ V).conj()     # V+ psi0 without a conjugated copy of V
     psi_t = np.matmul(phases * coef[..., None, :], V.swapaxes(-1, -2))
     psi_t = psi_t.reshape(E.shape[:-1] + t.shape + E.shape[-1:])
     drift = np.abs(np.linalg.norm(psi_t, axis=-1) - float(np.linalg.norm(psi0)))

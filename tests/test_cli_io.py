@@ -1,8 +1,11 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triplaq import cli_io, dynamics
 from triplaq.cli_io import (
@@ -11,9 +14,25 @@ from triplaq.cli_io import (
     config_from_text,
     main,
     resolve_geometry,
+    write_csv,
+    write_json,
 )
-from triplaq.dynamics import TIME_CHUNK
+from triplaq.dynamics import (
+    TIME_CHUNK,
+    closed_form_state,
+    evolve_numeric,
+    hermitian_eigendecompose,
+    phase_aligned_distance,
+)
 from triplaq.errors import ConfigError
+from triplaq.spin_core import (
+    SINGLE_EXCITATION_INDICES,
+    build_hamiltonian,
+    default_plaquette,
+    initial_bell_state,
+    norm_error,
+    sector_leak,
+)
 
 FOUR_PI = 4 * np.pi
 
@@ -181,6 +200,12 @@ def test_read_config_keys_accepted(tmp_path):
     (["evolve", "--d", "1e-320", "--t-range", "0:1:3"], "--d"),
     (["surface", "--geometry", "swapped-control", "--signals", "GAP",
       "--t-range", "0:1e-300:2", "--j-range", "0:1e200:3"], "--j-range"),
+    # a negative time start
+    (["evolve", "--t-range=-1:1:3"], "--t-range"),
+    (["surface", "--t-range=-1:1:3"], "--t-range"),
+    (["wstate", "--t-range=-1:1:3"], "--t-range"),
+    (["report", "--t-range=-1:1:3"], "--t-range"),
+    (["events", "--t-range=-1:1:3"], "--t-range"),
 ])
 def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -264,7 +289,94 @@ class TestGeometryResolution:
         assert "line 2" in capsys.readouterr().err
 
 
+def _per_value_csv(header, rows) -> bytes:
+    """The CSV bytes with every value formatted on its own."""
+    lines = [",".join(header), *(
+        ",".join(v if isinstance(v, str) else f"{float(v):.17g}" for v in row)
+        for row in rows)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_NUMBERS = st.one_of(
+    st.floats(),                                   # finite, +-inf and nan
+    st.floats(allow_subnormal=True, max_value=1e-300, min_value=-1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"),
+                     float("nan")]),
+    st.floats().map(np.float64),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.booleans(),
+)
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126))
+
+
+@st.composite
+def _tables(draw):
+    text_columns = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    row = st.tuples(*(_TEXT if is_text else _NUMBERS for is_text in text_columns))
+    rows = draw(st.lists(row.map(list), max_size=12))
+    return [f"c{k}" for k in range(len(text_columns))], rows
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(_tables(), st.booleans())
+    @example(table=(["t", "j"], []), as_generator=True)     # header only
+    def test_matches_per_value_formatting(self, tmp_path_factory, table, as_generator):
+        header, rows = table
+        out = tmp_path_factory.getbasetemp() / "table.csv"
+        write_csv(str(out), header, (row for row in rows) if as_generator else rows)
+        assert out.read_bytes() == _per_value_csv(header, rows)
+
+    def test_str_in_number_column_raises(self, tmp_path):
+        out = tmp_path / "bad.csv"
+        with pytest.raises(TypeError):
+            write_csv(str(out), ["m", "t"], [["1", 0.5], ["2", "0.75"]])
+        assert out.read_bytes() == b"m,t\n1,0.5\n"
+
+
 class TestEvolveCommand:
+    @staticmethod
+    def _list_rows(J, ts):
+        """evolve's rows built as Python lists, one chunk of times at a time."""
+        decomp = hermitian_eigendecompose(build_hamiltonian(default_plaquette(J)))
+        rows = []
+        for lo in range(0, ts.size, TIME_CHUNK):
+            t = ts[lo:lo + TIME_CHUNK]
+            psi_c = closed_form_state(t, J)
+            psi_n = evolve_numeric(decomp, initial_bell_state(), t)
+            amps = psi_c[:, SINGLE_EXCITATION_INDICES]
+            re, im = amps.real, amps.imag
+            rows += np.column_stack([t, np.stack([re, im], axis=-1).reshape(-1, 8),
+                                     np.hypot(re, im), norm_error(psi_n),
+                                     sector_leak(psi_n),
+                                     phase_aligned_distance(psi_n, psi_c)]).tolist()
+        return rows
+
+    @pytest.mark.parametrize("steps", [TIME_CHUNK + 1, 1001])
+    def test_outputs_match_list_reference(self, tmp_path, steps):
+        t_max = 40 * np.pi
+        rows = self._list_rows(0.5, np.linspace(0.0, t_max, steps))
+        argv = ["evolve", "--j", "0.5", "--t-range", f"0:{t_max!r}:{steps}"]
+        out_csv, out_json, ref_json = (tmp_path / name for name in ("e.csv", "e.json", "r.json"))
+        assert main([*argv, "--out", str(out_csv)]) == 0
+        assert out_csv.read_bytes() == _per_value_csv(cli_io._EVOLVE_HEADER, rows)
+        assert main([*argv, "--format", "json", "--out", str(out_json)]) == 0
+        write_json(str(ref_json), {"columns": cli_io._EVOLVE_HEADER, "rows": rows,
+                                   "J": 0.5, "D": 1.0, "geometry": "default"})
+        assert out_json.read_bytes() == ref_json.read_bytes()
+
+    def test_table_memory_at_evolve_long_size(self, tmp_path):
+        # 20 001 rows as Python lists peaked at 11.8 MB; the float table is
+        # 2.6 MB and the CSV formats one block of it at a time (2.9 MB peak)
+        cfg = SweepConfig(t_max=200 * np.pi, t_steps=20001, out=str(tmp_path / "e.csv"))
+        tracemalloc.start()
+        try:
+            cli_io.cmd_evolve(cfg, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6_000_000
+
     def test_csv_schema_and_values(self, tmp_path):
         out = tmp_path / "traj.csv"
         code = main(["evolve", "--j", "0", "--t-range", f"0:{2 * np.pi}:129",

@@ -328,6 +328,21 @@ class TestGridEngine:
         for k, J in enumerate(js):
             assert np.array_equal(at_one_t[k], evolve_numeric(_dec(J, factory), psi0, [1.3])[0])
 
+    def test_coefficients_bit_identical_on_spectral_jsweep_stacks(self):
+        # the four stacks surface decomposes for 401 swapped-control J: V+ psi0
+        # formed as (psi0* V)* propagates exactly as the conjugated copy of V
+        psi0 = initial_bell_state().astype(complex)
+        ts = np.linspace(0.0, 4 * np.pi, 5)
+        geom = swapped_control_plaquette(0.0)
+        for chunk in np.array_split(np.linspace(0.0, 2.0, 401), 4):
+            stack = hermitian_eigendecompose(np.stack(
+                [build_hamiltonian(geom.with_couplings(J=float(J))) for J in chunk]))
+            V, E = stack.eigenvectors, stack.eigenvalues
+            coef = np.conj(V).swapaxes(-1, -2) @ psi0
+            inline = np.matmul(np.exp(-1j * (ts[:, None] * E[..., None, :])) * coef[..., None, :],
+                               V.swapaxes(-1, -2))
+            assert np.array_equal(evolve_numeric(stack, psi0, ts), inline)
+
     def test_batched_norm_drift_raises(self):
         good = _dec(0.5)
         broken = EigenDecomposition(good.eigenvalues, 0.9 * good.eigenvectors)
