@@ -254,24 +254,21 @@ def write_csv(path: str, header: list[str], rows) -> None:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """Encode what ``json`` does not: Fractions as strings, numpy scalars
+    and arrays as Python numbers and lists.  (``np.float64`` is a float and
+    never reaches here.)"""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str, payload) -> None:
     try:
         with open(path, "w", newline="\n") as fh:
-            json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import closed_form_state
+from .dynamics import TIME_CHUNK, closed_form_state
 from .entanglement import (
     SCAN_PAIRS,
     closed_form_c12,
@@ -128,36 +128,45 @@ def sequence_table(max_m: int, families=TABLE_FAMILIES) -> list[SequenceEntry]:
 # Scans over the gap surface
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, budget: int, xtol: float = 1e-10):
-    """Golden-section maximization on [lo, hi]; returns (x, evals_used)."""
-    a, b = float(lo), float(hi)
-    if not b > a:
-        return a, 0
+def _golden_max(f, lo, hi, budget, xtol: float = 1e-10):
+    """Golden-section maximization of many lanes in lockstep.
+
+    Lane k searches [lo[k], hi[k]] with ``budget[k]`` evaluations; ``f(x,
+    lanes)`` evaluates the lanes ``lanes`` (indices) at the points ``x`` in
+    one call.  Every lane makes exactly the steps of a scalar search: a lane
+    with ``not hi > lo`` returns lo after 0 evaluations, any other makes its
+    first 2 and then one more per step while its width exceeds ``xtol`` and
+    its count is under its budget.  Returns (x, evals_used) arrays.
+    """
+    x = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    used = np.zeros(x.shape, dtype=int)
+    lanes = np.flatnonzero(hi > x)
+    if lanes.size == 0:
+        return x, used
+    a, b, budget = x[lanes], hi[lanes], np.broadcast_to(budget, x.shape)[lanes]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    used = 2
-    while (b - a) > xtol and used < budget:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        used += 1
-    return (c, used) if fc > fd else (d, used)
-
-
-def _grid_local_maxima(values: np.ndarray) -> list[tuple[int, int]]:
-    """Indices of grid points that dominate their axis neighbors."""
-    padded = np.full((values.shape[0] + 2, values.shape[1] + 2), -np.inf)
-    padded[1:-1, 1:-1] = values
-    center = padded[1:-1, 1:-1]
-    is_max = ((center >= padded[:-2, 1:-1]) & (center >= padded[2:, 1:-1])
-              & (center >= padded[1:-1, :-2]) & (center >= padded[1:-1, 2:]))
-    return [tuple(ix) for ix in np.argwhere(is_max)]
+    fc, fd = f(c, lanes), f(d, lanes)
+    n = np.full(lanes.shape, 2)
+    while lanes.size:
+        run = ((b - a) > xtol) & (n < budget)
+        if not run.all():  # retire the lanes that stop here
+            stop = lanes[~run]
+            x[stop] = np.where(fc[~run] > fd[~run], c[~run], d[~run])
+            used[stop] = n[~run]
+            lanes, a, b, c, d, fc, fd, n, budget = (
+                v[run] for v in (lanes, a, b, c, d, fc, fd, n, budget))
+            continue
+        # fc > fd keeps [a, d] and probes left of c; otherwise [c, b], right of d
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new_x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        new_f = f(new_x, lanes)
+        c, d = np.where(left, new_x, d), np.where(left, c, new_x)
+        fc, fd = np.where(left, new_f, fd), np.where(left, fc, new_f)
+        n += 1
+    return x, used
 
 
 @dataclass(frozen=True)
@@ -183,12 +192,13 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     """Scan the gap surface for complete-transfer events.
 
     Grid-scans gap(t, J) at ``resolution`` points per pi in t (per unit in
-    J), refines every grid local maximum by coordinate-wise golden-section
-    ascent (at most 200 gap evaluations each), keeps peaks reaching
-    1 - 1e-4, snaps them onto (m*pi, p/q) with q <= 64 when
-    :func:`is_lattice_transfer` certifies the snapped point, and verifies
-    all events through one :func:`verify_transfers` call.  The t interval
-    is half-open: [t_lo, t_hi).
+    J), built in blocks of TIME_CHUNK rows, and refines every grid local
+    maximum in one lockstep golden-section pass: two rounds of a t then a J
+    line search, every peak a lane, at most 200 gap evaluations per peak.
+    It keeps peaks reaching 1 - 1e-4, snaps them onto (m*pi, p/q) with
+    q <= 64 when :func:`is_lattice_transfer` certifies the snapped point,
+    and verifies all events through one :func:`verify_transfers` call.  The
+    t interval is half-open: [t_lo, t_hi).
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     J_lo, J_hi = float(J_range[0]), float(J_range[1])
@@ -212,27 +222,45 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     if ts.size == 0:
         return []
 
-    surface = concurrence_gap(ts[:, None], js[None, :])
+    surface = np.empty((ts.size, js.size))
+    for lo in range(0, ts.size, TIME_CHUNK):
+        surface[lo:lo + TIME_CHUNK] = concurrence_gap(ts[lo:lo + TIME_CHUNK, None],
+                                                      js[None, :])
+    # grid points that dominate their axis neighbors (a NaN never does), in
+    # row-major order
+    is_max = surface >= -np.inf
+    is_max[1:] &= surface[1:] >= surface[:-1]
+    is_max[:-1] &= surface[:-1] >= surface[1:]
+    is_max[:, 1:] &= surface[:, 1:] >= surface[:, :-1]
+    is_max[:, :-1] &= surface[:, :-1] >= surface[:, 1:]
+    peaks = np.argwhere(is_max)
+
+    # every peak is a lane: two rounds of t then J line searches, at most
+    # 200 gap evaluations per peak
+    t_peak, j_peak = ts[peaks[:, 0]], js[peaks[:, 1]]
+    used = np.zeros(len(peaks), dtype=int)
+    for _ in range(2):
+        live = np.flatnonzero(used < 200)
+        t_new, n = _golden_max(lambda x, k: concurrence_gap(x, j_peak[live[k]]),
+                               np.maximum(t_lo, t_peak[live] - t_step),
+                               np.minimum(t_hi, t_peak[live] + t_step),
+                               200 - used[live])
+        t_peak[live] = t_new
+        used[live] += n
+        if j_step > 0.0:
+            live = live[used[live] < 200]
+            j_new, n = _golden_max(lambda x, k: concurrence_gap(t_peak[live[k]], x),
+                                   np.maximum(J_lo, j_peak[live] - j_step),
+                                   np.minimum(J_hi, j_peak[live] + j_step),
+                                   200 - used[live])
+            j_peak[live] = j_new
+            used[live] += n
+
     events: dict = {}
-    for (it, ij) in _grid_local_maxima(surface):
-        t_c, j_c = float(ts[it]), float(js[ij])
-        used = 0
-        for _ in range(2):  # alternate t / J line searches twice
-            t_c, n_used = _golden_max(
-                lambda x: concurrence_gap(x, j_c),
-                max(t_lo, t_c - t_step), min(t_hi, t_c + t_step), 200 - used)
-            used += n_used
-            if j_step > 0.0 and used < 200:
-                j_c, n_used = _golden_max(
-                    lambda x: concurrence_gap(t_c, x),
-                    max(J_lo, j_c - j_step), min(J_hi, j_c + j_step), 200 - used)
-                used += n_used
-            if used >= 200:
-                break
-        value = float(concurrence_gap(t_c, j_c))
+    values = concurrence_gap(t_peak, j_peak)
+    for t_c, j_c, value in zip(t_peak.tolist(), j_peak.tolist(), values.tolist()):
         if value < 1.0 - 1e-4:
             continue
-        reached_tol = abs(value - 1.0) < 1e-10
 
         # Snap onto the exact lattice when the exact rule certifies it; the
         # snap window is half a grid cell, and a wrong hypothesis cannot pass
@@ -245,30 +273,28 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
                    and J_lo - 1e-12 <= float(j_frac) <= J_hi + 1e-12
                    and is_lattice_transfer(m_hyp, j_frac))
         if snap_ok:
-            t_ev, j_ev = m_hyp * np.pi, float(j_frac)
-            key = (m_hyp, j_frac)
-            gap_ev = float(concurrence_gap(t_ev, j_ev))
-            reached_tol = True
+            t_ev, key = m_hyp * np.pi, (m_hyp, j_frac)
         else:
-            t_ev, j_ev = t_c, j_c
-            key = (round(t_ev, 6), round(j_ev, 6))
-            gap_ev = value
+            t_ev, key = t_c, (round(t_c, 6), round(j_c, 6))
         if t_ev >= t_hi - 1e-9 or key in events:  # window stays half-open
             continue
-        # c12, c34 and the Wootters half of ``confirmed`` are filled in below
+        # gap_value, c12, c34 and the Wootters half of ``confirmed`` are
+        # filled in below
         events[key] = QstEvent(
             m=m_hyp if snap_ok else None,
             t=float(t_ev),
-            J=j_frac if snap_ok else j_ev,
-            gap_value=gap_ev,
-            c12=math.nan, c34=math.nan,
-            confirmed=reached_tol,
+            J=j_frac if snap_ok else j_c,
+            gap_value=math.nan, c12=math.nan, c34=math.nan,
+            confirmed=snap_ok or abs(value - 1.0) < 1e-10,
             snapped=snap_ok)
     pending = sorted(events.values(), key=lambda e: (e.t, float(e.J)))
-    c12, c34, ok = verify_transfers(np.array([e.t for e in pending]),
-                                    np.array([float(e.J) for e in pending]))
-    return [replace(e, c12=float(a), c34=float(b), confirmed=e.confirmed and bool(k))
-            for e, a, b, k in zip(pending, c12, c34, ok)]
+    t_ev = np.array([e.t for e in pending])
+    j_ev = np.array([float(e.J) for e in pending])
+    gap = concurrence_gap(t_ev, j_ev)
+    c12, c34, ok = verify_transfers(t_ev, j_ev)
+    return [replace(e, gap_value=float(g), c12=float(a), c34=float(b),
+                    confirmed=e.confirmed and bool(k))
+            for e, g, a, b, k in zip(pending, gap, c12, c34, ok)]
 
 
 @dataclass(frozen=True)
@@ -281,8 +307,9 @@ class ForbiddenScanResult:
 
 
 def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
-    """Gap supremum on [0, t_max] (256 points per pi, locally refined) and
-    the exact forbidden verdict per coupling.
+    """Gap supremum on [0, t_max] (256 points per pi, every grid peak near
+    the leader refined in one lockstep golden-section pass) and the exact
+    forbidden verdict per coupling.
 
     J is forbidden when it is p/q (q <= 512, within 1e-12) with p and q odd:
     the gap is periodic and fails :func:`is_lattice_transfer` at every m.
@@ -306,13 +333,14 @@ def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
                  (values[interior] >= values[interior + 1])
         seeds = [int(i) for i in interior[is_max] if values[i] > sup - 0.05]
         seeds.append(int(np.argmax(values)))
-        for i in set(seeds):
-            lo = ts[max(0, i - 1)]
-            hi = ts[min(len(ts) - 1, i + 1)]
-            t_ref, _ = _golden_max(lambda x: concurrence_gap(x, J), lo, hi, 120)
-            v = float(concurrence_gap(t_ref, J))
+        # of equal refined values, the first seed in set order wins
+        seeds = np.array(list(set(seeds)))
+        t_ref, _ = _golden_max(lambda x, k: concurrence_gap(x, J),
+                               ts[np.maximum(0, seeds - 1)],
+                               ts[np.minimum(len(ts) - 1, seeds + 1)], 120)
+        for v, t in zip(concurrence_gap(t_ref, J).tolist(), t_ref.tolist()):
             if v > sup:
-                sup, t_sup = v, float(t_ref)
+                sup, t_sup = v, t
         p_q = _as_small_fraction(J)
         results.append(ForbiddenScanResult(
             J=J, sup_gap=sup, t_at_sup=t_sup, margin=1.0 - sup,

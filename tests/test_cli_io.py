@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,6 +333,70 @@ class TestWriteCsv:
         with pytest.raises(TypeError):
             write_csv(str(out), ["m", "t"], [["1", 0.5], ["2", "0.75"]])
         assert out.read_bytes() == b"m,t\n1,0.5\n"
+
+
+def _rebuilt_json(payload) -> bytes:
+    """The JSON bytes of a payload rebuilt as plain Python values first."""
+    def plain(obj):
+        if isinstance(obj, Fraction):
+            return str(obj)
+        if isinstance(obj, (np.floating, np.integer, np.bool_)):
+            return obj.item()
+        if isinstance(obj, np.ndarray):
+            return [plain(v) for v in obj]
+        if isinstance(obj, dict):
+            return {k: plain(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [plain(v) for v in obj]
+        return obj
+    return (json.dumps(plain(payload), indent=2, sort_keys=True) + "\n").encode()
+
+
+_JSON_SCALARS = st.one_of(
+    _NUMBERS, _TEXT, st.none(),
+    st.fractions(max_denominator=10 ** 6),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.lists(st.floats(), max_size=6).map(np.array),
+        st.lists(st.lists(st.integers(-99, 99), min_size=2, max_size=2),
+                 max_size=3).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, 2)),
+    ),
+    max_leaves=20)
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(_TEXT, _JSON_PAYLOADS, max_size=5))
+    def test_matches_rebuilt_payload(self, tmp_path_factory, payload):
+        out = tmp_path_factory.getbasetemp() / "payload.json"
+        write_json(str(out), payload)
+        assert out.read_bytes() == _rebuilt_json(payload)
+
+    def test_unknown_type_raises(self, tmp_path):
+        with pytest.raises(TypeError, match="complex"):
+            write_json(str(tmp_path / "bad.json"), {"z": 1j})
+
+    @pytest.mark.parametrize("argv", [
+        ["events"], ["table1"], ["forbidden"], ["wstate"],
+        ["evolve", "--t-range", "0:3:65"], ["surface", "--t-range", "0:3:9"],
+    ])
+    def test_command_payloads_match_rebuilt(self, tmp_path, monkeypatch, argv):
+        payloads = []
+        monkeypatch.setattr(cli_io, "write_json",
+                            lambda path, payload: (payloads.append(payload),
+                                                   write_json(path, payload)))
+        out = tmp_path / "out.json"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        (payload,) = payloads
+        assert out.read_bytes() == _rebuilt_json(payload)
 
 
 class TestEvolveCommand:

@@ -1,0 +1,240 @@
+"""The lockstep golden-section refinement of ``events`` and ``forbidden``.
+
+Every grid peak is one lane of ``qst_analysis._golden_max``.  The references
+here are the scalar search and the per-peak loops the lanes replaced, kept
+test-local: the lockstep routine must return their x and evaluation counts
+bit for bit, and the scans their results exactly.
+"""
+
+import math
+import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triplaq import qst_analysis
+from triplaq.entanglement import concurrence_gap
+from triplaq.qst_analysis import (
+    ForbiddenScanResult,
+    QstEvent,
+    _as_small_fraction,
+    _golden_max,
+    forbidden_J_scan,
+    is_lattice_transfer,
+    locate_events_2d,
+    verify_transfers,
+)
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+EVENTS_WIDE = ((0.0, 40 * np.pi), (0.0, 2.0), 128)
+EIGHT_J = (0.3, 0.6180339887, 1.4, 0.2, 1, 3, -1, 0.5)
+
+
+def _scalar_golden_max(f, lo, hi, budget, xtol=1e-10):
+    """One golden-section search on [lo, hi]; returns (x, evals_used)."""
+    a, b = float(lo), float(hi)
+    if not b > a:
+        return a, 0
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    used = 2
+    while (b - a) > xtol and used < budget:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+        used += 1
+    return (c, used) if fc > fd else (d, used)
+
+
+def _scalar_locate_events_2d(t_range, J_range, resolution):
+    """The event finder with one scalar search per peak and a padded mask."""
+    t_lo, t_hi = float(t_range[0]), float(t_range[1])
+    J_lo, J_hi = float(J_range[0]), float(J_range[1])
+    t_step = np.pi / resolution
+    ts = t_lo + t_step * np.arange(int(np.ceil((t_hi - t_lo) / t_step)))
+    ts = ts[ts < t_hi - 1e-12]
+    if J_hi > J_lo:
+        j_step = 1.0 / resolution
+        js = np.linspace(J_lo, J_hi, int(round((J_hi - J_lo) * resolution)) + 1)
+    else:
+        j_step, js = 0.0, np.array([J_lo])
+    values = concurrence_gap(ts[:, None], js[None, :])
+    padded = np.full((values.shape[0] + 2, values.shape[1] + 2), -np.inf)
+    padded[1:-1, 1:-1] = values
+    center = padded[1:-1, 1:-1]
+    is_max = ((center >= padded[:-2, 1:-1]) & (center >= padded[2:, 1:-1])
+              & (center >= padded[1:-1, :-2]) & (center >= padded[1:-1, 2:]))
+    events = {}
+    for it, ij in np.argwhere(is_max):
+        t_c, j_c = float(ts[it]), float(js[ij])
+        used = 0
+        for _ in range(2):
+            t_c, n = _scalar_golden_max(
+                lambda x: concurrence_gap(x, j_c),
+                max(t_lo, t_c - t_step), min(t_hi, t_c + t_step), 200 - used)
+            used += n
+            if j_step > 0.0 and used < 200:
+                j_c, n = _scalar_golden_max(
+                    lambda x: concurrence_gap(t_c, x),
+                    max(J_lo, j_c - j_step), min(J_hi, j_c + j_step), 200 - used)
+                used += n
+            if used >= 200:
+                break
+        value = float(concurrence_gap(t_c, j_c))
+        if value < 1.0 - 1e-4:
+            continue
+        reached_tol = abs(value - 1.0) < 1e-10
+        m_hyp = int(round(t_c / np.pi))
+        j_frac = Fraction(j_c).limit_denominator(64)
+        snap_ok = (m_hyp >= 1
+                   and abs(t_c - m_hyp * np.pi) < 0.5 * t_step
+                   and abs(j_c - float(j_frac)) < max(0.5 * j_step, 1e-8)
+                   and J_lo - 1e-12 <= float(j_frac) <= J_hi + 1e-12
+                   and is_lattice_transfer(m_hyp, j_frac))
+        if snap_ok:
+            t_ev, j_ev = m_hyp * np.pi, float(j_frac)
+            key = (m_hyp, j_frac)
+            gap_ev = float(concurrence_gap(t_ev, j_ev))
+            reached_tol = True
+        else:
+            t_ev, j_ev = t_c, j_c
+            key = (round(t_ev, 6), round(j_ev, 6))
+            gap_ev = value
+        if t_ev >= t_hi - 1e-9 or key in events:
+            continue
+        events[key] = QstEvent(
+            m=m_hyp if snap_ok else None, t=float(t_ev),
+            J=j_frac if snap_ok else j_ev, gap_value=gap_ev,
+            c12=math.nan, c34=math.nan, confirmed=reached_tol, snapped=snap_ok)
+    pending = sorted(events.values(), key=lambda e: (e.t, float(e.J)))
+    c12, c34, ok = verify_transfers(np.array([e.t for e in pending]),
+                                    np.array([float(e.J) for e in pending]))
+    return [replace(e, c12=float(a), c34=float(b), confirmed=e.confirmed and bool(k))
+            for e, a, b, k in zip(pending, c12, c34, ok)]
+
+
+def _scalar_forbidden_J_scan(J_values, t_max):
+    """The forbidden scan with one scalar search per seed, in set order."""
+    ts = np.arange(0.0, float(t_max) + 1e-12, np.pi / 256)
+    results = []
+    for J in J_values:
+        J = float(J)
+        values = concurrence_gap(ts, J)
+        sup, t_sup = float(values.max()), float(ts[int(np.argmax(values))])
+        interior = np.arange(1, len(ts) - 1)
+        is_max = (values[interior] >= values[interior - 1]) & \
+                 (values[interior] >= values[interior + 1])
+        seeds = [int(i) for i in interior[is_max] if values[i] > sup - 0.05]
+        seeds.append(int(np.argmax(values)))
+        for i in set(seeds):
+            t_ref, _ = _scalar_golden_max(lambda x: concurrence_gap(x, J),
+                                          ts[max(0, i - 1)],
+                                          ts[min(len(ts) - 1, i + 1)], 120)
+            v = float(concurrence_gap(t_ref, J))
+            if v > sup:
+                sup, t_sup = v, float(t_ref)
+        p_q = _as_small_fraction(J)
+        results.append(ForbiddenScanResult(
+            J=J, sup_gap=sup, t_at_sup=t_sup, margin=1.0 - sup,
+            forbidden=p_q is not None and p_q.numerator * p_q.denominator % 2 == 1))
+    return results
+
+
+# one lane: (lo, signed width, budget, parameter of the line)
+_lanes = st.lists(
+    st.tuples(st.floats(-20.0, 20.0),
+              st.one_of(st.sampled_from([0.0, -0.5, 1e-11, 3e-10]),
+                        st.floats(-1.0, 1.0)),
+              st.one_of(st.sampled_from([0, 1, 2, 3, 200]), st.integers(0, 200)),
+              st.floats(-3.0, 3.0)),
+    min_size=1, max_size=12)
+
+# (lockstep f(x, lanes), scalar f for one lane) per kind of line
+_LINES = {
+    "gap in t": (lambda p: lambda x, k: concurrence_gap(x, p[k]),
+                 lambda p: lambda x: concurrence_gap(x, p)),
+    "gap in J": (lambda p: lambda x, k: concurrence_gap(p[k], x),
+                 lambda p: lambda x: concurrence_gap(p, x)),
+    "flat": (lambda p: lambda x, k: np.zeros_like(x),
+             lambda p: lambda x: 0.0),
+    "parabola": (lambda p: lambda x, k: -(x - p[k]) ** 2,
+                 lambda p: lambda x: -(x - p) ** 2),
+}
+
+
+class TestLockstepGoldenMax:
+    @settings(max_examples=300, deadline=None)
+    @given(lanes=_lanes, line=st.sampled_from(sorted(_LINES)))
+    def test_each_lane_is_the_scalar_search(self, lanes, line):
+        lo = np.array([lane[0] for lane in lanes])
+        hi = lo + np.array([lane[1] for lane in lanes])
+        budget = np.array([lane[2] for lane in lanes])
+        p = np.array([lane[3] for lane in lanes])
+        lockstep, scalar = _LINES[line]
+        x, used = _golden_max(lockstep(p), lo, hi, budget)
+        ref = [_scalar_golden_max(scalar(float(pk)), a, b, n)
+               for a, b, n, pk in zip(lo.tolist(), hi.tolist(), budget.tolist(), p)]
+        assert np.array_equal(x, [r[0] for r in ref])
+        assert np.array_equal(used, [r[1] for r in ref])
+
+    def test_budget_below_two_still_makes_two_evaluations(self):
+        x, used = _golden_max(lambda x, k: -x * x, [-1.0, -1.0, 0.0], [1.0, 1.0, 0.0],
+                              [0, 1, 5])
+        assert used.tolist() == [2, 2, 0]
+        assert x[2] == 0.0
+
+    def test_flat_line_moves_right(self):
+        # fc == fd keeps the right interior point, as the scalar branch does
+        x, used = _golden_max(lambda x, k: np.ones_like(x), [0.0], [1.0], [200])
+        ref = _scalar_golden_max(lambda x: 1.0, 0.0, 1.0, 200)
+        assert (x[0], used[0]) == ref
+
+
+class TestEventsMatchScalarLoop:
+    @pytest.mark.parametrize("t_range, J_range, resolution", [
+        ((0.0, 4 * np.pi), (0.0, 2.0), 64),
+        ((0.0, 6 * np.pi), (1.0, 1.0), 64),           # pinned J: no J search
+        ((0.0, 8 * np.pi), (0.5, 0.5), 64),           # pinned J with events
+        ((0.03, 0.03 + 10 * np.pi), (0.003, 2.003), 128),  # offset-3 start
+        EVENTS_WIDE,
+    ])
+    def test_events_equal_reference(self, t_range, J_range, resolution):
+        got = locate_events_2d(t_range, J_range, resolution)
+        assert got == _scalar_locate_events_2d(t_range, J_range, resolution)
+
+    def test_forbidden_equal_reference(self):
+        assert forbidden_J_scan(EIGHT_J, 200.0) == _scalar_forbidden_J_scan(EIGHT_J, 200.0)
+
+    def test_few_gap_calls_on_events_wide(self, monkeypatch):
+        # one scalar search per peak made 220 760 calls here; the lockstep
+        # pass makes 214 (40 surface blocks, one per search step, one batch)
+        calls = []
+
+        def spy(t, J):
+            calls.append(1)
+            return concurrence_gap(t, J)
+
+        monkeypatch.setattr(qst_analysis, "concurrence_gap", spy)
+        locate_events_2d(*EVENTS_WIDE)
+        assert len(calls) < 1000
+
+    def test_memory_on_events_wide(self):
+        # the whole-grid surface and its padded copy peaked at 31.7 MB; the
+        # surface built in TIME_CHUNK rows and the copy-free mask at 13.3 MB
+        tracemalloc.start()
+        try:
+            locate_events_2d(*EVENTS_WIDE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
