@@ -39,7 +39,6 @@ from .entanglement import (
     closed_form_c13,
     closed_form_c34,
     concurrence_gap,
-    gap_from_state,
     pair_concurrences,
     state_concurrence,
 )
@@ -337,12 +336,14 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
             "max_norm_error": worst_norm, "max_sector_leak": worst_leak}
 
 
+#: Columns of each signal: a pair names its Wootters concurrence, two pairs
+#: the first minus the second, a function a closed form of (t, J).
 _SIGNAL_COLUMNS = {
-    "C12": ("c12_wootters", "c12_closed_form"),
-    "C34": ("c34_wootters", "c34_closed_form"),
-    "C13": ("c13_wootters", "c13_closed_form"),
-    "C24": ("c24_wootters",),
-    "GAP": ("gap_closed_form", "gap_from_states"),
+    "C12": (("c12_wootters", ((1, 2),)), ("c12_closed_form", closed_form_c12)),
+    "C34": (("c34_wootters", ((3, 4),)), ("c34_closed_form", closed_form_c34)),
+    "C13": (("c13_wootters", ((1, 3),)), ("c13_closed_form", closed_form_c13)),
+    "C24": (("c24_wootters", ((2, 4),)),),
+    "GAP": (("gap_closed_form", concurrence_gap), ("gap_from_states", ((3, 4), (1, 2)))),
 }
 
 
@@ -352,7 +353,8 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
     For each requested signal both the Wootters column and the closed-form
     column are emitted when both exist, so the discrepancy between them can
     be plotted externally.  Every point is evaluated at (D*t, J/D); the rows
-    carry the t and J given.
+    carry the t and J given.  Each closed form is one array over the grid;
+    each pair's Wootters concurrence is one quartic-route call per t-row.
     """
     signals = list(signals)
     if not signals:
@@ -362,9 +364,8 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
         raise ConfigError(f"unknown signals {unknown}; choose from {KNOWN_SIGNALS}")
     _check_grid(cfg.t_steps * cfg.j_steps, "--t-range", "--j-range")
     ordered = [s for s in KNOWN_SIGNALS if s in signals]
-    header = ["t", "j"]
-    for s in ordered:
-        header.extend(_SIGNAL_COLUMNS[s])
+    columns = [col for s in ordered for col in _SIGNAL_COLUMNS[s]]
+    header = ["t", "j"] + [name for name, _ in columns]
     _check_phases(cfg, max(abs(cfg.j_min), abs(cfg.j_max)), "--j-range")
     ts, js = cfg.t_grid(), cfg.j_grid()
     ts_d, js_d = cfg.d * ts, js / cfg.d
@@ -383,27 +384,30 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
             per_j.append(evolve_numeric(decomp, psi0, ts_d))
             del decomp      # free it before the next stack is built
         states = np.concatenate(per_j).swapaxes(0, 1)
-    rows = []
-    for t, t_d, row_states in zip(ts, ts_d, states):
-        for J, j_d, psi in zip(js, js_d, row_states):
-            t_f, j_f = float(t_d), float(j_d)
-            row = [float(t), float(J)]
-            for s in ordered:
-                if s == "C12":
-                    row += [state_concurrence(psi, (1, 2)), closed_form_c12(t_f, j_f)]
-                elif s == "C34":
-                    row += [state_concurrence(psi, (3, 4)), closed_form_c34(t_f, j_f)]
-                elif s == "C13":
-                    row += [state_concurrence(psi, (1, 3)), closed_form_c13(t_f, j_f)]
-                elif s == "C24":
-                    row += [state_concurrence(psi, (2, 4))]
-                else:
-                    row += [concurrence_gap(t_f, j_f), gap_from_state(psi)]
-            rows.append(row)
-    payload = {"columns": header, "rows": rows, "signals": ordered, "D": cfg.d,
-               "geometry": cfg.geometry}
-    _write_table(cfg.out, cfg.fmt, header, rows, payload)
-    return {"rows": len(rows), "columns": header}
+    table = np.empty((ts.size, js.size, len(header)))
+    table[..., 0], table[..., 1] = ts[:, None], js
+    wootters = []
+    for k, (_, source) in enumerate(columns, 2):
+        if callable(source):
+            table[..., k] = source(ts_d[:, None], js_d)
+        else:
+            wootters.append((k, source))
+    pairs = {pair for _, source in wootters for pair in source}
+    # one call per t-row and pair: a whole-grid call would hold the reduced
+    # matrices and quartic intermediates of every point at once
+    for row, row_states in zip(table, states):
+        conc = {pair: state_concurrence(row_states, pair) for pair in pairs}
+        for k, source in wootters:
+            row[:, k] = (conc[source[0]] - conc[source[1]] if len(source) == 2
+                         else conc[source[0]])
+    table = table.reshape(-1, len(header))
+    if cfg.fmt == "csv":
+        write_csv(cfg.out, header, (row for lo in range(0, len(table), TIME_CHUNK)
+                                    for row in table[lo:lo + TIME_CHUNK].tolist()))
+    else:
+        write_json(cfg.out, {"columns": header, "rows": table.tolist(), "signals": ordered,
+                             "D": cfg.d, "geometry": cfg.geometry})
+    return {"rows": len(table), "columns": header}
 
 
 def _verify_cell(m: int, j_values) -> tuple[bool, bool]:

@@ -1,7 +1,8 @@
 """Pairwise concurrence, three ways, plus the transfer gap.
 
 The full recipe (partial trace, spin-flipped product, characteristic
-quartic) works for any two-qubit reduced state.  The single-excitation
+quartic) works for any two-qubit reduced state and broadcasts over stacks of
+states or matrices, each matrix bit for bit as if alone.  The single-excitation
 shortcut ``2|a_m||a_n|`` is exact on the sector this system never leaves and
 is cross-validated against the full recipe by the test suite.  The closed
 forms evaluate fixed trigonometric reference expressions for the (1,2),
@@ -63,12 +64,7 @@ class ReducedDensityMatrix:
             raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "pair", _check_pair(self.pair))
-        if np.abs(mat - mat.conj().T).max() > 1e-12:
-            raise ContractViolationError("reduced density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-12 or abs(np.trace(mat).imag) > 1e-12:
-            raise ContractViolationError("reduced density matrix trace is not 1")
-        if np.linalg.eigvalsh(mat).min() < -1e-10:
-            raise ContractViolationError("reduced density matrix is not PSD")
+        _check_density(mat)
 
 
 @dataclass(frozen=True)
@@ -78,79 +74,113 @@ class ConcurrenceRecord:
     method: str
 
 
+def _check_density(rho: np.ndarray) -> None:
+    """Raise ContractViolationError unless every matrix of the (..., 4, 4)
+    stack is Hermitian, of trace 1 and positive semidefinite."""
+    if (np.abs(rho - np.swapaxes(rho.conj(), -1, -2)) > 1e-12).any():
+        raise ContractViolationError("reduced density matrix is not Hermitian")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if ((np.abs(trace.real - 1.0) > 1e-12) | (np.abs(trace.imag) > 1e-12)).any():
+        raise ContractViolationError("reduced density matrix trace is not 1")
+    if (np.linalg.eigvalsh(rho) < -1e-10).any():
+        raise ContractViolationError("reduced density matrix is not PSD")
+
+
+def _reduced_matrices(psi, pair) -> np.ndarray:
+    """Unvalidated reduced matrices B B+ of ``pair`` for (..., 16) states,
+    shape (..., 4, 4), with B the pair's block of the state."""
+    block = psi[..., _BLOCK_INDEX[_check_pair(pair)]]
+    return block @ np.swapaxes(block.conj(), -1, -2)
+
+
 def partial_trace_pair(psi: np.ndarray, pair) -> ReducedDensityMatrix:
     """Trace out all qubits except the two in ``pair``.
 
     The result is over the ordered basis (|00>, |01>, |10>, |11>) of the kept
     qubits, with the lower site index as the more significant bit.
     """
-    m, n = _check_pair(pair)
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (16,):
         raise ValueError(f"expected a 16-vector, got shape {psi.shape}")
-    block = psi[_BLOCK_INDEX[(m, n)]]
-    return ReducedDensityMatrix(block @ block.conj().T, (m, n))
+    return ReducedDensityMatrix(_reduced_matrices(psi, pair), pair)
 
 
 def _char_poly_coeffs(M: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial of a 4x4 matrix (Faddeev-LeVerrier)."""
+    """Monic characteristic polynomials of a (..., 4, 4) stack
+    (Faddeev-LeVerrier), shape (..., 5)."""
     n = 4
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
+    coeffs = np.zeros(M.shape[:-2] + (n + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
     Mk = np.array(M, dtype=complex)
     for k in range(1, n + 1):
-        coeffs[k] = -np.trace(Mk) / k
+        coeffs[..., k] = -np.trace(Mk, axis1=-2, axis2=-1) / k
         if k < n:
-            Mk = M @ (Mk + coeffs[k] * np.eye(n))
+            Mk = M @ (Mk + coeffs[..., k, None, None] * np.eye(n))
     return coeffs
 
 
-def _quadratic_roots(b: float, c: float) -> np.ndarray:
-    """Real roots of x^2 + b x + c, guarding small negative discriminants."""
+def _check_real(imag: np.ndarray, what: str) -> None:
+    """Raise NumericalHealthError if any imaginary part exceeds 1e-9."""
+    imag = np.abs(imag)
+    if (imag > 1e-9).any():
+        raise NumericalHealthError(
+            f"{what} imaginary part {imag[imag > 1e-9].max():.3e}")
+
+
+def _quadratic_roots(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Real roots of x^2 + b x + c per element, shape (..., 2), guarding
+    small negative discriminants."""
     disc = b * b - 4.0 * c
-    if disc < 0.0:
-        if np.sqrt(-disc) / 2.0 > 1e-9:
-            raise NumericalHealthError(
-                f"spin-flip spectrum has imaginary part {np.sqrt(-disc) / 2.0:.3e}")
-        disc = 0.0
-    root = np.sqrt(disc)
-    q = -0.5 * (b + np.copysign(root, b)) if b != 0.0 else 0.5 * root
-    other = c / q if q != 0.0 else 0.0
-    return np.array([q, other])
+    negative = disc < 0.0
+    _check_real(np.sqrt(-disc[negative]) / 2.0, "spin-flip spectrum has")
+    root = np.sqrt(np.where(negative, 0.0, disc))
+    q = np.where(b != 0.0, -0.5 * (b + np.copysign(root, b)), 0.5 * root)
+    other = np.divide(c, q, out=np.zeros_like(q), where=q != 0.0)
+    return np.stack([q, other], axis=-1)
 
 
 def _spin_flip_spectrum(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of rho @ rho_tilde via its guarded characteristic quartic.
+    """Eigenvalues of each rho @ rho_tilde of a (..., 4, 4) stack via its
+    guarded characteristic quartic, shape (..., 4).
 
     Trailing coefficients at roundoff level are deflated exactly (roots at
-    zero); what remains is solved in closed form up to degree two and by the
-    companion matrix above that.  Negative dust is clamped; anything beyond
-    the 1e-9 guards raises NumericalHealthError.
+    zero); what remains is solved in closed form up to degree two and by one
+    batched companion-matrix eigensolve per degree above that.  Negative dust
+    is clamped; anything beyond the 1e-9 guards, in any matrix of the stack,
+    raises NumericalHealthError.
     """
-    coeffs = _char_poly_coeffs(M)
-    if np.abs(coeffs.imag).max() > 1e-9:
-        raise NumericalHealthError(
-            f"characteristic coefficients have imaginary part {np.abs(coeffs.imag).max():.3e}")
-    c = coeffs.real.copy()
-    scale = max(1.0, float(np.abs(c).max()))
-    while len(c) > 1 and abs(c[-1]) < 1e-12 * scale:
-        c = c[:-1]
-    degree = len(c) - 1
-    lam = np.zeros(4)
-    if degree == 1:
-        lam[0] = -c[1]
-    elif degree == 2:
-        lam[:2] = _quadratic_roots(c[1], c[2])
-    elif degree >= 3:
-        roots = np.roots(c)
-        if np.abs(roots.imag).max() > 1e-9:
-            raise NumericalHealthError(
-                f"spin-flip spectrum has imaginary part {np.abs(roots.imag).max():.3e}")
-        lam[:degree] = roots.real
-    if lam.min() < -1e-9:
+    coeffs = _char_poly_coeffs(M.reshape(-1, 4, 4))
+    _check_real(coeffs.imag, "characteristic coefficients have")
+    c = coeffs.real
+    scale = np.maximum(1.0, np.abs(c).max(axis=-1))
+    tiny = np.abs(c[:, 1:]) < 1e-12 * scale[:, None]
+    degree = 4 - np.cumprod(tiny[:, ::-1], axis=-1).sum(axis=-1)
+    lam = np.zeros((len(c), 4))
+    one, two = degree == 1, degree == 2
+    lam[one, 0] = -c[one, 1]
+    lam[two, :2] = _quadratic_roots(c[two, 1], c[two, 2])
+    for d in (3, 4):
+        sel = degree == d
+        if sel.any():
+            # the companion matrices np.roots builds for a monic polynomial
+            companion = np.zeros((int(sel.sum()), d, d))
+            companion[:, 0] = -c[sel, 1:d + 1]
+            companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            roots = np.linalg.eigvals(companion)
+            _check_real(roots.imag, "spin-flip spectrum has")
+            lam[sel, :d] = roots.real
+    if (lam < -1e-9).any():
         raise NumericalHealthError(
             f"spin-flip spectrum has negative eigenvalue {lam.min():.3e}")
-    return np.maximum(lam, 0.0)
+    return np.maximum(lam, 0.0).reshape(M.shape[:-1])
+
+
+def _concurrence(rho: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each matrix of a (..., 4, 4) stack, shape (...)."""
+    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
+    gammas = np.sort(np.sqrt(_spin_flip_spectrum(rho @ rho_tilde)), axis=-1)[..., ::-1]
+    value = 2.0 * gammas[..., 0] - gammas.sum(axis=-1)
+    return np.where(value > 0.0, value, 0.0)
 
 
 def wootters_concurrence(rho, pair=None) -> ConcurrenceRecord:
@@ -165,11 +195,7 @@ def wootters_concurrence(rho, pair=None) -> ConcurrenceRecord:
     else:
         mat = np.asarray(rho, dtype=complex)
         pair = (1, 2) if pair is None else _check_pair(pair)
-    rho_tilde = _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
-    lam = _spin_flip_spectrum(mat @ rho_tilde)
-    gammas = np.sort(np.sqrt(lam))[::-1]
-    value = max(0.0, float(2.0 * gammas[0] - gammas.sum()))
-    return ConcurrenceRecord(pair=pair, value=value, method=WOOTTERS)
+    return ConcurrenceRecord(pair=pair, value=float(_concurrence(mat)), method=WOOTTERS)
 
 
 def single_excitation_concurrence(amps: SingleExcitationAmplitudes, pair) -> ConcurrenceRecord:
@@ -179,9 +205,20 @@ def single_excitation_concurrence(amps: SingleExcitationAmplitudes, pair) -> Con
     return ConcurrenceRecord(pair=(m, n), value=float(value), method=SINGLE_EXCITATION)
 
 
-def state_concurrence(psi: np.ndarray, pair) -> float:
-    """Wootters concurrence of one pair, straight from a 16-vector."""
-    return wootters_concurrence(partial_trace_pair(psi, pair)).value
+def state_concurrence(psi: np.ndarray, pair):
+    """Wootters concurrence of one pair of (..., 16) states by the quartic
+    route, shape (...); a float for one 16-vector.
+
+    Every reduced matrix of the stack is validated as ReducedDensityMatrix
+    validates one, and a bad one anywhere raises.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.shape[-1:] != (16,):
+        raise ValueError(f"expected (..., 16) state vectors, got shape {psi.shape}")
+    rho = _reduced_matrices(psi, pair)
+    _check_density(rho)
+    value = _concurrence(rho)
+    return float(value) if value.ndim == 0 else value
 
 
 def pair_concurrences(psi: np.ndarray, pairs=ALL_PAIRS) -> np.ndarray:
@@ -243,6 +280,7 @@ def concurrence_gap(t, J):
             - np.cos(t * (3 + J))) / 8.0
 
 
-def gap_from_state(psi: np.ndarray) -> float:
-    """Cross-validation route: Wootters C34 minus Wootters C12."""
+def gap_from_state(psi: np.ndarray):
+    """Cross-validation route: Wootters C34 minus Wootters C12 of (..., 16)
+    states, shape (...); a float for one 16-vector."""
     return state_concurrence(psi, (3, 4)) - state_concurrence(psi, (1, 2))

@@ -128,45 +128,46 @@ def sequence_table(max_m: int, families=TABLE_FAMILIES) -> list[SequenceEntry]:
 # Scans over the gap surface
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo, hi, budget, xtol: float = 1e-10):
+def _golden_max(f, lo, hi, xtol: float = 1e-10):
     """Golden-section maximization of many lanes in lockstep.
 
-    Lane k searches [lo[k], hi[k]] with ``budget[k]`` evaluations; ``f(x,
-    lanes)`` evaluates the lanes ``lanes`` (indices) at the points ``x`` in
-    one call.  Every lane makes exactly the steps of a scalar search: a lane
-    with ``not hi > lo`` returns lo after 0 evaluations, any other makes its
-    first 2 and then one more per step while its width exceeds ``xtol`` and
-    its count is under its budget.  Returns (x, evals_used) arrays.
+    Lane k searches [lo[k], hi[k]]; ``f(x, lanes)`` evaluates the lanes
+    ``lanes`` (indices) at the points ``x`` in one call.  Every lane makes
+    exactly the steps of a scalar search: a lane with ``not hi > lo``
+    returns lo after 0 evaluations, any other makes its first 2 and then
+    one more per step while its width exceeds ``xtol`` and its last step
+    narrowed it.  A step fails to narrow only an interval a few ulps wide,
+    so the second rule stops just the lanes whose width cannot reach
+    ``xtol`` in floating point (|x| beyond about 2**17 at the default), which
+    would otherwise step forever.
     """
     x = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    used = np.zeros(x.shape, dtype=int)
     lanes = np.flatnonzero(hi > x)
     if lanes.size == 0:
-        return x, used
-    a, b, budget = x[lanes], hi[lanes], np.broadcast_to(budget, x.shape)[lanes]
+        return x
+    a, b = x[lanes], hi[lanes]
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c, lanes), f(d, lanes)
-    n = np.full(lanes.shape, 2)
+    width = np.full(lanes.shape, np.inf)
     while lanes.size:
-        run = ((b - a) > xtol) & (n < budget)
+        run = ((b - a) > xtol) & ((b - a) < width)
         if not run.all():  # retire the lanes that stop here
             stop = lanes[~run]
             x[stop] = np.where(fc[~run] > fd[~run], c[~run], d[~run])
-            used[stop] = n[~run]
-            lanes, a, b, c, d, fc, fd, n, budget = (
-                v[run] for v in (lanes, a, b, c, d, fc, fd, n, budget))
+            lanes, a, b, c, d, fc, fd, width = (
+                v[run] for v in (lanes, a, b, c, d, fc, fd, width))
             continue
         # fc > fd keeps [a, d] and probes left of c; otherwise [c, b], right of d
+        width = b - a
         left = fc > fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         new_x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
         new_f = f(new_x, lanes)
         c, d = np.where(left, new_x, d), np.where(left, c, new_x)
         fc, fd = np.where(left, new_f, fd), np.where(left, fc, new_f)
-        n += 1
-    return x, used
+    return x
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     Grid-scans gap(t, J) at ``resolution`` points per pi in t (per unit in
     J), built in blocks of TIME_CHUNK rows, and refines every grid local
     maximum in one lockstep golden-section pass: two rounds of a t then a J
-    line search, every peak a lane, at most 200 gap evaluations per peak.
+    line search, every peak a lane.
     It keeps peaks reaching 1 - 1e-4, snaps them onto (m*pi, p/q) with
     q <= 64 when :func:`is_lattice_transfer` certifies the snapped point,
     and verifies all events through one :func:`verify_transfers` call.  The
@@ -235,26 +236,16 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     is_max[:, :-1] &= surface[:, :-1] >= surface[:, 1:]
     peaks = np.argwhere(is_max)
 
-    # every peak is a lane: two rounds of t then J line searches, at most
-    # 200 gap evaluations per peak
+    # every peak is a lane: two rounds of t then J line searches
     t_peak, j_peak = ts[peaks[:, 0]], js[peaks[:, 1]]
-    used = np.zeros(len(peaks), dtype=int)
     for _ in range(2):
-        live = np.flatnonzero(used < 200)
-        t_new, n = _golden_max(lambda x, k: concurrence_gap(x, j_peak[live[k]]),
-                               np.maximum(t_lo, t_peak[live] - t_step),
-                               np.minimum(t_hi, t_peak[live] + t_step),
-                               200 - used[live])
-        t_peak[live] = t_new
-        used[live] += n
+        t_peak = _golden_max(lambda x, k: concurrence_gap(x, j_peak[k]),
+                             np.maximum(t_lo, t_peak - t_step),
+                             np.minimum(t_hi, t_peak + t_step))
         if j_step > 0.0:
-            live = live[used[live] < 200]
-            j_new, n = _golden_max(lambda x, k: concurrence_gap(t_peak[live[k]], x),
-                                   np.maximum(J_lo, j_peak[live] - j_step),
-                                   np.minimum(J_hi, j_peak[live] + j_step),
-                                   200 - used[live])
-            j_peak[live] = j_new
-            used[live] += n
+            j_peak = _golden_max(lambda x, k: concurrence_gap(t_peak[k], x),
+                                 np.maximum(J_lo, j_peak - j_step),
+                                 np.minimum(J_hi, j_peak + j_step))
 
     events: dict = {}
     values = concurrence_gap(t_peak, j_peak)
@@ -335,9 +326,9 @@ def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
         seeds.append(int(np.argmax(values)))
         # of equal refined values, the first seed in set order wins
         seeds = np.array(list(set(seeds)))
-        t_ref, _ = _golden_max(lambda x, k: concurrence_gap(x, J),
-                               ts[np.maximum(0, seeds - 1)],
-                               ts[np.minimum(len(ts) - 1, seeds + 1)], 120)
+        t_ref = _golden_max(lambda x, k: concurrence_gap(x, J),
+                            ts[np.maximum(0, seeds - 1)],
+                            ts[np.minimum(len(ts) - 1, seeds + 1)])
         for v, t in zip(concurrence_gap(t_ref, J).tolist(), t_ref.tolist()):
             if v > sup:
                 sup, t_sup = v, t

@@ -152,14 +152,11 @@ def test_criterion_3_fractional_table_reproduction():
 
 
 def test_criterion_4_transfer_verification():
-    worst_c12, worst_c34 = 0.0, 1.0
-    n_events = 0
-    for m in range(1, 8):
-        for J in find_qst_J(m):
-            psi = closed_form_state(m * np.pi, float(J))
-            worst_c12 = max(worst_c12, state_concurrence(psi, (1, 2)))
-            worst_c34 = min(worst_c34, state_concurrence(psi, (3, 4)))
-            n_events += 1
+    events = [(m * np.pi, float(J)) for m in range(1, 8) for J in find_qst_J(m)]
+    states = np.array([closed_form_state(t, J) for t, J in events])
+    worst_c12 = float(state_concurrence(states, (1, 2)).max())
+    worst_c34 = float(state_concurrence(states, (3, 4)).min())
+    n_events = len(events)
     ok = worst_c12 <= 1e-8 and worst_c34 >= 1 - 1e-8
     _status(4, "transfer verification", ok,
             f"{n_events} events, max C12 {worst_c12:.3e}, "

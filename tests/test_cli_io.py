@@ -25,6 +25,14 @@ from triplaq.dynamics import (
     hermitian_eigendecompose,
     phase_aligned_distance,
 )
+from triplaq.entanglement import (
+    closed_form_c12,
+    closed_form_c13,
+    closed_form_c34,
+    concurrence_gap,
+    gap_from_state,
+    state_concurrence,
+)
 from triplaq.errors import ConfigError
 from triplaq.spin_core import (
     SINGLE_EXCITATION_INDICES,
@@ -256,6 +264,23 @@ class TestNoPerCouplingLoops:
         assert code == 0
         assert len(calls) == -(-401 // TIME_CHUNK)
         assert sum(shape[0] for shape in calls) == 401
+
+    @pytest.mark.parametrize("geometry", ["default", "swapped-control"])
+    def test_surface_calls_the_quartic_once_per_row_and_pair(self, tmp_path, monkeypatch,
+                                                             geometry):
+        calls = []
+
+        def counted(psi, pair):
+            calls.append((np.shape(psi), pair))
+            return state_concurrence(psi, pair)
+
+        monkeypatch.setattr(cli_io, "state_concurrence", counted)
+        assert main(["surface", "--geometry", geometry, "--signals", "C12,C34,C13,C24,GAP",
+                     "--t-range", "0:3:6", "--j-range", "0:2:7",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        # five Wootters columns, four pairs: the gap reuses C34 and C12
+        assert sorted(calls) == sorted([((7, 16), pair) for pair in
+                                        ((1, 2), (3, 4), (1, 3), (2, 4))] * 6)
 
     def test_report_makes_three_stacked_calls(self, tmp_path, monkeypatch):
         calls = self._spy(monkeypatch)
@@ -566,6 +591,53 @@ class TestSurfaceCommand:
         rows_b = np.loadtxt(b, delimiter=",", skiprows=1)
         assert np.array_equal(rows_a[:, :2], rows_b[:, :2])
         assert np.abs(rows_a - rows_b).max() <= 1e-12
+
+    @staticmethod
+    def _per_point_surface(path, geometry, d, fmt):
+        """The surface written point by point: one quartic call per point
+        and pair, one scalar closed form per point and signal."""
+        cfg = SweepConfig(t_min=0.05, t_max=3.5, t_steps=6, j_min=-0.4, j_max=1.9,
+                          j_steps=5, d=d)
+        ts, js = cfg.t_grid(), cfg.j_grid()
+        ts_d, js_d = d * ts, js / d
+        if geometry == "default":
+            states = closed_form_state(ts_d[:, None], js_d)
+        else:
+            geom = resolve_geometry(geometry, 0.0)
+            decomp = hermitian_eigendecompose(np.stack(
+                [build_hamiltonian(geom.with_couplings(J=float(J))) for J in js_d]))
+            states = evolve_numeric(decomp, initial_bell_state(), ts_d).swapaxes(0, 1)
+        rows = []
+        for t, t_d, row_states in zip(ts, ts_d, states):
+            for J, j_d, psi in zip(js, js_d, row_states):
+                t_f, j_f = float(t_d), float(j_d)
+                rows.append([float(t), float(J),
+                             state_concurrence(psi, (1, 2)), closed_form_c12(t_f, j_f),
+                             state_concurrence(psi, (3, 4)), closed_form_c34(t_f, j_f),
+                             state_concurrence(psi, (1, 3)), closed_form_c13(t_f, j_f),
+                             state_concurrence(psi, (2, 4)),
+                             concurrence_gap(t_f, j_f), gap_from_state(psi)])
+        header = ["t", "j", "c12_wootters", "c12_closed_form", "c34_wootters",
+                  "c34_closed_form", "c13_wootters", "c13_closed_form", "c24_wootters",
+                  "gap_closed_form", "gap_from_states"]
+        if fmt == "csv":
+            write_csv(path, header, rows)
+        else:
+            write_json(path, {"columns": header, "rows": rows,
+                              "signals": ["C12", "C34", "C13", "C24", "GAP"], "D": d,
+                              "geometry": geometry})
+
+    @pytest.mark.parametrize("geometry", ["default", "swapped-control"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("d", [1.0, 0.7])
+    def test_matches_per_point_route(self, tmp_path, geometry, fmt, d):
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        assert main(["surface", "--geometry", geometry, "--format", fmt, "--d", str(d),
+                     "--signals", "GAP,C24,C13,C34,C12",
+                     "--t-range", "0.05:3.5:6", "--j-range=-0.4:1.9:5",
+                     "--out", str(got)]) == 0
+        self._per_point_surface(want, geometry, d, fmt)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_no_signals_rejected(self, tmp_path):
         assert main(["surface", "--signals", "",

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplaq.dynamics import (
     amplitudes_closed_form,
@@ -11,6 +13,9 @@ from triplaq.dynamics import (
 )
 from triplaq.entanglement import (
     ALL_PAIRS,
+    ReducedDensityMatrix,
+    _check_density,
+    _concurrence,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
@@ -22,7 +27,7 @@ from triplaq.entanglement import (
     state_concurrence,
     wootters_concurrence,
 )
-from triplaq.errors import ContractViolationError, NumericalHealthError
+from triplaq.errors import ContractViolationError, NumericalHealthError, TriplaqError
 from triplaq.spin_core import (
     build_hamiltonian,
     embed_single_excitation,
@@ -123,9 +128,9 @@ class TestPairConcurrences:
         for t in ts:
             states = closed_form_state(float(t), js)
             batch = pair_concurrences(states, ALL_PAIRS)
-            scalar = [[state_concurrence(psi, pair) for pair in ALL_PAIRS]
-                      for psi in states]
-            worst = max(worst, float(np.abs(batch - scalar).max()))
+            quartic = np.stack([state_concurrence(states, pair) for pair in ALL_PAIRS],
+                               axis=-1)
+            worst = max(worst, float(np.abs(batch - quartic).max()))
         assert worst <= 1e-14
 
     def test_general_pure_states(self):
@@ -166,6 +171,124 @@ class TestPairConcurrences:
         psi = _small_c12_state()
         shortcut = 2.0 * abs(psi[8]) * abs(psi[4])
         assert state_concurrence(psi, (1, 2)) == pytest.approx(shortcut, rel=1e-8)
+
+
+def _scalar_quartic(rho):
+    """The per-matrix quartic route the broadcast one replaced, kept as the
+    bit-for-bit reference (guards left out): Faddeev-LeVerrier, deflation of
+    one trailing coefficient at a time, closed-form roots up to degree two,
+    ``np.roots`` above."""
+    sy = np.array([[0, -1j], [1j, 0]])
+    flip = np.kron(sy, sy)
+    M = rho @ (flip @ rho.conj() @ flip)
+    coeffs = np.zeros(5, dtype=complex)
+    coeffs[0] = 1.0
+    Mk = M.copy()
+    for k in range(1, 5):
+        coeffs[k] = -np.trace(Mk) / k
+        if k < 4:
+            Mk = M @ (Mk + coeffs[k] * np.eye(4))
+    c = coeffs.real.copy()
+    scale = max(1.0, float(np.abs(c).max()))
+    while len(c) > 1 and abs(c[-1]) < 1e-12 * scale:
+        c = c[:-1]
+    lam = np.zeros(4)
+    if len(c) == 2:
+        lam[0] = -c[1]
+    elif len(c) == 3:
+        b, q0 = c[1], c[2]
+        root = np.sqrt(max(b * b - 4.0 * q0, 0.0))
+        q = -0.5 * (b + np.copysign(root, b)) if b != 0.0 else 0.5 * root
+        lam[:2] = q, (q0 / q if q != 0.0 else 0.0)
+    elif len(c) > 3:
+        lam[:len(c) - 1] = np.roots(c).real
+    g = np.sort(np.sqrt(np.maximum(lam, 0.0)))[::-1]
+    return max(0.0, float(2.0 * g[0] - g.sum()))
+
+
+@st.composite
+def _rank_limited_states(draw):
+    """A stack of 16-vectors whose (1,2) reduced matrix has the drawn rank,
+    1 to 4: the pair's block is a random 4 x k matrix, zero-padded.  A
+    generic rank-k state gives a spin-flip quartic of degree k, so the stack
+    runs every degree branch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ranks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    states = np.zeros((len(ranks), 4, 4), dtype=complex)
+    for state, k in zip(states, ranks):
+        state[:, :k] = rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k))
+    states = states.reshape(-1, 16)     # pair (1, 2): block row = qubits 1, 2
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+_rng = np.random.default_rng(9)
+_GARBAGE = _rng.normal(size=(4, 4)) + 1j * _rng.normal(size=(4, 4))
+_BAD_MATRICES = {
+    # (matrix, the one-matrix call the stacked core must agree with)
+    "non-Hermitian": (np.triu(np.ones((4, 4))) / 4.0,
+                      lambda rho: ReducedDensityMatrix(rho, (1, 2))),
+    "complex spectrum": (_GARBAGE, wootters_concurrence),
+    "negative eigenvalue": (np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex),
+                            wootters_concurrence),
+}
+_STACKED_CORE = {"non-Hermitian": _check_density, "complex spectrum": _concurrence,
+                 "negative eigenvalue": _concurrence}
+
+
+class TestBroadcastQuartic:
+    """The quartic route on a stack is the per-matrix route, and the scalar
+    route it replaced, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(states=_rank_limited_states())
+    def test_stack_equals_per_state_calls_on_every_degree(self, states):
+        for pair in ALL_PAIRS:
+            stacked = state_concurrence(states, pair)
+            assert stacked.shape == (len(states),)
+            assert np.array_equal(stacked, [state_concurrence(p, pair) for p in states])
+        rho = np.array([partial_trace_pair(p, (1, 2)).matrix for p in states])
+        assert np.array_equal(_concurrence(rho), [_scalar_quartic(r) for r in rho])
+        assert np.array_equal(_concurrence(rho),
+                              [wootters_concurrence(r).value for r in rho])
+        assert np.array_equal(gap_from_state(states), [gap_from_state(p) for p in states])
+
+    @settings(max_examples=60, deadline=None)
+    @given(amps=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 8), min_size=1, max_size=6),
+           at=st.integers(0, 6))
+    def test_single_excitation_stack_with_the_flushed_point(self, amps, at):
+        amps = np.array(amps)
+        amps = amps[np.linalg.norm(amps, axis=1) > 1e-3]
+        vec = amps[:, :4] + 1j * amps[:, 4:]
+        states = list(embed_single_excitation(vec / np.linalg.norm(vec, axis=1, keepdims=True)))
+        states.insert(at % (len(states) + 1), _small_c12_state())
+        states = np.array(states)
+        for pair in ALL_PAIRS:
+            stacked = state_concurrence(states, pair)
+            assert np.array_equal(stacked, [state_concurrence(p, pair) for p in states])
+            assert np.array_equal(stacked, [_scalar_quartic(partial_trace_pair(p, pair).matrix)
+                                            for p in states])
+
+    @settings(max_examples=30, deadline=None)
+    @given(states=_rank_limited_states(), at=st.integers(0, 8),
+           kind=st.sampled_from(sorted(_BAD_MATRICES)))
+    def test_one_bad_matrix_fails_the_stack_as_alone(self, states, at, kind):
+        bad, one = _BAD_MATRICES[kind]
+        rho = [partial_trace_pair(p, (1, 2)).matrix for p in states]
+        rho.insert(at % (len(rho) + 1), bad)
+        with pytest.raises(TriplaqError) as alone:
+            one(bad)
+        with pytest.raises(alone.type):
+            _STACKED_CORE[kind](np.array(rho))
+
+    def test_shapes(self):
+        psi = closed_form_state(1.1, 0.3)
+        assert isinstance(state_concurrence(psi, (1, 2)), float)
+        assert isinstance(gap_from_state(psi), float)
+        stack = np.stack([[psi] * 3] * 2)
+        assert state_concurrence(stack, (1, 3)).shape == (2, 3)
+        assert gap_from_state(stack).shape == (2, 3)
+        with pytest.raises(ValueError):
+            state_concurrence(np.zeros((3, 8)), (1, 2))
 
 
 class TestWootters:
