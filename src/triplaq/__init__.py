@@ -4,7 +4,6 @@ spin-1/2 plaquette with directed-ring and diagonal couplings."""
 from .dynamics import (
     EigenDecomposition,
     OracleReport,
-    SingleExcitationAmplitudes,
     amplitudes_closed_form,
     closed_form_state,
     evolve_numeric,
@@ -13,8 +12,6 @@ from .dynamics import (
     phase_aligned_distance,
 )
 from .entanglement import (
-    ConcurrenceRecord,
-    ReducedDensityMatrix,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
@@ -22,7 +19,6 @@ from .entanglement import (
     gap_from_state,
     pair_concurrences,
     partial_trace_pair,
-    single_excitation_concurrence,
     state_concurrence,
     wootters_concurrence,
 )

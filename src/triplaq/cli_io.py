@@ -44,6 +44,7 @@ from .entanglement import (
 )
 from .errors import ConfigError, ContractViolationError, NumericalHealthError, TriplaqError
 from .qst_analysis import (
+    TABLE_FAMILIES,
     find_qst_J,
     forbidden_J_scan,
     gap_at_transfer_times,
@@ -71,10 +72,11 @@ SCHEMA_VERSION = 1
 KNOWN_SIGNALS = ("C12", "C34", "C13", "C24", "GAP")
 #: Largest grid a command may evaluate, checked before anything is allocated.
 MAX_GRID_POINTS = 2 ** 24
-#: Largest phase (|J| + D)*|t| that evolve and surface evaluate.  Over
-#: J in {0, +-0.5, +-2, 3, +-1e3, L - 1} at 4001 samples the numeric route
-#: misses the closed form by at most 3.3e-10 at L = 2**20, 8.0e-10 at 2**21
-#: and 1.3e-9 at 2**22, beyond the report's 1e-9 oracle bound.
+#: Largest phase (|J| + D)*|t| that evolve and surface evaluate, and
+#: (|J| + 3)*t_max that forbidden does.  Over J in {0, +-0.5, +-2, 3, +-1e3,
+#: L - 1} at 4001 samples the numeric route misses the closed form by at
+#: most 3.3e-10 at L = 2**20, 8.0e-10 at 2**21 and 1.3e-9 at 2**22, beyond
+#: the report's 1e-9 oracle bound.
 MAX_PHASE = 2.0 ** 20
 
 
@@ -147,11 +149,11 @@ COMMAND_OPTIONS = {
 }
 
 
-def config_from_text(text: str, command: str | None = None) -> SweepConfig:
-    """Parse flat ``key = value`` lines; given ``command``, a key for a field
-    that command does not read is an error."""
-    reads = None if command is None else {"out", *(
-        name for option in COMMAND_OPTIONS[command] for name in _SHARED_OPTIONS[option][0])}
+def config_from_text(text: str, command: str) -> SweepConfig:
+    """Parse flat ``key = value`` lines; a key for a field that ``command``
+    does not read is an error."""
+    reads = {"out", *(name for option in COMMAND_OPTIONS[command]
+                      for name in _SHARED_OPTIONS[option][0])}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -163,7 +165,7 @@ def config_from_text(text: str, command: str | None = None) -> SweepConfig:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        if reads is not None and key not in reads:
+        if key not in reads:
             raise ConfigError(f"config line {lineno}: {command} does not read {key!r}")
         try:
             if key in ("t_steps", "j_steps"):
@@ -196,11 +198,15 @@ def _scan_points(cfg: SweepConfig, resolution: int) -> float:
             * ((cfg.j_max - cfg.j_min) * resolution + 1))
 
 
-def _check_phases(cfg: SweepConfig, j_abs: float, j_flag: str) -> None:
-    phase = (j_abs + cfg.d) * max(abs(cfg.t_min), abs(cfg.t_max))
+def _check_phase(phase: float, flags: str, form: str) -> None:
     if not phase <= MAX_PHASE:
-        raise ConfigError(f"{j_flag}, --d, --t-range: phases (|J| + D)*t up to "
-                          f"{phase:.3g} exceed the limit of {MAX_PHASE:.0f}")
+        raise ConfigError(f"{flags}: phases {form} up to {phase:.3g} "
+                          f"exceed the limit of {MAX_PHASE:.0f}")
+
+
+def _check_phases(cfg: SweepConfig, j_abs: float, j_flag: str) -> None:
+    _check_phase((j_abs + cfg.d) * max(abs(cfg.t_min), abs(cfg.t_max)),
+                 f"{j_flag}, --d, --t-range", "(|J| + D)*t")
 
 
 def resolve_geometry(name_or_path: str, J: float):
@@ -212,7 +218,7 @@ def resolve_geometry(name_or_path: str, J: float):
     p = Path(name_or_path)
     if not p.is_file():
         raise ConfigError(f"geometry file not found: {name_or_path}")
-    return parse_geometry_text(p.read_text(), J=J, name=p.name)
+    return parse_geometry_text(p.read_text(), J=J)
 
 
 @contextmanager
@@ -421,6 +427,7 @@ def cmd_table1(cfg: SweepConfig, max_m: int) -> dict:
     """The fractional-coupling table with per-cell verification status."""
     if max_m < 1:
         raise ConfigError(f"max_m must be at least 1, got {max_m}")
+    _check_grid(len(TABLE_FAMILIES) * max_m, "--max-m")
     entries = sequence_table(max_m)
     rows_by_m: dict[int, list] = {m: [] for m in range(1, max_m + 1)}
     for e in entries:
@@ -473,6 +480,9 @@ def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
     if t_max_scan < 2.0 * np.pi:
         raise ConfigError(f"--t-max must cover at least 2*pi, got {t_max_scan}")
     _check_grid(t_max_scan / np.pi * 256, "--t-max")
+    # the gap's fastest term is cos((|J| + 3)*t)
+    _check_phase((max(abs(J) for J in j_values) + 3.0) * t_max_scan,
+                 "--j-values, --t-max", "(|J| + 3)*t")
     results = forbidden_J_scan(j_values, t_max_scan)
     payload = {"t_max": t_max_scan,
                "results": [asdict(r) for r in results]}

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalHealthError
 from .spin_core import (
-    SITE_OF_SLOT,
     build_hamiltonian,
     default_plaquette,
     embed_single_excitation,
@@ -23,33 +22,17 @@ from .spin_core import (
 )
 
 
-@dataclass(frozen=True)
-class SingleExcitationAmplitudes:
-    """The four single-excitation amplitudes at one point of (t, J).
+def amplitudes_closed_form(t, J) -> np.ndarray:
+    """Closed-form amplitudes of the evolved Bell-pair initial state over
+    broadcast (t, J), shape (..., 4), ordered over (|0001>, |0010>, |0100>,
+    |1000>), i.e. an excitation sitting at site 4, 3, 2, 1 respectively.
 
-    ``amplitudes`` is ordered over (|0001>, |0010>, |0100>, |1000>), i.e. an
-    excitation sitting at site 4, 3, 2, 1 respectively.
+    Total function of t >= 0; every row is exactly normalized.
     """
-
-    amplitudes: tuple[complex, complex, complex, complex]
-    t: float
-    J: float
-
-    def site_amplitude(self, site: int) -> complex:
-        """Amplitude of the excitation located at ``site`` (1..4)."""
-        try:
-            slot = SITE_OF_SLOT.index(site)
-        except ValueError:
-            raise ValueError(f"site index {site} outside 1..4") from None
-        return self.amplitudes[slot]
-
-
-def _closed_form_components(t, J):
-    """The four closed-form amplitudes, elementwise over broadcast (t, J).
-
-    The one source of the amplitude formula: scalar and grid callers both
-    evaluate it, so their values agree bit for bit.
-    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"t must be nonnegative, got {t.min()}")
+    J = np.asarray(J, dtype=float)
     c = np.cos(J * t / 2.0)
     s = np.sin(J * t / 2.0)
     sin_d = np.sin(t)
@@ -59,35 +42,13 @@ def _closed_form_components(t, J):
     a0010 = pref * (c * (-sin_d - cos_d + 1) - 1j * s * (sin_d + cos_d + 1))
     a0100 = pref * (c * (-sin_d + cos_d + 1) + 1j * s * (-sin_d + cos_d - 1))
     a1000 = pref * (c * (sin_d + cos_d + 1) + 1j * s * (sin_d + cos_d - 1))
-    return a0001, a0010, a0100, a1000
-
-
-def amplitudes_closed_form(t: float, J: float) -> SingleExcitationAmplitudes:
-    """Closed-form amplitudes of the evolved Bell-pair initial state.
-
-    Total function of t >= 0; the result is exactly normalized for every
-    (t, J).
-    """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    a0001, a0010, a0100, a1000 = _closed_form_components(t, J)
-    return SingleExcitationAmplitudes(
-        (complex(a0001), complex(a0010), complex(a0100), complex(a1000)),
-        t=float(t), J=float(J))
+    return np.stack((a0001, a0010, a0100, a1000), axis=-1)
 
 
 def closed_form_state(t, J) -> np.ndarray:
-    """Closed-form states over broadcast (t, J): shape (..., 16).
-
-    Elementwise equal, bit for bit, to embedding
-    :func:`amplitudes_closed_form` at each point; ``closed_form_state(t, js)``
-    gives one t-row of a grid and scalar (t, J) one 16-vector.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError(f"t must be nonnegative, got {t.min()}")
-    return embed_single_excitation(np.stack(
-        _closed_form_components(t, np.asarray(J, dtype=float)), axis=-1))
+    """Closed-form states over broadcast (t, J): shape (..., 16), the
+    embedded :func:`amplitudes_closed_form`."""
+    return embed_single_excitation(amplitudes_closed_form(t, J))
 
 
 @dataclass(frozen=True)

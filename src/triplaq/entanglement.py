@@ -1,27 +1,20 @@
-"""Pairwise concurrence, three ways, plus the transfer gap.
+"""Pairwise concurrence, two ways, plus the transfer gap.
 
 The full recipe (partial trace, spin-flipped product, characteristic
 quartic) works for any two-qubit reduced state and broadcasts over stacks of
-states or matrices, each matrix bit for bit as if alone.  The single-excitation
-shortcut ``2|a_m||a_n|`` is exact on the sector this system never leaves and
-is cross-validated against the full recipe by the test suite.  The closed
-forms evaluate fixed trigonometric reference expressions for the (1,2),
-(3,4) and (1,3) pair signals; the validation sweep shows the first two track
-the *square* of the Wootters value and the third matches neither, so the
-Wootters route is always the source of truth.
+states or matrices, each matrix bit for bit as if alone.  The pure-state SVD
+route serves the scans.  The closed forms evaluate fixed trigonometric
+reference expressions for the (1,2), (3,4) and (1,3) pair signals; the
+validation sweep shows the first two track the *square* of the Wootters
+value and the third matches neither, so the Wootters route is always the
+source of truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dynamics import SingleExcitationAmplitudes
 from .errors import ContractViolationError, NumericalHealthError
-
-WOOTTERS = "wootters"
-SINGLE_EXCITATION = "single_excitation"
 
 ALL_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 #: The four pair signals tracked by scans: first pair, last pair, both legs.
@@ -51,29 +44,6 @@ def _block_index(m: int, n: int) -> np.ndarray:
 _BLOCK_INDEX = {pair: _block_index(*pair) for pair in ALL_PAIRS}
 
 
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
-    """Two-qubit state of a pair (m, n), qubit m more significant."""
-
-    matrix: np.ndarray
-    pair: tuple[int, int]
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "pair", _check_pair(self.pair))
-        _check_density(mat)
-
-
-@dataclass(frozen=True)
-class ConcurrenceRecord:
-    pair: tuple[int, int]
-    value: float
-    method: str
-
-
 def _check_density(rho: np.ndarray) -> None:
     """Raise ContractViolationError unless every matrix of the (..., 4, 4)
     stack is Hermitian, of trace 1 and positive semidefinite."""
@@ -86,23 +56,25 @@ def _check_density(rho: np.ndarray) -> None:
         raise ContractViolationError("reduced density matrix is not PSD")
 
 
-def _reduced_matrices(psi, pair) -> np.ndarray:
-    """Unvalidated reduced matrices B B+ of ``pair`` for (..., 16) states,
-    shape (..., 4, 4), with B the pair's block of the state."""
-    block = psi[..., _BLOCK_INDEX[_check_pair(pair)]]
-    return block @ np.swapaxes(block.conj(), -1, -2)
-
-
-def partial_trace_pair(psi: np.ndarray, pair) -> ReducedDensityMatrix:
-    """Trace out all qubits except the two in ``pair``.
-
-    The result is over the ordered basis (|00>, |01>, |10>, |11>) of the kept
-    qubits, with the lower site index as the more significant bit.
-    """
+def _check_states(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (16,):
-        raise ValueError(f"expected a 16-vector, got shape {psi.shape}")
-    return ReducedDensityMatrix(_reduced_matrices(psi, pair), pair)
+    if psi.shape[-1:] != (16,):
+        raise ValueError(f"expected (..., 16) state vectors, got shape {psi.shape}")
+    return psi
+
+
+def partial_trace_pair(psi, pair) -> np.ndarray:
+    """Reduced density matrices of ``pair`` for (..., 16) states, shape
+    (..., 4, 4): B B+, with B the pair's 4x4 block of the state.
+
+    Each matrix is over the ordered basis (|00>, |01>, |10>, |11>) of the
+    kept qubits, the lower site index the more significant bit, and is
+    validated by :func:`_check_density`; a bad one anywhere raises.
+    """
+    block = _check_states(psi)[..., _BLOCK_INDEX[_check_pair(pair)]]
+    rho = block @ np.swapaxes(block.conj(), -1, -2)
+    _check_density(rho)
+    return rho
 
 
 def _char_poly_coeffs(M: np.ndarray) -> np.ndarray:
@@ -175,50 +147,26 @@ def _spin_flip_spectrum(M: np.ndarray) -> np.ndarray:
     return np.maximum(lam, 0.0).reshape(M.shape[:-1])
 
 
-def _concurrence(rho: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each matrix of a (..., 4, 4) stack, shape (...)."""
+def wootters_concurrence(rho):
+    """Wootters concurrence of each matrix of a (..., 4, 4) stack from the
+    spin-flipped product rho @ (sy x sy) rho* (sy x sy), by the guarded
+    quartic, shape (...); a float for one matrix.  The matrices are taken
+    as given: :func:`partial_trace_pair` is what validates them.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected (..., 4, 4) matrices, got shape {rho.shape}")
     rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     gammas = np.sort(np.sqrt(_spin_flip_spectrum(rho @ rho_tilde)), axis=-1)[..., ::-1]
     value = 2.0 * gammas[..., 0] - gammas.sum(axis=-1)
-    return np.where(value > 0.0, value, 0.0)
-
-
-def wootters_concurrence(rho, pair=None) -> ConcurrenceRecord:
-    """Concurrence from the spin-flipped product rho @ (sy x sy) rho* (sy x sy).
-
-    Accepts a ReducedDensityMatrix or a bare 4x4 array (``pair`` then
-    optional, defaulting to (1, 2)).
-    """
-    if isinstance(rho, ReducedDensityMatrix):
-        mat = rho.matrix
-        pair = rho.pair if pair is None else _check_pair(pair)
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        pair = (1, 2) if pair is None else _check_pair(pair)
-    return ConcurrenceRecord(pair=pair, value=float(_concurrence(mat)), method=WOOTTERS)
-
-
-def single_excitation_concurrence(amps: SingleExcitationAmplitudes, pair) -> ConcurrenceRecord:
-    """Sector shortcut: concurrence of pair (m, n) is 2|a_m||a_n|."""
-    m, n = _check_pair(pair)
-    value = 2.0 * abs(amps.site_amplitude(m)) * abs(amps.site_amplitude(n))
-    return ConcurrenceRecord(pair=(m, n), value=float(value), method=SINGLE_EXCITATION)
-
-
-def state_concurrence(psi: np.ndarray, pair):
-    """Wootters concurrence of one pair of (..., 16) states by the quartic
-    route, shape (...); a float for one 16-vector.
-
-    Every reduced matrix of the stack is validated as ReducedDensityMatrix
-    validates one, and a bad one anywhere raises.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape[-1:] != (16,):
-        raise ValueError(f"expected (..., 16) state vectors, got shape {psi.shape}")
-    rho = _reduced_matrices(psi, pair)
-    _check_density(rho)
-    value = _concurrence(rho)
+    value = np.where(value > 0.0, value, 0.0)
     return float(value) if value.ndim == 0 else value
+
+
+def state_concurrence(psi, pair):
+    """Wootters concurrence of one pair of (..., 16) states by the quartic
+    route, shape (...); a float for one 16-vector."""
+    return wootters_concurrence(partial_trace_pair(psi, pair))
 
 
 def pair_concurrences(psi: np.ndarray, pairs=ALL_PAIRS) -> np.ndarray:
@@ -231,10 +179,7 @@ def pair_concurrences(psi: np.ndarray, pairs=ALL_PAIRS) -> np.ndarray:
     whole stack of states and pairs.  Unlike the quartic route of
     :func:`state_concurrence`, this keeps concurrences far below 1e-6.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape[-1:] != (16,):
-        raise ValueError(f"expected (..., 16) state vectors, got shape {psi.shape}")
-    B = psi[..., np.stack([_BLOCK_INDEX[_check_pair(pair)] for pair in pairs])]
+    B = _check_states(psi)[..., np.stack([_BLOCK_INDEX[_check_pair(pair)] for pair in pairs])]
     gammas = np.linalg.svd(np.swapaxes(B, -1, -2) @ _SPIN_FLIP @ B, compute_uv=False)
     return np.maximum(0.0, 2.0 * gammas[..., 0] - gammas.sum(axis=-1))
 

@@ -100,28 +100,12 @@ class SequenceEntry:
 TABLE_FAMILIES = (1, 3, 5)
 
 
-def sequence_table(max_m: int, families=TABLE_FAMILIES) -> list[SequenceEntry]:
-    """Fractional coupling pairs (1 - k/m, 1 + k/m) per family and m.
-
-    Family k populates rows m >= k only (at m = k the pair degenerates to
-    the interval endpoints 0 and 2).  Pass families="all" to extend beyond
-    the three standard columns with k = 7, 9, ...
-    """
-    max_m = _check_m(max_m)
-    if families == "all":
-        families = tuple(k for k in range(1, max_m + 1, 2))
-    fams = tuple(int(k) for k in families)
-    if any(k < 1 or k % 2 == 0 for k in fams):
-        raise ValueError(f"families must be odd positive integers, got {families}")
-    entries = []
-    for m in range(1, max_m + 1):
-        for k in fams:
-            if k > m:
-                continue
-            entries.append(SequenceEntry(
-                family=k, m=m,
-                lower=Fraction(m - k, m), upper=Fraction(m + k, m)))
-    return entries
+def sequence_table(max_m: int) -> list[SequenceEntry]:
+    """Fractional coupling pairs (1 - k/m, 1 + k/m) per family k of
+    TABLE_FAMILIES and m; family k populates rows m >= k only (at m = k the
+    pair degenerates to the interval endpoints 0 and 2)."""
+    return [SequenceEntry(family=k, m=m, lower=Fraction(m - k, m), upper=Fraction(m + k, m))
+            for m in range(1, _check_m(max_m) + 1) for k in TABLE_FAMILIES if k <= m]
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +498,14 @@ class PeriodEstimate:
     degenerate: bool
 
 
-def periodicity_report(J, t_max: float | None = None) -> list[PeriodEstimate]:
+def periodicity_report(J) -> list[PeriodEstimate]:
     """Estimated and (for rational J) exact fundamental periods per signal,
-    from 8192 samples of each closed-form signal on [0, t_max].
-
-    ``t_max`` must cover at least four periods of each signal; by default it
-    is sized automatically from the exact periods (16*pi fallback).
-    """
+    from 8192 samples of each closed-form signal on [0, t_max]: t_max is
+    4.5 times the longest exact period, so every signal with one shows at
+    least four periods, or 16*pi when no signal has one."""
     exact = {name: exact_signal_period(name, J) for name in _SIGNALS}
-    if t_max is None:
-        known = [p for p in exact.values() if p]
-        t_max = 4.5 * max(known) if known else 16.0 * np.pi
-    t_max = float(t_max)
-    for name in _SIGNALS:
-        if exact[name] and t_max < 4.0 * exact[name]:
-            raise ValueError(
-                f"t_max={t_max:.3f} covers fewer than 4 periods of {name} "
-                f"(exact period {exact[name]:.3f})")
+    known = [p for p in exact.values() if p]
+    t_max = 4.5 * max(known) if known else 16.0 * np.pi
     ts = np.linspace(0.0, t_max, 8192)
     dt = ts[1] - ts[0]
     out = []

@@ -42,9 +42,6 @@ _SECTOR_SLOTS = np.array(SINGLE_EXCITATION_INDICES)
 _OFF_SECTOR = np.ones(DIM, dtype=bool)
 _OFF_SECTOR[_SECTOR_SLOTS] = False
 
-#: Site whose excitation each single-excitation basis slot represents.
-SITE_OF_SLOT = (4, 3, 2, 1)
-
 # Single-site spin-1/2 matrices in the index ordering (|0>=down, |1>=up).
 # Note the row/column swap relative to the textbook up-first convention:
 # S^z must give +1/2 on index 1.
@@ -105,7 +102,6 @@ class PlaquetteGeometry:
 
     bonds: tuple[BondSpec, ...]
     J: float = 0.0
-    name: str = ""
     #: The unit, a constant; kept because the Hamiltonian observer of
     #: bench/tracer.py reads ``geom.J`` and ``geom.D``.
     D = 1.0
@@ -141,14 +137,14 @@ def default_plaquette(J: float) -> PlaquetteGeometry:
     """
     bonds = [BondSpec(BondKind.DM_Z, i, j) for i, j in _RING]
     bonds += [BondSpec(BondKind.HEISENBERG_ISO, i, j) for i, j in _DIAGONALS]
-    return PlaquetteGeometry(tuple(bonds), J=J, name="default")
+    return PlaquetteGeometry(tuple(bonds), J=J)
 
 
 def swapped_control_plaquette(J: float) -> PlaquetteGeometry:
     """Negative control: couplings exchanged (isotropic ring, DM diagonals)."""
     bonds = [BondSpec(BondKind.HEISENBERG_ISO, i, j) for i, j in _RING]
     bonds += [BondSpec(BondKind.DM_Z, i, j) for i, j in _DIAGONALS]
-    return PlaquetteGeometry(tuple(bonds), J=J, name="swapped-control")
+    return PlaquetteGeometry(tuple(bonds), J=J)
 
 
 def spin_operator_at(site: int, axis: str) -> np.ndarray:
@@ -228,12 +224,11 @@ def single_excitation_block(H: np.ndarray) -> np.ndarray:
 def embed_single_excitation(amplitudes) -> np.ndarray:
     """Lift single-excitation amplitudes, shape (..., 4), to states (..., 16).
 
-    The last axis is ordered over (|0001>, |0010>, |0100>, |1000>); an
-    object exposing that sequence through an ``amplitudes`` attribute is
-    accepted too.  Every row must be normalized to 1e-10 (a NaN row is
-    not); the worst deficit is reported otherwise.
+    The last axis is ordered over (|0001>, |0010>, |0100>, |1000>).  Every
+    row must be normalized to 1e-10 (a NaN row is not); the worst deficit is
+    reported otherwise.
     """
-    vec = np.asarray(getattr(amplitudes, "amplitudes", amplitudes), dtype=complex)
+    vec = np.asarray(amplitudes, dtype=complex)
     if vec.shape[-1:] != (4,):
         raise ValueError(f"expected (..., 4) amplitudes, got shape {vec.shape}")
     norm_defect = np.abs(np.sum(np.abs(vec) ** 2, axis=-1) - 1.0)
@@ -273,7 +268,7 @@ _KIND_TOKENS = {
 }
 
 
-def parse_geometry_text(text: str, *, J: float = 0.0, name: str = "") -> PlaquetteGeometry:
+def parse_geometry_text(text: str, *, J: float = 0.0) -> PlaquetteGeometry:
     """Parse bond records into a geometry; errors carry the offending line number."""
     bonds = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -300,5 +295,5 @@ def parse_geometry_text(text: str, *, J: float = 0.0, name: str = "") -> Plaquet
             raise ConfigError(f"geometry line {lineno}: {exc}") from None
     if not bonds:
         raise ConfigError("geometry file contains no bond records")
-    return PlaquetteGeometry(tuple(bonds), J=J, name=name)
+    return PlaquetteGeometry(tuple(bonds), J=J)
 

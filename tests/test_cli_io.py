@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from triplaq import cli_io, dynamics
 from triplaq.cli_io import (
+    MAX_GRID_POINTS,
     SweepConfig,
     build_parser,
     config_from_text,
@@ -41,6 +42,7 @@ from triplaq.spin_core import (
     initial_bell_state,
     norm_error,
     sector_leak,
+    swapped_control_plaquette,
 )
 
 FOUR_PI = 4 * np.pi
@@ -66,17 +68,18 @@ class TestSweepConfig:
     def test_round_trip_identical(self):
         text = ("t_min = 0.25\nt_max = 7.5\nt_steps = 33\nj_min = 0.1\n"
                 "j_max = 1.9\nj_steps = 5\nd = 2.0\ngeometry = 'default'\n"
-                "out = 'x.csv'\nfmt = \"json\"\nthreshold = 0.5\n")
-        assert config_from_text(text) == SweepConfig(
+                "out = 'x.csv'\nfmt = \"json\"\n")
+        assert config_from_text(text, "surface") == SweepConfig(
             t_min=0.25, t_max=7.5, t_steps=33, j_min=0.1, j_max=1.9, j_steps=5,
-            d=2.0, geometry="default", out="x.csv", fmt="json", threshold=0.5)
+            d=2.0, geometry="default", out="x.csv", fmt="json")
+        assert config_from_text("threshold = 0.5\n", "wstate") == SweepConfig(threshold=0.5)
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
-            config_from_text("t_min = 0.0\nbogus = 1\n")
+            config_from_text("t_min = 0.0\nbogus = 1\n", "surface")
 
     def test_comments_allowed(self):
-        cfg = config_from_text("# comment\nt_steps = 65\n")
+        cfg = config_from_text("# comment\nt_steps = 65\n", "surface")
         assert cfg.t_steps == 65
 
     @pytest.mark.parametrize("field", ["t_min", "t_max", "j_min", "j_max", "d",
@@ -215,6 +218,11 @@ def test_read_config_keys_accepted(tmp_path):
     (["wstate", "--t-range=-1:1:3"], "--t-range"),
     (["report", "--t-range=-1:1:3"], "--t-range"),
     (["events", "--t-range=-1:1:3"], "--t-range"),
+    # gap phases (|J| + 3)*t_max beyond 2**20: 1e308 overflows to NaN rows
+    (["forbidden", "--j-values", "1e308"], "--j-values"),
+    (["forbidden", "--j-values", "0.5,1e17"], "--j-values"),
+    (["forbidden", "--j-values", "16687"], "--t-max"),
+    (["table1", "--max-m", "100000000"], "--max-m"),
 ])
 def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -292,8 +300,8 @@ class TestNoPerCouplingLoops:
 
 class TestGeometryResolution:
     def test_builtin_names(self):
-        assert resolve_geometry("default", 0.5).name == "default"
-        assert resolve_geometry("swapped-control", 0.5).name == "swapped-control"
+        assert resolve_geometry("default", 0.5) == default_plaquette(0.5)
+        assert resolve_geometry("swapped-control", 0.5) == swapped_control_plaquette(0.5)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -672,6 +680,18 @@ class TestTable1Command:
     def test_zero_rejected(self, tmp_path):
         assert main(["table1", "--max-m", "0",
                      "--out", str(tmp_path / "t.json")]) == 1
+
+    def test_oversized_table_rejected_before_it_is_built(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def no_table(max_m):
+            raise AssertionError("the table was built before its size was checked")
+
+        monkeypatch.setattr(cli_io, "sequence_table", no_table)
+        out = tmp_path / "t.csv"
+        assert main(["table1", "--max-m", str(MAX_GRID_POINTS // 3 + 1),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --max-m")
+        assert not out.exists()
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "t.csv"

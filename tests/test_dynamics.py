@@ -41,35 +41,39 @@ def _ring_at(D, J):
 
 class TestClosedForm:
     def test_t0_reproduces_initial_state(self):
-        for J in (0.0, 0.5, 1.7):
-            a = amplitudes_closed_form(0.0, J)
-            np.testing.assert_allclose(a.amplitudes, (0, 0, RT2, RT2), atol=1e-15)
+        a = amplitudes_closed_form(0.0, np.array([0.0, 0.5, 1.7]))
+        np.testing.assert_allclose(a, [(0, 0, RT2, RT2)] * 3, atol=1e-15)
 
     def test_quarter_ring_period_at_zero_coupling(self):
         a = amplitudes_closed_form(np.pi / 2, 0.0)
-        np.testing.assert_allclose(a.amplitudes, (RT2, 0, 0, RT2), atol=1e-15)
+        np.testing.assert_allclose(a, (RT2, 0, 0, RT2), atol=1e-15)
 
     def test_first_transfer_time(self):
         # t = pi, J = 0: the excitation pair moves fully onto sites (3,4)
         a = amplitudes_closed_form(np.pi, 0.0)
-        np.testing.assert_allclose(
-            [abs(x) for x in a.amplitudes], (RT2, RT2, 0, 0), atol=1e-15)
+        np.testing.assert_allclose(np.abs(a), (RT2, RT2, 0, 0), atol=1e-15)
 
     def test_normalized_everywhere(self):
-        worst = max(abs(sum(abs(a) ** 2 for a in amplitudes_closed_form(t, J).amplitudes)
-                        - 1.0)
-                    for t in np.linspace(0, 30, 121)
-                    for J in np.linspace(0, 2, 21))
-        assert worst < 1e-10
+        a = amplitudes_closed_form(np.linspace(0, 30, 121)[:, None], np.linspace(0, 2, 21))
+        assert a.shape == (121, 21, 4)
+        assert np.abs((np.abs(a) ** 2).sum(axis=-1) - 1.0).max() < 1e-10
 
     def test_site_amplitude_mapping(self):
+        # slot 4 - s holds site s: the initial state excites sites 1 and 2,
+        # which are |1000> (index 8) and |0100> (index 4) once embedded
         a = amplitudes_closed_form(0.0, 0.0)
-        # initial state excites sites 1 and 2 only
-        assert abs(a.site_amplitude(1)) == pytest.approx(RT2)
-        assert abs(a.site_amplitude(2)) == pytest.approx(RT2)
-        assert a.site_amplitude(3) == 0 and a.site_amplitude(4) == 0
-        with pytest.raises(ValueError):
-            a.site_amplitude(5)
+        assert abs(a[4 - 1]) == pytest.approx(RT2) and abs(a[4 - 2]) == pytest.approx(RT2)
+        assert a[4 - 3] == 0 and a[4 - 4] == 0
+        psi = closed_form_state(0.0, 0.0)
+        assert np.array_equal(np.flatnonzero(psi), [4, 8])
+
+    def test_broadcast_equals_pointwise(self):
+        ts, js = np.linspace(0.0, 9.0, 7), np.linspace(-1.0, 2.0, 5)
+        grid = amplitudes_closed_form(ts[:, None], js)
+        assert np.array_equal(closed_form_state(ts[:, None], js), embed_single_excitation(grid))
+        for i, t in enumerate(ts):
+            for k, J in enumerate(js):
+                assert np.array_equal(grid[i, k], amplitudes_closed_form(float(t), float(J)))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -88,10 +92,10 @@ class TestClosedForm:
 
     def test_recurrence_period_at_half_coupling(self):
         # J = 1/2: all phase factors recur after 8*pi
-        for t in np.linspace(0, 8 * np.pi, 97):
-            a = np.abs(amplitudes_closed_form(t, 0.5).amplitudes)
-            b = np.abs(amplitudes_closed_form(t + 8 * np.pi, 0.5).amplitudes)
-            np.testing.assert_allclose(a, b, atol=1e-10)
+        ts = np.linspace(0, 8 * np.pi, 97)
+        np.testing.assert_allclose(np.abs(amplitudes_closed_form(ts, 0.5)),
+                                   np.abs(amplitudes_closed_form(ts + 8 * np.pi, 0.5)),
+                                   atol=1e-10)
 
 
 class TestJacobiEigensolver:
@@ -268,17 +272,13 @@ class TestGridEngine:
     TS = np.linspace(0.0, 4 * np.pi, 129)
     JS = np.linspace(0.0, 2.0, 65)
 
-    @staticmethod
-    def _reference(t, J):
-        return embed_single_excitation(amplitudes_closed_form(float(t), float(J)))
-
     def test_closed_form_states_bit_identical(self):
         grid = closed_form_state(self.TS[:, None], self.JS[None, :])
         assert grid.shape == (129, 65, 16)
         for i, t in enumerate(self.TS):
             assert np.array_equal(closed_form_state(t, self.JS), grid[i])
             for k, J in enumerate(self.JS):
-                assert np.array_equal(grid[i, k], self._reference(t, J))
+                assert np.array_equal(grid[i, k], closed_form_state(float(t), float(J)))
 
     def test_closed_form_states_offscale_d(self):
         # the grid surface --d evaluates, (D t, J/D), holds the states a stack

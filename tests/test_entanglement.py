@@ -13,9 +13,7 @@ from triplaq.dynamics import (
 )
 from triplaq.entanglement import (
     ALL_PAIRS,
-    ReducedDensityMatrix,
     _check_density,
-    _concurrence,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
@@ -23,7 +21,6 @@ from triplaq.entanglement import (
     gap_from_state,
     pair_concurrences,
     partial_trace_pair,
-    single_excitation_concurrence,
     state_concurrence,
     wootters_concurrence,
 )
@@ -60,6 +57,13 @@ def brute_force_partial_trace(psi, m, n):
     return rho
 
 
+def sector_concurrence(amps, pair):
+    """Independent oracle on the single-excitation sector, where the pair
+    (m, n) has concurrence 2|a_m||a_n|; amplitude slot 4 - s holds site s."""
+    m, n = pair
+    return 2.0 * np.abs(amps[..., 4 - m]) * np.abs(amps[..., 4 - n])
+
+
 def reference_concurrence(rho):
     """Independent oracle: general eigensolver on the spin-flipped product."""
     sy = np.array([[0, -1j], [1j, 0]])
@@ -71,20 +75,20 @@ def reference_concurrence(rho):
 
 class TestPartialTrace:
     def test_initial_state_first_pair_is_bell(self):
-        rdm = partial_trace_pair(initial_bell_state(), (1, 2))
-        np.testing.assert_allclose(rdm.matrix, BELL_RHO, atol=1e-15)
+        rho = partial_trace_pair(initial_bell_state(), (1, 2))
+        np.testing.assert_allclose(rho, BELL_RHO, atol=1e-15)
 
     def test_initial_state_last_pair_is_vacuum(self):
-        rdm = partial_trace_pair(initial_bell_state(), (3, 4))
+        rho = partial_trace_pair(initial_bell_state(), (3, 4))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        np.testing.assert_allclose(rdm.matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(rho, expected, atol=1e-15)
 
     def test_w_state_marginal(self):
         w = embed_single_excitation((0.5, 0.5, 0.5, 0.5))
-        rdm = partial_trace_pair(w, (1, 2))
-        assert rdm.matrix[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert rdm.matrix[1, 2] == pytest.approx(0.25, abs=1e-15)
+        rho = partial_trace_pair(w, (1, 2))
+        assert rho[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert rho[1, 2] == pytest.approx(0.25, abs=1e-15)
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(5)
@@ -92,23 +96,42 @@ class TestPartialTrace:
             psi = rng.normal(size=16) + 1j * rng.normal(size=16)
             psi /= np.linalg.norm(psi)
             for pair in ALL_PAIRS:
-                rdm = partial_trace_pair(psi, pair)
+                np.testing.assert_allclose(partial_trace_pair(psi, pair),
+                                           brute_force_partial_trace(psi, *pair), atol=1e-12)
+
+    def test_stack_equals_per_state_calls_and_brute_force(self):
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        for pair in ALL_PAIRS:
+            stacked = partial_trace_pair(psi, pair)
+            assert stacked.shape == (2, 3, 4, 4)
+            for index in np.ndindex(2, 3):
+                assert np.array_equal(stacked[index], partial_trace_pair(psi[index], pair))
                 np.testing.assert_allclose(
-                    rdm.matrix, brute_force_partial_trace(psi, *pair), atol=1e-12)
+                    stacked[index], brute_force_partial_trace(psi[index], *pair), atol=1e-12)
 
     def test_rdm_invariants(self):
         psi = closed_form_state(1.7, 0.9)
         for pair in ALL_PAIRS:
-            rdm = partial_trace_pair(psi, pair)
-            mat = rdm.matrix
-            assert np.abs(mat - mat.conj().T).max() < 1e-12
-            assert abs(np.trace(mat).real - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(mat).min() > -1e-10
+            rho = partial_trace_pair(psi, pair)
+            assert np.abs(rho - rho.conj().T).max() < 1e-12
+            assert abs(np.trace(rho).real - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(rho).min() > -1e-10
 
     @pytest.mark.parametrize("pair", [(1, 1), (0, 2), (2, 5), (3, 2)])
     def test_bad_pairs_rejected(self, pair):
         with pytest.raises(ValueError):
             partial_trace_pair(initial_bell_state(), pair)
+
+    def test_bad_states_rejected(self):
+        with pytest.raises(ValueError):
+            partial_trace_pair(np.zeros((3, 8)), (1, 2))
+        # one unnormalized state of a stack gives a reduced matrix of trace 4
+        states = np.stack([initial_bell_state()] * 3)
+        states[1] *= 2.0
+        with pytest.raises(ContractViolationError, match="trace"):
+            partial_trace_pair(states, (1, 2))
 
 
 def _small_c12_state():
@@ -140,8 +163,7 @@ class TestPairConcurrences:
         batch = pair_concurrences(psi, ALL_PAIRS)
         assert batch.shape == (20, 6)
         for k, pair in enumerate(ALL_PAIRS):
-            expected = [reference_concurrence(partial_trace_pair(p, pair).matrix)
-                        for p in psi]
+            expected = [reference_concurrence(partial_trace_pair(p, pair)) for p in psi]
             np.testing.assert_allclose(batch[:, k], expected, atol=1e-10)
 
     def test_shapes_and_pair_order(self):
@@ -224,15 +246,12 @@ def _rank_limited_states(draw):
 _rng = np.random.default_rng(9)
 _GARBAGE = _rng.normal(size=(4, 4)) + 1j * _rng.normal(size=(4, 4))
 _BAD_MATRICES = {
-    # (matrix, the one-matrix call the stacked core must agree with)
-    "non-Hermitian": (np.triu(np.ones((4, 4))) / 4.0,
-                      lambda rho: ReducedDensityMatrix(rho, (1, 2))),
+    # (matrix, the guard that rejects it)
+    "non-Hermitian": (np.triu(np.ones((4, 4))) / 4.0, _check_density),
     "complex spectrum": (_GARBAGE, wootters_concurrence),
     "negative eigenvalue": (np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex),
                             wootters_concurrence),
 }
-_STACKED_CORE = {"non-Hermitian": _check_density, "complex spectrum": _concurrence,
-                 "negative eigenvalue": _concurrence}
 
 
 class TestBroadcastQuartic:
@@ -246,10 +265,9 @@ class TestBroadcastQuartic:
             stacked = state_concurrence(states, pair)
             assert stacked.shape == (len(states),)
             assert np.array_equal(stacked, [state_concurrence(p, pair) for p in states])
-        rho = np.array([partial_trace_pair(p, (1, 2)).matrix for p in states])
-        assert np.array_equal(_concurrence(rho), [_scalar_quartic(r) for r in rho])
-        assert np.array_equal(_concurrence(rho),
-                              [wootters_concurrence(r).value for r in rho])
+        rho = partial_trace_pair(states, (1, 2))
+        assert np.array_equal(wootters_concurrence(rho), [_scalar_quartic(r) for r in rho])
+        assert np.array_equal(wootters_concurrence(rho), [wootters_concurrence(r) for r in rho])
         assert np.array_equal(gap_from_state(states), [gap_from_state(p) for p in states])
 
     @settings(max_examples=60, deadline=None)
@@ -265,20 +283,20 @@ class TestBroadcastQuartic:
         for pair in ALL_PAIRS:
             stacked = state_concurrence(states, pair)
             assert np.array_equal(stacked, [state_concurrence(p, pair) for p in states])
-            assert np.array_equal(stacked, [_scalar_quartic(partial_trace_pair(p, pair).matrix)
+            assert np.array_equal(stacked, [_scalar_quartic(partial_trace_pair(p, pair))
                                             for p in states])
 
     @settings(max_examples=30, deadline=None)
     @given(states=_rank_limited_states(), at=st.integers(0, 8),
            kind=st.sampled_from(sorted(_BAD_MATRICES)))
     def test_one_bad_matrix_fails_the_stack_as_alone(self, states, at, kind):
-        bad, one = _BAD_MATRICES[kind]
-        rho = [partial_trace_pair(p, (1, 2)).matrix for p in states]
+        bad, guard = _BAD_MATRICES[kind]
+        rho = list(partial_trace_pair(states, (1, 2)))
         rho.insert(at % (len(rho) + 1), bad)
         with pytest.raises(TriplaqError) as alone:
-            one(bad)
+            guard(bad)
         with pytest.raises(alone.type):
-            _STACKED_CORE[kind](np.array(rho))
+            guard(np.array(rho))
 
     def test_shapes(self):
         psi = closed_form_state(1.1, 0.3)
@@ -287,24 +305,27 @@ class TestBroadcastQuartic:
         stack = np.stack([[psi] * 3] * 2)
         assert state_concurrence(stack, (1, 3)).shape == (2, 3)
         assert gap_from_state(stack).shape == (2, 3)
+        assert isinstance(wootters_concurrence(BELL_RHO), float)
+        assert wootters_concurrence(np.stack([BELL_RHO] * 5)).shape == (5,)
         with pytest.raises(ValueError):
             state_concurrence(np.zeros((3, 8)), (1, 2))
+        with pytest.raises(ValueError):
+            wootters_concurrence(np.eye(2))
 
 
 class TestWootters:
     def test_bell_state_is_maximal(self):
-        assert wootters_concurrence(BELL_RHO).value == pytest.approx(1.0, abs=1e-12)
+        assert wootters_concurrence(BELL_RHO) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state_is_zero(self):
         rho = np.zeros((4, 4))
         rho[0, 0] = 1.0
-        assert wootters_concurrence(rho).value == 0.0
+        assert wootters_concurrence(rho) == 0.0
 
     def test_w_marginal_is_half(self):
         w = embed_single_excitation((0.5, 0.5, 0.5, 0.5))
-        rec = wootters_concurrence(partial_trace_pair(w, (1, 2)))
-        assert rec.value == pytest.approx(0.5, abs=1e-12)
-        assert rec.pair == (1, 2) and rec.method == "wootters"
+        assert wootters_concurrence(partial_trace_pair(w, (1, 2))) == pytest.approx(
+            0.5, abs=1e-12)
 
     def test_against_reference_on_random_mixtures(self):
         rng = np.random.default_rng(6)
@@ -314,7 +335,7 @@ class TestWootters:
             rho = a @ a.conj().T
             rho /= np.trace(rho).real
             # both routes lose precision near multiple tiny eigenvalues
-            assert wootters_concurrence(rho).value == pytest.approx(
+            assert wootters_concurrence(rho) == pytest.approx(
                 reference_concurrence(rho), abs=2e-4)
 
     def test_rejects_invalid_density_matrix(self):
@@ -329,37 +350,42 @@ class TestWootters:
             wootters_concurrence(garbage)
 
     def test_rdm_construction_rejects_non_hermitian(self):
-        from triplaq.entanglement import ReducedDensityMatrix
+        # the check partial_trace_pair applies to every matrix it builds
         bad = np.zeros((4, 4), dtype=complex)
         bad[0, 1] = 1.0
-        with pytest.raises(ContractViolationError):
-            ReducedDensityMatrix(bad, (1, 2))
+        with pytest.raises(ContractViolationError, match="Hermitian"):
+            _check_density(bad)
 
 
 class TestSingleExcitationShortcut:
+    """The sector shortcut 2|a_m||a_n|, a test-local oracle, against both
+    Wootters routes."""
+
     def test_initial_state_values(self):
-        a = amplitudes_closed_form(0.0, 0.0)
-        assert single_excitation_concurrence(a, (1, 2)).value == pytest.approx(1.0)
-        assert single_excitation_concurrence(a, (3, 4)).value == 0.0
+        a, psi = amplitudes_closed_form(0.0, 0.0), closed_form_state(0.0, 0.0)
+        assert sector_concurrence(a, (1, 2)) == pytest.approx(1.0)
+        assert sector_concurrence(a, (3, 4)) == 0.0
+        assert state_concurrence(psi, (1, 2)) == pytest.approx(1.0, abs=1e-12)
+        assert state_concurrence(psi, (3, 4)) == 0.0
 
     def test_quarter_period_pair_14(self):
         a = amplitudes_closed_form(np.pi / 2, 0.0)
-        rec = single_excitation_concurrence(a, (1, 4))
-        assert rec.value == pytest.approx(1.0, abs=1e-12)
+        assert sector_concurrence(a, (1, 4)) == pytest.approx(1.0, abs=1e-12)
         psi = embed_single_excitation(a)
         assert state_concurrence(psi, (1, 4)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_matches_wootters_on_trajectories(self):
-        worst = 0.0
-        for t in np.linspace(0, 4 * np.pi, 33):
-            for J in np.linspace(0, 2, 9):
-                a = amplitudes_closed_form(float(t), float(J))
-                psi = embed_single_excitation(a)
-                for pair in ALL_PAIRS:
-                    worst = max(worst, abs(
-                        single_excitation_concurrence(a, pair).value
-                        - state_concurrence(psi, pair)))
-        assert worst < 1e-10
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(0.0, 200.0), J=st.floats(-3.0, 3.0))
+    def test_matches_wootters_on_trajectories(self, t, J):
+        amps, psi = amplitudes_closed_form(t, J), closed_form_state(t, J)
+        expected = np.array([sector_concurrence(amps, pair) for pair in ALL_PAIRS])
+        svd = pair_concurrences(psi, ALL_PAIRS)
+        quartic = np.array([state_concurrence(psi, pair) for pair in ALL_PAIRS])
+        assert np.abs(svd - expected).max() <= 1e-12
+        # the quartic route flushes concurrences under ~1e-6 to exactly 0
+        # (see test_scalar_route_flushes_small_concurrence)
+        assert ((np.abs(quartic - expected) <= 1e-12)
+                | ((quartic == 0.0) & (expected < 1e-6))).all()
 
 
 class TestClosedForms:
@@ -452,5 +478,5 @@ class TestSymmetryAndMonogamy:
         for site in range(1, 5):
             total = sum(state_concurrence(psi, p) ** 2
                         for p in ALL_PAIRS if site in p)
-            p = abs(a.site_amplitude(site)) ** 2
+            p = abs(a[4 - site]) ** 2
             assert total == pytest.approx(4 * p * (1 - p), abs=1e-10)

@@ -104,7 +104,7 @@ class TestGeometry:
 
     def test_with_couplings_keeps_pattern(self):
         geom = default_plaquette(J=0.2).with_couplings(J=1.5)
-        assert geom.J == 1.5 and geom.D == 1.0 and geom.name == "default"
+        assert geom.J == 1.5 and geom.D == 1.0
         assert geom.bonds == default_plaquette(J=0.2).bonds
 
 
@@ -284,7 +284,7 @@ class TestGeometryText:
         geom = default_plaquette(J=0.25)
         text = "".join(f"{b.kind.value} {b.from_site} {b.to_site} {b.strength!r}\n"
                        for b in geom.bonds)
-        parsed = parse_geometry_text(text, J=0.25, name="default")
+        parsed = parse_geometry_text(text, J=0.25)
         assert parsed == geom
 
     def test_parse_with_comments(self):
