@@ -416,11 +416,27 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
     return {"rows": len(table), "columns": header}
 
 
-def _verify_cell(m: int, j_values) -> tuple[bool, bool]:
-    js = np.array([float(j) for j in j_values])
-    gap_ok = (all(is_lattice_transfer(m, j) for j in j_values)
-              and bool(np.all(np.abs(concurrence_gap(m * np.pi, js) - 1.0) <= 1e-12)))
-    return gap_ok, bool(verify_transfers(m * np.pi, js)[2].all())
+#: Most states one table1 verification call evaluates, so that memory stays
+#: bounded at any --max-m the grid limit admits.
+VERIFY_BLOCK = 4096
+
+
+def _verify_cells(entries) -> tuple[list[bool], list[bool]]:
+    """(gap_ok, wootters_ok) of each table entry, verified in blocks of at
+    most VERIFY_BLOCK states: one gap call and one verify_transfers call per
+    block.  gap_ok: both couplings pass the exact lattice rule and
+    |gap(m*pi, J) - 1| <= 1e-12; wootters_ok: both are complete transfers."""
+    gap_ok, wootters_ok = [], []
+    per_block = VERIFY_BLOCK // 2           # every entry holds two couplings
+    for lo in range(0, len(entries), per_block):
+        block = entries[lo:lo + per_block]
+        t = np.array([e.m * np.pi for e in block for _ in e.values])
+        js = np.array([float(j) for e in block for j in e.values])
+        gap_hit = (np.abs(concurrence_gap(t, js) - 1.0) <= 1e-12).reshape(-1, 2).all(axis=1)
+        gap_ok += [all(is_lattice_transfer(e.m, j) for j in e.values) and bool(hit)
+                   for e, hit in zip(block, gap_hit)]
+        wootters_ok += verify_transfers(t, js)[2].reshape(-1, 2).all(axis=1).tolist()
+    return gap_ok, wootters_ok
 
 
 def cmd_table1(cfg: SweepConfig, max_m: int) -> dict:
@@ -430,15 +446,14 @@ def cmd_table1(cfg: SweepConfig, max_m: int) -> dict:
     _check_grid(len(TABLE_FAMILIES) * max_m, "--max-m")
     entries = sequence_table(max_m)
     rows_by_m: dict[int, list] = {m: [] for m in range(1, max_m + 1)}
-    for e in entries:
-        rows_by_m[e.m].append(e)
+    for cell in zip(entries, *_verify_cells(entries)):
+        rows_by_m[cell[0].m].append(cell)
     json_rows, csv_rows, populated = [], [], 0
     all_ok = True
     for m in range(1, max_m + 1):
         fams = []
         populated += 1  # the shared transfer-time cell of the row
-        for e in rows_by_m[m]:
-            gap_ok, wootters_ok = _verify_cell(m, e.values)
+        for e, gap_ok, wootters_ok in rows_by_m[m]:
             all_ok &= gap_ok and wootters_ok
             fams.append({"label": e.label, "k": e.family,
                          "j_values": [str(e.lower), str(e.upper)],
@@ -479,7 +494,8 @@ def cmd_events(cfg: SweepConfig, resolution: int) -> dict:
 def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
     if t_max_scan < 2.0 * np.pi:
         raise ConfigError(f"--t-max must cover at least 2*pi, got {t_max_scan}")
-    _check_grid(t_max_scan / np.pi * 256, "--t-max")
+    # 256 scan points per pi for each coupling
+    _check_grid(len(j_values) * t_max_scan / np.pi * 256, "--j-values", "--t-max")
     # the gap's fastest term is cos((|J| + 3)*t)
     _check_phase((max(abs(J) for J in j_values) + 3.0) * t_max_scan,
                  "--j-values, --t-max", "(|J| + 3)*t")
@@ -490,7 +506,8 @@ def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
     rows = [[r.J, r.sup_gap, r.t_at_sup, r.margin, str(r.forbidden)]
             for r in results]
     _write_table(cfg.out, cfg.fmt, header, rows, payload)
-    return {"results": {str(r.J): r.margin for r in results}}
+    return {"couplings": len(results),
+            "forbidden": sum(1 for r in results if r.forbidden)}
 
 
 def cmd_wstate(cfg: SweepConfig, resolution: int) -> dict:
@@ -512,6 +529,58 @@ def cmd_wstate(cfg: SweepConfig, resolution: int) -> dict:
 # ---------------------------------------------------------------------------
 
 _ORACLE_J = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
+
+
+def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
+    """The report's closed-form comparison, monogamy check and W scan over
+    the configured (t, J) grid.
+
+    They reduce one pair-major grid of pair concurrences, filled one t-row
+    at a time so the batches stay small; each reduction holds at most a few
+    (t, J) temporaries besides it, and the grid is freed on return, before
+    the report's other scans run.
+    """
+    ts, js = cfg.t_grid(), cfg.j_grid()
+    c = np.empty((len(ALL_PAIRS), ts.size, js.size))
+    for k, t in enumerate(ts):
+        c[:, k] = pair_concurrences(closed_form_state(float(t), js), ALL_PAIRS).T
+    conc = dict(zip(ALL_PAIRS, c))
+    w12, w34, w13, w24 = (conc[pair] for pair in SCAN_PAIRS)
+    tt = ts[:, None]
+    p12, p34 = closed_form_c12(tt, js), closed_form_c34(tt, js)
+    d12 = float(np.abs(w12 - p12).max())
+    d34 = float(np.abs(w34 - p34).max())
+    d12_sq = float(np.abs(w12 ** 2 - p12).max())
+    d34_sq = float(np.abs(w34 ** 2 - p34).max())
+    gap_identity = float(np.abs(concurrence_gap(tt, js) - (p34 - p12)).max())
+    del p12, p34
+    d13 = float(np.abs(w13 - closed_form_c13(tt, js)).max())
+    d13_vs_24 = float(np.abs(w13 - w24).max())
+    monogamy_excess = max(0.0, *(
+        float(sum(conc[pair] ** 2 for pair in ALL_PAIRS if site in pair).max()) - 1.0
+        for site in range(1, 5)))
+    dev = np.abs(w12 - 0.5)
+    for w in (w34, w13, w24):
+        np.maximum(dev, np.abs(w - 0.5), out=dev)
+    wstate_candidates = [{"t": float(ts[i]), "j": float(js[j]),
+                          "max_deviation_from_half": float(dev[i, j])}
+                         for i, j in zip(*np.nonzero(dev < cfg.threshold))]
+    results["closed_form_comparison"] = {
+        "max_abs_diff_c12": d12, "max_abs_diff_c34": d34, "max_abs_diff_c13": d13,
+        "max_abs_diff_c12_vs_square": d12_sq, "max_abs_diff_c34_vs_square": d34_sq,
+        "max_abs_diff_c13_vs_c24": d13_vs_24,
+        "max_gap_identity_defect": gap_identity}
+    checks["closed_form_c12_c34_match_wootters"] = d12 < 1e-8 and d34 < 1e-8
+    checks["closed_form_c13_discrepancy_detected"] = d13 > 1e-3
+    checks["closed_forms_track_squared_wootters"] = d12_sq < 1e-8 and d34_sq < 1e-8
+    checks["gap_identity_pointwise"] = gap_identity < 1e-12
+    checks["monogamy_bound"] = monogamy_excess <= 1e-9
+    results["monogamy_max_excess"] = monogamy_excess
+
+    results["wstate"] = {"threshold": cfg.threshold,
+                         "candidates": wstate_candidates,
+                         "count": len(wstate_candidates)}
+    checks["wstate_scan_empty"] = len(wstate_candidates) == 0
 
 
 def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
@@ -539,54 +608,7 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     checks["oracle_equivalence"] = oracle.max_deviation < 1e-9
     checks["negative_control_detects_swap"] = control.max_deviation > 1e-2
 
-    # Closed-form comparison, monogamy and W-scan share one grid sweep, run
-    # one t-row at a time so the batches stay small.
-    d12 = d34 = d13 = 0.0
-    d12_sq = d34_sq = 0.0
-    d13_vs_24 = gap_identity = monogamy_excess = 0.0
-    wstate_candidates = []
-    js = cfg.j_grid()
-    col = {pair: k for k, pair in enumerate(ALL_PAIRS)}
-    scan_cols = [col[pair] for pair in SCAN_PAIRS]
-    i12, i34, i13, i24 = scan_cols
-    site_cols = [[col[pair] for pair in ALL_PAIRS if site in pair]
-                 for site in range(1, 5)]
-    for t in cfg.t_grid():
-        t_f = float(t)
-        c = pair_concurrences(closed_form_state(t_f, js), ALL_PAIRS)
-        p12, p34 = closed_form_c12(t_f, js), closed_form_c34(t_f, js)
-        p13 = closed_form_c13(t_f, js)
-        d12 = max(d12, float(np.abs(c[:, i12] - p12).max()))
-        d34 = max(d34, float(np.abs(c[:, i34] - p34).max()))
-        d13 = max(d13, float(np.abs(c[:, i13] - p13).max()))
-        d12_sq = max(d12_sq, float(np.abs(c[:, i12] ** 2 - p12).max()))
-        d34_sq = max(d34_sq, float(np.abs(c[:, i34] ** 2 - p34).max()))
-        d13_vs_24 = max(d13_vs_24, float(np.abs(c[:, i13] - c[:, i24]).max()))
-        gap_identity = max(gap_identity, float(
-            np.abs(concurrence_gap(t_f, js) - (p34 - p12)).max()))
-        for cols in site_cols:
-            monogamy_excess = max(monogamy_excess,
-                                  float((c[:, cols] ** 2).sum(axis=1).max()) - 1.0)
-        dev = np.abs(c[:, scan_cols] - 0.5).max(axis=1)
-        for j in np.flatnonzero(dev < cfg.threshold):
-            wstate_candidates.append({"t": t_f, "j": float(js[j]),
-                                      "max_deviation_from_half": float(dev[j])})
-    results["closed_form_comparison"] = {
-        "max_abs_diff_c12": d12, "max_abs_diff_c34": d34, "max_abs_diff_c13": d13,
-        "max_abs_diff_c12_vs_square": d12_sq, "max_abs_diff_c34_vs_square": d34_sq,
-        "max_abs_diff_c13_vs_c24": d13_vs_24,
-        "max_gap_identity_defect": gap_identity}
-    checks["closed_form_c12_c34_match_wootters"] = d12 < 1e-8 and d34 < 1e-8
-    checks["closed_form_c13_discrepancy_detected"] = d13 > 1e-3
-    checks["closed_forms_track_squared_wootters"] = d12_sq < 1e-8 and d34_sq < 1e-8
-    checks["gap_identity_pointwise"] = gap_identity < 1e-12
-    checks["monogamy_bound"] = monogamy_excess <= 1e-9
-    results["monogamy_max_excess"] = monogamy_excess
-
-    results["wstate"] = {"threshold": cfg.threshold,
-                         "candidates": wstate_candidates,
-                         "count": len(wstate_candidates)}
-    checks["wstate_scan_empty"] = len(wstate_candidates) == 0
+    _grid_sweep(cfg, results, checks)
     injected = wstate_candidate_from_state(
         embed_single_excitation((0.5, 0.5, 0.5, 0.5)))
     results["wstate_selftest_deviation"] = injected.max_deviation_from_half

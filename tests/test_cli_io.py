@@ -1,5 +1,9 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -8,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import triplaq
 from triplaq import cli_io, dynamics
 from triplaq.cli_io import (
     MAX_GRID_POINTS,
+    VERIFY_BLOCK,
     SweepConfig,
     build_parser,
     config_from_text,
@@ -35,6 +41,7 @@ from triplaq.entanglement import (
     state_concurrence,
 )
 from triplaq.errors import ConfigError
+from triplaq.qst_analysis import is_lattice_transfer, verify_transfers, wstate_scan
 from triplaq.spin_core import (
     SINGLE_EXCITATION_INDICES,
     build_hamiltonian,
@@ -223,6 +230,9 @@ def test_read_config_keys_accepted(tmp_path):
     (["forbidden", "--j-values", "0.5,1e17"], "--j-values"),
     (["forbidden", "--j-values", "16687"], "--t-max"),
     (["table1", "--max-m", "100000000"], "--max-m"),
+    # 256 scan points per pi for each coupling: one more coupling than fits
+    (["forbidden", "--j-values",
+      ",".join(["1"] * (MAX_GRID_POINTS // (256 * 20) + 1))], "--j-values"),
 ])
 def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -693,6 +703,32 @@ class TestTable1Command:
         assert capsys.readouterr().err.startswith("error: --max-m")
         assert not out.exists()
 
+    def test_verifies_in_blocks(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def counted(t, J):
+            sizes.append(np.size(J))
+            return verify_transfers(t, J)
+
+        monkeypatch.setattr(cli_io, "verify_transfers", counted)
+        assert main(["table1", "--max-m", "2000", "--out", str(tmp_path / "t.csv")]) == 0
+        states = 2 * (2000 + 1998 + 1996)       # two couplings per cell, k = 1, 3, 5
+        assert sum(sizes) == states and max(sizes) <= VERIFY_BLOCK
+        assert len(sizes) <= math.ceil(states / VERIFY_BLOCK) == 3
+
+    def test_matches_per_cell_verification(self, tmp_path):
+        out = tmp_path / "t.csv"
+        main(["table1", "--max-m", "40", "--out", str(out)])
+        rows = list(csv.reader(out.open()))[1:]
+        assert len(rows) == 40 + 38 + 36
+        for m, _, _, lower, upper, _, gap_ok, wootters_ok in rows:
+            m, values = int(m), (Fraction(lower), Fraction(upper))
+            js = np.array([float(j) for j in values])
+            expected_gap = (all(is_lattice_transfer(m, j) for j in values)
+                            and np.all(np.abs(concurrence_gap(m * np.pi, js) - 1.0) <= 1e-12))
+            assert gap_ok == str(bool(expected_gap))
+            assert wootters_ok == str(bool(verify_transfers(m * np.pi, js)[2].all()))
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["table1", "--max-m", "3", "--out", str(out)])
@@ -719,11 +755,12 @@ class TestScanCommands:
         assert {e["j"] for e in payload["events"] if e["m"] == 3} == \
             {"0", "2/3", "4/3", "2"}
 
-    def test_forbidden_json(self, tmp_path):
+    def test_forbidden_json(self, tmp_path, capsys):
         out = tmp_path / "f.json"
-        code = main(["forbidden", "--j-values", "1,3", "--format", "json",
+        code = main(["forbidden", "--j-values", "1,3,0.5", "--format", "json",
                      "--out", str(out)])
         assert code == 0
+        assert capsys.readouterr().out == f"wrote {out} couplings=3 forbidden=2\n"
         payload = json.loads(out.read_text())
         margins = {r["J"]: r["margin"] for r in payload["results"]}
         assert margins[1.0] == pytest.approx(1.0, abs=1e-8)
@@ -799,6 +836,30 @@ class TestReportCommand:
         out = tmp_path / "report.json"
         assert main(["report", *argv, "--out", str(out)]) == 1
         assert message in json.loads(out.read_text())["error"]["message"]
+
+
+def test_report_wstate_list_equals_wstate_scan(tmp_path):
+    """The default report grid, 129 x 65 over [0, 4 pi] x [0, 2], is the
+    wstate scan's grid at resolution 32."""
+    out = tmp_path / "report.json"
+    assert main(["report", "--out", str(out)]) == 2
+    results = json.loads(out.read_text())["results"]
+    expected = [{"t": c.t, "j": c.J, "max_deviation_from_half": c.max_deviation_from_half}
+                for c in wstate_scan((0.0, FOUR_PI), (0.0, 2.0), 32, 1e-3)]
+    assert len(expected) == 28
+    assert results["wstate"]["candidates"] == expected
+    assert results["monogamy_max_excess"] == 0.0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(triplaq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "triplaq", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: triplaq")
+    assert "report" in done.stdout
 
 
 def test_usage_error_is_exit_1(tmp_path):

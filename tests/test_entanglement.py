@@ -14,6 +14,7 @@ from triplaq.dynamics import (
 from triplaq.entanglement import (
     ALL_PAIRS,
     _check_density,
+    _hill_wootters_matrices,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
@@ -143,7 +144,56 @@ def _small_c12_state():
     return evolve_numeric(hermitian_eigendecompose(H), initial_bell_state(), t)
 
 
+def _matmul_concurrences(psi, pairs=ALL_PAIRS):
+    """The grid engine's former formula, kept as its reference: one SVD of
+    B^T (sy x sy) B per pair, built by stacked complex matmul, with B the
+    pair's block cut from the (..., 2, 2, 2, 2) amplitude tensor."""
+    sy = np.array([[0, -1j], [1j, 0]])
+    flip = np.kron(sy, sy)
+    psi = np.asarray(psi, dtype=complex)
+    lead = psi.shape[:-1]
+    tensor = psi.reshape(lead + (2, 2, 2, 2))
+    out = []
+    for m, n in pairs:
+        rest = [k for k in range(4) if k not in (m - 1, n - 1)]
+        axes = [len(lead) + k for k in (m - 1, n - 1, *rest)]
+        B = np.moveaxis(tensor, axes, range(len(lead), len(lead) + 4)).reshape(lead + (4, 4))
+        g = np.linalg.svd(np.swapaxes(B, -1, -2) @ flip @ B, compute_uv=False)
+        out.append(np.maximum(0.0, 2.0 * g[..., 0] - g.sum(axis=-1)))
+    return np.stack(out, axis=-1)
+
+
+@st.composite
+def _random_state_stacks(draw):
+    """Normalized random 16-vectors: one, or a stack of up to three leading
+    axes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lead = tuple(draw(st.lists(st.integers(1, 5), min_size=0, max_size=3)))
+    psi = rng.normal(size=lead + (16,)) + 1j * rng.normal(size=lead + (16,))
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
 class TestPairConcurrences:
+    @settings(max_examples=60, deadline=None)
+    @given(_random_state_stacks())
+    def test_matches_matmul_formula_on_random_states(self, psi):
+        got = pair_concurrences(psi, ALL_PAIRS)
+        assert got.shape == psi.shape[:-1] + (6,)
+        np.testing.assert_allclose(got, _matmul_concurrences(psi), rtol=0, atol=1e-14)
+
+    def test_matches_matmul_formula_on_default_grid(self):
+        psi = closed_form_state(np.linspace(0.0, 4 * np.pi, 129)[:, None],
+                                np.linspace(0.0, 2.0, 65))
+        np.testing.assert_allclose(pair_concurrences(psi), _matmul_concurrences(psi),
+                                   rtol=0, atol=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_random_state_stacks())
+    def test_hill_wootters_matrix_is_exactly_symmetric(self, psi):
+        M = _hill_wootters_matrices(psi, ALL_PAIRS)
+        assert M.shape == psi.shape[:-1] + (6, 4, 4)
+        assert np.array_equal(M, M.swapaxes(-1, -2))
+
     def test_matches_scalar_route_on_default_grid(self):
         ts = np.linspace(0.0, 4 * np.pi, 129)
         js = np.linspace(0.0, 2.0, 65)
