@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass, 1 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -422,52 +423,59 @@ VERIFY_BLOCK = 4096
 
 
 def _verify_cells(entries) -> tuple[list[bool], list[bool]]:
-    """(gap_ok, wootters_ok) of each table entry, verified in blocks of at
-    most VERIFY_BLOCK states: one gap call and one verify_transfers call per
-    block.  gap_ok: both couplings pass the exact lattice rule and
-    |gap(m*pi, J) - 1| <= 1e-12; wootters_ok: both are complete transfers."""
-    gap_ok, wootters_ok = [], []
-    per_block = VERIFY_BLOCK // 2           # every entry holds two couplings
-    for lo in range(0, len(entries), per_block):
-        block = entries[lo:lo + per_block]
-        t = np.array([e.m * np.pi for e in block for _ in e.values])
-        js = np.array([float(j) for e in block for j in e.values])
-        gap_hit = (np.abs(concurrence_gap(t, js) - 1.0) <= 1e-12).reshape(-1, 2).all(axis=1)
-        gap_ok += [all(is_lattice_transfer(e.m, j) for j in e.values) and bool(hit)
-                   for e, hit in zip(block, gap_hit)]
-        wootters_ok += verify_transfers(t, js)[2].reshape(-1, 2).all(axis=1).tolist()
-    return gap_ok, wootters_ok
+    """(gap_ok, wootters_ok) of each entry of one block, by one gap call and
+    one verify_transfers call.  gap_ok: both couplings pass the exact
+    lattice rule and |gap(m*pi, J) - 1| <= 1e-12; wootters_ok: both are
+    complete transfers."""
+    t = np.array([e.m * np.pi for e in entries for _ in e.values])
+    js = np.array([float(j) for e in entries for j in e.values])
+    gap_hit = (np.abs(concurrence_gap(t, js) - 1.0) <= 1e-12).reshape(-1, 2).all(axis=1)
+    gap_ok = [all(is_lattice_transfer(e.m, j) for j in e.values) and bool(hit)
+              for e, hit in zip(entries, gap_hit)]
+    return gap_ok, verify_transfers(t, js)[2].reshape(-1, 2).all(axis=1).tolist()
+
+
+def _table1_cells(max_m: int):
+    """(entry, gap_ok, wootters_ok) of every table entry in table order,
+    made and verified in blocks of at most VERIFY_BLOCK states (every entry
+    holds two couplings), so that only one block is held at a time."""
+    entries = sequence_table(max_m)
+    while block := list(itertools.islice(entries, VERIFY_BLOCK // 2)):
+        yield from zip(block, *_verify_cells(block))
 
 
 def cmd_table1(cfg: SweepConfig, max_m: int) -> dict:
-    """The fractional-coupling table with per-cell verification status."""
+    """The fractional-coupling table with per-cell verification status.
+    CSV rows are written as their blocks are verified; the JSON payload
+    holds the whole table."""
     if max_m < 1:
         raise ConfigError(f"max_m must be at least 1, got {max_m}")
     _check_grid(len(TABLE_FAMILIES) * max_m, "--max-m")
-    entries = sequence_table(max_m)
-    rows_by_m: dict[int, list] = {m: [] for m in range(1, max_m + 1)}
-    for cell in zip(entries, *_verify_cells(entries)):
-        rows_by_m[cell[0].m].append(cell)
-    json_rows, csv_rows, populated = [], [], 0
-    all_ok = True
-    for m in range(1, max_m + 1):
-        fams = []
-        populated += 1  # the shared transfer-time cell of the row
-        for e, gap_ok, wootters_ok in rows_by_m[m]:
-            all_ok &= gap_ok and wootters_ok
-            fams.append({"label": e.label, "k": e.family,
-                         "j_values": [str(e.lower), str(e.upper)],
-                         "gap_exact_ok": gap_ok, "wootters_ok": wootters_ok})
-            csv_rows.append([str(m), str(e.family), e.label, str(e.lower),
-                             str(e.upper), str(m), str(gap_ok), str(wootters_ok)])
-            populated += 1
-        json_rows.append({"m": m, "transfer_time_over_pi": m, "families": fams})
-    payload = {"max_m": max_m, "rows": json_rows, "populated_cells": populated,
-               "all_verified": all_ok}
-    header = ["m", "k", "label", "j_lower", "j_upper", "t_over_pi",
-              "gap_exact_ok", "wootters_ok"]
-    _write_table(cfg.out, cfg.fmt, header, csv_rows, payload)
-    return {"populated_cells": populated, "all_verified": all_ok}
+    # every row m has a shared transfer-time cell, and each entry one more
+    summary = {"populated_cells": max_m, "all_verified": True}
+
+    def tallied():
+        for e, gap_ok, wootters_ok in _table1_cells(max_m):
+            summary["populated_cells"] += 1
+            summary["all_verified"] &= gap_ok and wootters_ok
+            yield e, gap_ok, wootters_ok
+
+    if cfg.fmt == "csv":
+        header = ["m", "k", "label", "j_lower", "j_upper", "t_over_pi",
+                  "gap_exact_ok", "wootters_ok"]
+        write_csv(cfg.out, header, ([str(e.m), str(e.family), e.label, str(e.lower),
+                                     str(e.upper), str(e.m), str(gap_ok), str(wootters_ok)]
+                                    for e, gap_ok, wootters_ok in tallied()))
+    else:
+        families: dict[int, list] = {m: [] for m in range(1, max_m + 1)}
+        for e, gap_ok, wootters_ok in tallied():
+            families[e.m].append({"label": e.label, "k": e.family,
+                                  "j_values": [str(e.lower), str(e.upper)],
+                                  "gap_exact_ok": gap_ok, "wootters_ok": wootters_ok})
+        write_json(cfg.out, {"max_m": max_m, **summary,
+                             "rows": [{"m": m, "transfer_time_over_pi": m, "families": fams}
+                                      for m, fams in families.items()]})
+    return summary
 
 
 def _event_dict(e) -> dict:

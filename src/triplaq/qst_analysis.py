@@ -9,7 +9,9 @@ that reduction and verified independently through the Wootters route.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -100,12 +102,13 @@ class SequenceEntry:
 TABLE_FAMILIES = (1, 3, 5)
 
 
-def sequence_table(max_m: int) -> list[SequenceEntry]:
+def sequence_table(max_m: int) -> Iterator[SequenceEntry]:
     """Fractional coupling pairs (1 - k/m, 1 + k/m) per family k of
-    TABLE_FAMILIES and m; family k populates rows m >= k only (at m = k the
-    pair degenerates to the interval endpoints 0 and 2)."""
-    return [SequenceEntry(family=k, m=m, lower=Fraction(m - k, m), upper=Fraction(m + k, m))
-            for m in range(1, _check_m(max_m) + 1) for k in TABLE_FAMILIES if k <= m]
+    TABLE_FAMILIES and m, made lazily in order of m then k; family k
+    populates rows m >= k only (at m = k the pair degenerates to the
+    interval endpoints 0 and 2)."""
+    return (SequenceEntry(family=k, m=m, lower=Fraction(m - k, m), upper=Fraction(m + k, m))
+            for m in range(1, _check_m(max_m) + 1) for k in TABLE_FAMILIES if k <= m)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +176,43 @@ class QstEvent:
     snapped: bool
 
 
+#: Refined gap values below this are not events.
+EVENT_KEEP = 1.0 - 1e-4
+
+#: Farthest a time can lie from the nearest m*pi and still reach EVENT_KEEP.
+#: The gap is exactly -cos(J*t) * cos(t)**3, so |gap| <= |cos t|**3, and
+#: reaching EVENT_KEEP needs |cos t| >= EVENT_KEEP**(1/3), that is
+#: dist(t, pi*Z) <= arccos(EVENT_KEEP**(1/3)) = 0.00817.  The three-cosine
+#: ``concurrence_gap`` exceeds |cos t|**3 only by its rounding, about
+#: 2e-16 times its largest phase: 2e-10 at phases up to 2**20, and under
+#: the 1e-6 subtracted here at phases up to about 1e9.  The 1e-6
+#: widens the band by 4e-5, which also covers the rounding of dist(t, pi*Z).
+EVENT_BAND = math.acos((EVENT_KEEP - 1e-6) ** (1.0 / 3.0))
+
+
+def _pi_distance(t):
+    """Distance from each t to the nearest multiple of pi."""
+    return np.abs(t - np.pi * np.round(t / np.pi))
+
+
 def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     """Scan the gap surface for complete-transfer events.
 
     Grid-scans gap(t, J) at ``resolution`` points per pi in t (per unit in
-    J), built in blocks of TIME_CHUNK rows, and refines every grid local
-    maximum in one lockstep golden-section pass: two rounds of a t then a J
-    line search, every peak a lane.
-    It keeps peaks reaching 1 - 1e-4, snaps them onto (m*pi, p/q) with
+    J) and refines every grid local maximum in one lockstep golden-section
+    pass: two rounds of a t then a J line search, every peak a lane.
+    It keeps peaks reaching EVENT_KEEP, snaps them onto (m*pi, p/q) with
     q <= 64 when :func:`is_lattice_transfer` certifies the snapped point,
     and verifies all events through one :func:`verify_transfers` call.  The
     t interval is half-open: [t_lo, t_hi).
+
+    Only grid rows that can hold a kept peak are scanned: the two t rounds
+    move a lane at most 2*t_step, and a kept value lies within EVENT_BAND
+    of some m*pi, so a row farther than 2*t_step + EVENT_BAND from every
+    m*pi is skipped.  The surface is built, in blocks of TIME_CHUNK rows,
+    on these band rows and their axis neighbours only, and the same bound
+    drops a lane after a t search once it can no longer be kept.  The
+    events are those of the full grid scan, in the same order.
     """
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
     J_lo, J_hi = float(J_range[0]), float(J_range[1])
@@ -207,25 +236,37 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     if ts.size == 0:
         return []
 
-    surface = np.empty((ts.size, js.size))
-    for lo in range(0, ts.size, TIME_CHUNK):
-        surface[lo:lo + TIME_CHUNK] = concurrence_gap(ts[lo:lo + TIME_CHUNK, None],
+    band = _pi_distance(ts) <= 2.0 * t_step + EVENT_BAND
+    near = band.copy()
+    near[1:] |= band[:-1]
+    near[:-1] |= band[1:]
+    rows = np.flatnonzero(near)
+    surface = np.empty((rows.size, js.size))
+    for lo in range(0, rows.size, TIME_CHUNK):
+        surface[lo:lo + TIME_CHUNK] = concurrence_gap(ts[rows[lo:lo + TIME_CHUNK], None],
                                                       js[None, :])
-    # grid points that dominate their axis neighbors (a NaN never does), in
-    # row-major order
-    is_max = surface >= -np.inf
-    is_max[1:] &= surface[1:] >= surface[:-1]
-    is_max[:-1] &= surface[:-1] >= surface[1:]
-    is_max[:, 1:] &= surface[:, 1:] >= surface[:, :-1]
-    is_max[:, :-1] &= surface[:, :-1] >= surface[:, 1:]
-    peaks = np.argwhere(is_max)
+    # band points that dominate their axis neighbors (a NaN never does), in
+    # row-major order; the grid row above band row rows[k] is rows[k - 1]
+    at = np.flatnonzero(band[rows])
+    center = surface[at]
+    is_max = center >= -np.inf
+    up, down = rows[at] > 0, rows[at] < ts.size - 1
+    is_max[up] &= center[up] >= surface[at[up] - 1]
+    is_max[down] &= center[down] >= surface[at[down] + 1]
+    is_max[:, 1:] &= center[:, 1:] >= center[:, :-1]
+    is_max[:, :-1] &= center[:, :-1] >= center[:, 1:]
+    row, col = np.nonzero(is_max)
 
-    # every peak is a lane: two rounds of t then J line searches
-    t_peak, j_peak = ts[peaks[:, 0]], js[peaks[:, 1]]
-    for _ in range(2):
+    # every peak is a lane: two rounds of t then J line searches; after each
+    # t search, a lane that the t searches left can no longer bring within
+    # EVENT_BAND of some m*pi is dropped
+    t_peak, j_peak = ts[rows[at[row]]], js[col]
+    for reach in (t_step, 0.0):
         t_peak = _golden_max(lambda x, k: concurrence_gap(x, j_peak[k]),
                              np.maximum(t_lo, t_peak - t_step),
                              np.minimum(t_hi, t_peak + t_step))
+        live = _pi_distance(t_peak) <= reach + EVENT_BAND
+        t_peak, j_peak = t_peak[live], j_peak[live]
         if j_step > 0.0:
             j_peak = _golden_max(lambda x, k: concurrence_gap(t_peak[k], x),
                                  np.maximum(J_lo, j_peak - j_step),
@@ -234,7 +275,7 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     events: dict = {}
     values = concurrence_gap(t_peak, j_peak)
     for t_c, j_c, value in zip(t_peak.tolist(), j_peak.tolist(), values.tolist()):
-        if value < 1.0 - 1e-4:
+        if value < EVENT_KEEP:
             continue
 
         # Snap onto the exact lattice when the exact rule certifies it; the
@@ -283,8 +324,8 @@ class ForbiddenScanResult:
 
 def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
     """Gap supremum on [0, t_max] (256 points per pi, every grid peak near
-    the leader refined in one lockstep golden-section pass) and the exact
-    forbidden verdict per coupling.
+    its coupling's leader refined as a lane of one lockstep golden-section
+    pass over all couplings) and the exact forbidden verdict per coupling.
 
     J is forbidden when it is p/q (q <= 512, within 1e-12) with p and q odd:
     the gap is periodic and fails :func:`is_lattice_transfer` at every m.
@@ -295,25 +336,32 @@ def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
     if not t_max >= 2 * np.pi:
         raise ValueError(f"t_max must cover at least 2*pi, got {t_max}")
     ts = np.arange(0.0, t_max + 1e-12, np.pi / 256)
-    results = []
+    interior = np.arange(1, len(ts) - 1)
+    js, leaders, seeds = [], [], []
     for J in J_values:
         J = float(J)
         if not math.isfinite(J):
             raise ValueError(f"coupling must be finite, got {J}")
         values = concurrence_gap(ts, J)
-        sup, t_sup = float(values.max()), float(ts[int(np.argmax(values))])
+        lead = int(np.argmax(values))
+        sup = float(values[lead])
         # refine every grid maximum close to the leader
-        interior = np.arange(1, len(ts) - 1)
         is_max = (values[interior] >= values[interior - 1]) & \
                  (values[interior] >= values[interior + 1])
-        seeds = [int(i) for i in interior[is_max] if values[i] > sup - 0.05]
-        seeds.append(int(np.argmax(values)))
+        near = [int(i) for i in interior[is_max] if values[i] > sup - 0.05]
+        js.append(J)
+        leaders.append((sup, float(ts[lead])))
         # of equal refined values, the first seed in set order wins
-        seeds = np.array(list(set(seeds)))
-        t_ref = _golden_max(lambda x, k: concurrence_gap(x, J),
-                            ts[np.maximum(0, seeds - 1)],
-                            ts[np.minimum(len(ts) - 1, seeds + 1)])
-        for v, t in zip(concurrence_gap(t_ref, J).tolist(), t_ref.tolist()):
+        seeds.append(list(set(near + [lead])))
+    lane_j = np.repeat(js, [len(s) for s in seeds])
+    lane_seed = np.array([i for s in seeds for i in s], dtype=int)
+    t_ref = _golden_max(lambda x, k: concurrence_gap(x, lane_j[k]),
+                        ts[np.maximum(0, lane_seed - 1)],
+                        ts[np.minimum(len(ts) - 1, lane_seed + 1)])
+    refined = zip(concurrence_gap(t_ref, lane_j).tolist(), t_ref.tolist())
+    results = []
+    for J, (sup, t_sup), s in zip(js, leaders, seeds):
+        for v, t in itertools.islice(refined, len(s)):
             if v > sup:
                 sup, t_sup = v, t
         p_q = _as_small_fraction(J)

@@ -716,6 +716,17 @@ class TestTable1Command:
         assert sum(sizes) == states and max(sizes) <= VERIFY_BLOCK
         assert len(sizes) <= math.ceil(states / VERIFY_BLOCK) == 3
 
+    def test_csv_streams_block_by_block(self, tmp_path):
+        # holding the whole table before writing peaked at 20.6 MB here (82.5 MB
+        # at --max-m 20000); one block of VERIFY_BLOCK states peaks at about 8 MB
+        tracemalloc.start()
+        try:
+            assert main(["table1", "--max-m", "5000", "--out", str(tmp_path / "t.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12_000_000
+
     def test_matches_per_cell_verification(self, tmp_path):
         out = tmp_path / "t.csv"
         main(["table1", "--max-m", "40", "--out", str(out)])

@@ -3,9 +3,11 @@
 Every grid peak is one lane of ``qst_analysis._golden_max``.  The references
 here are the scalar search and the per-peak loops the lanes replaced, kept
 test-local: the lockstep routine must return their x bit for bit, and the
-scans their results exactly.  Lanes stop on width alone; the evaluation
-budgets the searches once carried (200 per events peak, 120 per forbidden
-seed) never bound at the widths the scans search.
+scans their results exactly.  The events reference also scans the full gap
+surface, where ``locate_events_2d`` scans only the rows near t = m*pi that
+can hold a kept event.  Lanes stop on width alone; the evaluation budgets
+the searches once carried (200 per events peak, 120 per forbidden seed)
+never bound at the widths the scans search.
 """
 
 import math
@@ -15,12 +17,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triplaq import qst_analysis
 from triplaq.entanglement import concurrence_gap
 from triplaq.qst_analysis import (
+    EVENT_BAND,
+    EVENT_KEEP,
     ForbiddenScanResult,
     QstEvent,
     _as_small_fraction,
@@ -231,9 +235,21 @@ class TestEventsMatchScalarLoop:
     def test_forbidden_equal_reference(self):
         assert forbidden_J_scan(EIGHT_J, 200.0) == _scalar_forbidden_J_scan(EIGHT_J, 200.0)
 
+    def test_forbidden_refines_every_coupling_in_one_pass(self, monkeypatch):
+        lanes = []
+
+        def spy(f, lo, hi, xtol=1e-10):
+            lanes.append(len(lo))
+            return _golden_max(f, lo, hi, xtol)
+
+        monkeypatch.setattr(qst_analysis, "_golden_max", spy)
+        assert forbidden_J_scan(EIGHT_J, 200.0) == _scalar_forbidden_J_scan(EIGHT_J, 200.0)
+        assert len(lanes) == 1 and lanes[0] > len(EIGHT_J)
+        assert forbidden_J_scan((), 200.0) == []
+
     def test_few_gap_calls_on_events_wide(self, monkeypatch):
         # one scalar search per peak made 220 760 calls here; the lockstep
-        # pass makes 214 (40 surface blocks, one per search step, one batch)
+        # pass makes 177 (3 surface blocks, one per search step, one batch)
         calls = []
 
         def spy(t, J):
@@ -245,12 +261,58 @@ class TestEventsMatchScalarLoop:
         assert len(calls) < 1000
 
     def test_memory_on_events_wide(self):
-        # the whole-grid surface and its padded copy peaked at 31.7 MB; the
-        # surface built in TIME_CHUNK rows and the copy-free mask at 13.3 MB
+        # the whole-grid surface and its padded copy peaked at 31.7 MB, the
+        # whole grid built in TIME_CHUNK rows with a copy-free mask at
+        # 13.3 MB; the 280 band rows peak at 2.26 MB
         tracemalloc.start()
         try:
             locate_events_2d(*EVENTS_WIDE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20_000_000
+        assert peak < 3_000_000
+
+
+# a small events window [m*pi - before, m*pi + after) x [J_lo, J_lo + J width]
+# at a resolution; J width 0 pins J, and J_lo also draws lattice couplings so
+# that pinned windows hold events
+_windows = st.tuples(
+    st.integers(1, 12), st.floats(0.01, 1.0), st.floats(0.01, 1.0),
+    st.one_of(st.floats(-0.5, 2.0), st.sampled_from([0.0, 0.5, 1.0, 1.5])),
+    st.one_of(st.just(0.0), st.floats(0.05, 1.0)), st.integers(64, 200))
+
+
+class TestEventBand:
+    def test_band_is_where_the_gap_can_reach_the_keep_threshold(self):
+        # at J = 0 the gap is exactly cos(t)**3 around t = pi, so it reaches
+        # EVENT_KEEP up to EVENT_BAND from pi, less the 1e-6 slack, and no
+        # farther
+        x = np.pi + EVENT_BAND * np.array([-0.99, 0.99, -1.0, 1.0])
+        assert np.all(concurrence_gap(x[:2], 0.0) >= EVENT_KEEP)
+        assert np.all(concurrence_gap(x[2:], 0.0) < EVENT_KEEP)
+
+    @settings(max_examples=40, deadline=None)
+    @given(window=_windows)
+    @example(window=(3183, 0.5, 0.5, 0.25, 0.1, 64))   # t near 1e4
+    # a kept lane that starts more than one grid step from 10*pi
+    @example(window=(10, 0.13057824445801033, 0.06772594474257847,
+                     0.13057824445801033, 1.0, 64))
+    def test_band_equals_full_surface(self, window):
+        m, before, after, j_lo, j_width, resolution = window
+        args = ((m * np.pi - before, m * np.pi + after), (j_lo, j_lo + j_width), resolution)
+        assert locate_events_2d(*args) == _scalar_locate_events_2d(*args)
+
+    def test_gap_elements_on_events_wide(self, monkeypatch):
+        # the full surface and its lanes evaluated 1 536 568 gap elements
+        # here: 1 315 840 on the grid and 220 728 in the searches; the band
+        # rows take 71 960 and the band's lanes 97 869
+        elements = []
+
+        def spy(t, J):
+            out = concurrence_gap(t, J)
+            elements.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(qst_analysis, "concurrence_gap", spy)
+        locate_events_2d(*EVENTS_WIDE)
+        assert 9 * sum(elements) <= 1_536_568
