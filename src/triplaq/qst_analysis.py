@@ -246,7 +246,8 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
         surface[lo:lo + TIME_CHUNK] = concurrence_gap(ts[rows[lo:lo + TIME_CHUNK], None],
                                                       js[None, :])
     # band points that dominate their axis neighbors (a NaN never does), in
-    # row-major order; the grid row above band row rows[k] is rows[k - 1]
+    # row-major order; the t neighbors of grid row rows[a] are surface rows
+    # a - 1 and a + 1
     at = np.flatnonzero(band[rows])
     center = surface[at]
     is_max = center >= -np.inf
@@ -258,8 +259,8 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     row, col = np.nonzero(is_max)
 
     # every peak is a lane: two rounds of t then J line searches; after each
-    # t search, a lane that the t searches left can no longer bring within
-    # EVENT_BAND of some m*pi is dropped
+    # t search, a lane that the remaining t search (``reach``) cannot bring
+    # within EVENT_BAND of some m*pi is dropped
     t_peak, j_peak = ts[rows[at[row]]], js[col]
     for reach in (t_step, 0.0):
         t_peak = _golden_max(lambda x, k: concurrence_gap(x, j_peak[k]),

@@ -284,9 +284,9 @@ _windows = st.tuples(
 
 class TestEventBand:
     def test_band_is_where_the_gap_can_reach_the_keep_threshold(self):
-        # at J = 0 the gap is exactly cos(t)**3 around t = pi, so it reaches
-        # EVENT_KEEP up to EVENT_BAND from pi, less the 1e-6 slack, and no
-        # farther
+        # at J = 0 the gap is cos(t)**3 around t = pi: it reaches EVENT_KEEP
+        # at 0.99*EVENT_BAND from pi, and at EVENT_BAND it is the 1e-6 slack
+        # below
         x = np.pi + EVENT_BAND * np.array([-0.99, 0.99, -1.0, 1.0])
         assert np.all(concurrence_gap(x[:2], 0.0) >= EVENT_KEEP)
         assert np.all(concurrence_gap(x[2:], 0.0) < EVENT_KEEP)
