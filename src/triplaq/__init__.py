@@ -2,7 +2,6 @@
 spin-1/2 plaquette with directed-ring and diagonal couplings."""
 
 from .dynamics import (
-    EigenDecomposition,
     OracleReport,
     amplitudes_closed_form,
     closed_form_state,

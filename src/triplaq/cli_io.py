@@ -54,6 +54,7 @@ from .qst_analysis import (
     periodicity_report,
     sequence_table,
     verify_transfers,
+    w_deviation,
     wstate_candidate_from_state,
     wstate_scan,
 )
@@ -70,7 +71,6 @@ from .spin_core import (
 )
 
 SCHEMA_VERSION = 1
-KNOWN_SIGNALS = ("C12", "C34", "C13", "C24", "GAP")
 #: Largest grid a command may evaluate, checked before anything is allocated.
 MAX_GRID_POINTS = 2 ** 24
 #: Largest phase (|J| + D)*|t| that evolve and surface evaluate, and
@@ -352,6 +352,7 @@ _SIGNAL_COLUMNS = {
     "C24": (("c24_wootters", ((2, 4),)),),
     "GAP": (("gap_closed_form", concurrence_gap), ("gap_from_states", ((3, 4), (1, 2)))),
 }
+KNOWN_SIGNALS = tuple(_SIGNAL_COLUMNS)
 
 
 def cmd_surface(cfg: SweepConfig, signals) -> dict:
@@ -553,7 +554,7 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
     for k, t in enumerate(ts):
         c[:, k] = pair_concurrences(closed_form_state(float(t), js), ALL_PAIRS).T
     conc = dict(zip(ALL_PAIRS, c))
-    w12, w34, w13, w24 = (conc[pair] for pair in SCAN_PAIRS)
+    w12, w34, w13, w24 = w_scan = [conc[pair] for pair in SCAN_PAIRS]
     tt = ts[:, None]
     p12, p34 = closed_form_c12(tt, js), closed_form_c34(tt, js)
     d12 = float(np.abs(w12 - p12).max())
@@ -567,9 +568,7 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
     monogamy_excess = max(0.0, *(
         float(sum(conc[pair] ** 2 for pair in ALL_PAIRS if site in pair).max()) - 1.0
         for site in range(1, 5)))
-    dev = np.abs(w12 - 0.5)
-    for w in (w34, w13, w24):
-        np.maximum(dev, np.abs(w - 0.5), out=dev)
+    dev = w_deviation(w_scan)
     wstate_candidates = [{"t": float(ts[i]), "j": float(js[j]),
                           "max_deviation_from_half": float(dev[i, j])}
                          for i, j in zip(*np.nonzero(dev < cfg.threshold))]
@@ -671,13 +670,11 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     period_ok = True
     periods = {}
     for J in (0.0, 1.0):
-        rows = []
-        for est in periodicity_report(J):
-            rows.append({"signal": est.signal, "estimated": est.estimated,
-                         "exact": est.exact, "degenerate": est.degenerate})
+        estimates = periodicity_report(J)
+        for est in estimates:
             if est.exact and est.estimated:
                 period_ok &= abs(est.estimated - est.exact) < 0.05 * est.exact
-        periods[str(J)] = rows
+        periods[str(J)] = [asdict(est) for est in estimates]
     results["periodicity"] = periods
     checks["periodicity_consistent"] = period_ok
 
@@ -759,8 +756,8 @@ def build_parser() -> _Parser:
     command("evolve", "trajectory at fixed J").add_argument(
         "--j", type=_finite_float, default=0.5, help="coupling (default 0.5)")
     command("surface", "signal surfaces over (t, J)").add_argument(
-        "--signals", default="C12,C34,C13,C24,GAP",
-        help="comma list from C12,C34,C13,C24,GAP")
+        "--signals", default=",".join(KNOWN_SIGNALS),
+        help=f"comma list from {','.join(KNOWN_SIGNALS)}")
     command("table1", "fractional coupling table").add_argument(
         "--max-m", type=int, default=7)
     command("events", "locate complete-transfer events").add_argument(

@@ -51,19 +51,11 @@ def closed_form_state(t, J) -> np.ndarray:
     return embed_single_excitation(amplitudes_closed_form(t, J))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full spectral decomposition of a Hermitian matrix or of a stack of them.
-
-    eigenvalues, shape (..., n), are ascending; eigenvectors[..., :, k],
-    shape (..., n, n), belongs to eigenvalues[..., k].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+#: Largest |H - H+| entry a matrix may have and still count as Hermitian.
+HERMITIAN_TOL = 1e-12
 
 
-def _require_hermitian(H: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _require_hermitian(H: np.ndarray) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.ndim < 2 or H.shape[-1] != H.shape[-2] or H.size == 0:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {H.shape}")
@@ -73,7 +65,7 @@ def _require_hermitian(H: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         adjoint -= H
     defect = np.abs(adjoint).max()
-    if not defect <= tol:
+    if not defect <= HERMITIAN_TOL:
         raise ContractViolationError(
             f"matrix is not finite and Hermitian (defect {defect:.3e})")
     return H
@@ -140,9 +132,11 @@ def _jacobi_sweep(A, Vt, skip_below):
             q += 1
 
 
-def hermitian_eigendecompose(H: np.ndarray) -> EigenDecomposition:
+def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi diagonalization of a Hermitian matrix, shape (n, n), or
-    of a stack of them, shape (..., n, n), in one pass over the stack.
+    of a stack of them, shape (..., n, n), in one pass over the stack.  Like
+    ``np.linalg.eigh`` it returns (eigenvalues, eigenvectors): ascending,
+    shape (..., n), and shape (..., n, n), column k belonging to value k.
 
     Rotations are applied in a fixed row-major order, which makes the output
     deterministic (including the basis chosen inside degenerate eigenspaces).
@@ -182,11 +176,12 @@ def hermitian_eigendecompose(H: np.ndarray) -> EigenDecomposition:
     # as V[:, order] lays out one matrix, so that propagation runs the same
     # BLAS calls for a stack
     vecs = Vt[np.arange(m)[:, None], order].swapaxes(-1, -2)
-    return EigenDecomposition(evals.reshape(lead + (n,)), vecs.reshape(lead + (n, n)))
+    return evals.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
 
 
-def evolve_numeric(decomp: EigenDecomposition, psi0: np.ndarray, t) -> np.ndarray:
-    """Spectral propagation psi(t) = V exp(-i E t) V+ psi0 of a diagonalized H.
+def evolve_numeric(decomp, psi0: np.ndarray, t) -> np.ndarray:
+    """Spectral propagation psi(t) = V exp(-i E t) V+ psi0 of a diagonalized
+    H, given as the (E, V) pair that ``np.linalg.eigh`` returns.
 
     ``t`` is a scalar, giving one 16-vector, or a vector of times, giving
     one row per time from a single matmul.  A stacked decomposition (leading
@@ -195,7 +190,7 @@ def evolve_numeric(decomp: EigenDecomposition, psi0: np.ndarray, t) -> np.ndarra
     NumericalHealthError if any row's norm moved by more than 1e-8.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    V, E = decomp.eigenvectors, decomp.eigenvalues
+    E, V = decomp
     t = np.asarray(t, dtype=float)
     phases = np.exp(-1j * (t.reshape(-1, 1) * E[..., None, :]))
     coef = (psi0.conj() @ V).conj()     # V+ psi0 without a conjugated copy of V
@@ -259,14 +254,13 @@ def oracle_equivalence_report(J_values, t_values,
     if not J_values or not ts.size:
         raise ValueError("J and t grids must be nonempty")
     psi0 = initial_bell_state()
-    stack = hermitian_eigendecompose(np.stack(
+    E, V = hermitian_eigendecompose(np.stack(
         [build_hamiltonian(geometry_factory(J)) for J in J_values]))
     worst = (-1.0, 0.0, 0.0)
     for j, J in enumerate(J_values):
-        decomp = EigenDecomposition(stack.eigenvalues[j], stack.eigenvectors[j])
         for lo in range(0, ts.size, TIME_CHUNK):
             chunk = ts[lo:lo + TIME_CHUNK]
-            dev = phase_aligned_distance(evolve_numeric(decomp, psi0, chunk),
+            dev = phase_aligned_distance(evolve_numeric((E[j], V[j]), psi0, chunk),
                                          closed_form_state(chunk, J))
             k = int(np.argmax(dev))
             if dev[k] > worst[0]:

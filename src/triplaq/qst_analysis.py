@@ -9,10 +9,12 @@ that reduction and verified independently through the Wootters route.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,8 @@ from .entanglement import (
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Width at which a golden-section lane stops narrowing.
+GOLDEN_XTOL = 1e-10
 
 #: Wootters tolerance of a complete transfer: c12 <= TOL and c34 >= 1 - TOL.
 TRANSFER_TOL = 1e-8
@@ -115,18 +119,18 @@ def sequence_table(max_m: int) -> Iterator[SequenceEntry]:
 # Scans over the gap surface
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo, hi, xtol: float = 1e-10):
+def _golden_max(f, lo, hi):
     """Golden-section maximization of many lanes in lockstep.
 
     Lane k searches [lo[k], hi[k]]; ``f(x, lanes)`` evaluates the lanes
     ``lanes`` (indices) at the points ``x`` in one call.  Every lane makes
     exactly the steps of a scalar search: a lane with ``not hi > lo``
     returns lo after 0 evaluations, any other makes its first 2 and then
-    one more per step while its width exceeds ``xtol`` and its last step
+    one more per step while its width exceeds GOLDEN_XTOL and its last step
     narrowed it.  A step fails to narrow only an interval a few ulps wide,
     so the second rule stops just the lanes whose width cannot reach
-    ``xtol`` in floating point (|x| beyond about 2**17 at the default), which
-    would otherwise step forever.
+    GOLDEN_XTOL in floating point (|x| beyond about 2**17), which would
+    otherwise step forever.
     """
     x = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -139,7 +143,7 @@ def _golden_max(f, lo, hi, xtol: float = 1e-10):
     fc, fd = f(c, lanes), f(d, lanes)
     width = np.full(lanes.shape, np.inf)
     while lanes.size:
-        run = ((b - a) > xtol) & ((b - a) < width)
+        run = ((b - a) > GOLDEN_XTOL) & ((b - a) < width)
         if not run.all():  # retire the lanes that stop here
             stop = lanes[~run]
             x[stop] = np.where(fc[~run] > fd[~run], c[~run], d[~run])
@@ -195,6 +199,17 @@ def _pi_distance(t):
     return np.abs(t - np.pi * np.round(t / np.pi))
 
 
+def _scan_window(t_range, J_range) -> tuple[float, float, float, float]:
+    """(t_lo, t_hi, J_lo, J_hi); ValueError unless t_lo < t_hi and J_lo <= J_hi."""
+    t_lo, t_hi = float(t_range[0]), float(t_range[1])
+    J_lo, J_hi = float(J_range[0]), float(J_range[1])
+    if not (t_hi > t_lo):
+        raise ValueError("t range must have positive width")
+    if J_hi < J_lo:
+        raise ValueError("J range is reversed")
+    return t_lo, t_hi, J_lo, J_hi
+
+
 def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     """Scan the gap surface for complete-transfer events.
 
@@ -214,12 +229,7 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     drops a lane after a t search once it can no longer be kept.  The
     events are those of the full grid scan, in the same order.
     """
-    t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    J_lo, J_hi = float(J_range[0]), float(J_range[1])
-    if not (t_hi > t_lo):
-        raise ValueError("t range must have positive width")
-    if J_hi < J_lo:
-        raise ValueError("J range is reversed")
+    t_lo, t_hi, J_lo, J_hi = _scan_window(t_range, J_range)
     if resolution < 64:
         raise ValueError(f"resolution must be at least 64 points per pi, got {resolution}")
 
@@ -227,12 +237,8 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     n_t = int(np.ceil((t_hi - t_lo) / t_step))
     ts = t_lo + t_step * np.arange(n_t)
     ts = ts[ts < t_hi - 1e-12]
-    if J_hi > J_lo:
-        j_step = 1.0 / resolution
-        js = np.linspace(J_lo, J_hi, int(round((J_hi - J_lo) * resolution)) + 1)
-    else:
-        j_step = 0.0
-        js = np.array([J_lo])
+    j_step = 1.0 / resolution if J_hi > J_lo else 0.0
+    js = np.linspace(J_lo, J_hi, int(round((J_hi - J_lo) * resolution)) + 1)
     if ts.size == 0:
         return []
 
@@ -273,7 +279,7 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
                                  np.maximum(J_lo, j_peak - j_step),
                                  np.minimum(J_hi, j_peak + j_step))
 
-    events: dict = {}
+    found: dict = {}      # key -> (m, t, J, gap_ok, snapped)
     values = concurrence_gap(t_peak, j_peak)
     for t_c, j_c, value in zip(t_peak.tolist(), j_peak.tolist(), values.tolist()):
         if value < EVENT_KEEP:
@@ -290,28 +296,21 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
                    and J_lo - 1e-12 <= float(j_frac) <= J_hi + 1e-12
                    and is_lattice_transfer(m_hyp, j_frac))
         if snap_ok:
-            t_ev, key = m_hyp * np.pi, (m_hyp, j_frac)
+            m_ev, t_ev, J_ev, key = m_hyp, m_hyp * np.pi, j_frac, (m_hyp, j_frac)
         else:
-            t_ev, key = t_c, (round(t_c, 6), round(j_c, 6))
-        if t_ev >= t_hi - 1e-9 or key in events:  # window stays half-open
+            m_ev, t_ev, J_ev, key = None, t_c, j_c, (round(t_c, 6), round(j_c, 6))
+        if t_ev >= t_hi - 1e-9 or key in found:  # window stays half-open
             continue
-        # gap_value, c12, c34 and the Wootters half of ``confirmed`` are
-        # filled in below
-        events[key] = QstEvent(
-            m=m_hyp if snap_ok else None,
-            t=float(t_ev),
-            J=j_frac if snap_ok else j_c,
-            gap_value=math.nan, c12=math.nan, c34=math.nan,
-            confirmed=snap_ok or abs(value - 1.0) < 1e-10,
-            snapped=snap_ok)
-    pending = sorted(events.values(), key=lambda e: (e.t, float(e.J)))
-    t_ev = np.array([e.t for e in pending])
-    j_ev = np.array([float(e.J) for e in pending])
+        found[key] = (m_ev, float(t_ev), J_ev, snap_ok or abs(value - 1.0) < 1e-10, snap_ok)
+    pending = sorted(found.values(), key=lambda e: (e[1], float(e[2])))
+    t_ev = np.array([e[1] for e in pending])
+    j_ev = np.array([float(e[2]) for e in pending])
     gap = concurrence_gap(t_ev, j_ev)
     c12, c34, ok = verify_transfers(t_ev, j_ev)
-    return [replace(e, gap_value=float(g), c12=float(a), c34=float(b),
-                    confirmed=e.confirmed and bool(k))
-            for e, g, a, b, k in zip(pending, gap, c12, c34, ok)]
+    return [QstEvent(m=m, t=t, J=J, gap_value=float(g), c12=float(a), c34=float(b),
+                     confirmed=gap_ok and bool(k), snapped=snapped)
+            for (m, t, J, gap_ok, snapped), g, a, b, k
+            in zip(pending, gap, c12, c34, ok)]
 
 
 @dataclass(frozen=True)
@@ -386,14 +385,20 @@ class WStateCandidate:
     max_deviation_from_half: float
 
 
-def wstate_candidate_from_state(psi: np.ndarray, t: float = float("nan"),
-                                J: float = float("nan")) -> WStateCandidate:
-    """Evaluate the W-state witness on an arbitrary state (harness self-test),
-    through the grid engine the scans use."""
-    cs = tuple(float(c) for c in pair_concurrences(psi, SCAN_PAIRS))
+def w_deviation(concurrences):
+    """Largest |C - 1/2| over the four SCAN_PAIRS concurrences, pair axis
+    first (a (4, ...) array or four arrays); 0 marks a W state, whose pair
+    concurrences all equal 2/N = 1/2.  Folds one pair at a time, no copy."""
+    return functools.reduce(np.maximum, (np.abs(c - 0.5) for c in concurrences))
+
+
+def wstate_candidate_from_state(psi: np.ndarray) -> WStateCandidate:
+    """Evaluate the W-state witness on an arbitrary state (harness self-test)
+    by the pair engine and the reduction the scans use; t and J are NaN."""
+    cs = pair_concurrences(psi, SCAN_PAIRS)
     return WStateCandidate(
-        t=float(t), J=float(J), concurrences=cs,
-        max_deviation_from_half=float(max(abs(c - 0.5) for c in cs)))
+        t=math.nan, J=math.nan, concurrences=tuple(float(c) for c in cs),
+        max_deviation_from_half=float(w_deviation(cs)))
 
 
 def wstate_scan(t_range, J_range, resolution: int = 32,
@@ -404,16 +409,15 @@ def wstate_scan(t_range, J_range, resolution: int = 32,
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    J_lo, J_hi = float(J_range[0]), float(J_range[1])
+    t_lo, t_hi, J_lo, J_hi = _scan_window(t_range, J_range)
     n_t = max(2, int(round((t_hi - t_lo) * resolution / np.pi)) + 1)
     n_j = max(1, int(round((J_hi - J_lo) * resolution)) + 1)
     ts = np.linspace(t_lo, t_hi, n_t)
-    js = np.linspace(J_lo, J_hi, n_j) if J_hi > J_lo else np.array([J_lo])
+    js = np.linspace(J_lo, J_hi, n_j)
     out = []
     for t in ts:
         cs = pair_concurrences(closed_form_state(float(t), js), SCAN_PAIRS)
-        dev = np.abs(cs - 0.5).max(axis=1)
+        dev = w_deviation(cs.T)
         for j in np.flatnonzero(dev < threshold):
             out.append(WStateCandidate(
                 t=float(t), J=float(js[j]),
@@ -432,12 +436,6 @@ _SIGNALS = {
     "C13": closed_form_c13,
     "GAP": concurrence_gap,
 }
-
-
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(math.gcd(a.numerator * b.denominator,
-                             b.numerator * a.denominator),
-                    a.denominator * b.denominator)
 
 
 def _signal_terms(name: str, J: Fraction):
@@ -471,28 +469,23 @@ def exact_signal_period(name: str, J) -> float | None:
 
     Collects the signal's frequency/coefficient table exactly (Fraction
     arithmetic), drops cancelled terms, and returns 2*pi over the gcd of the
-    surviving frequencies.  None when the signal is constant or J is not a
-    small rational.
+    surviving frequencies p_i/q_i (reduced), gcd(p_i)/lcm(q_i).  None when
+    the signal is constant or J is not a small rational.
     """
     J_frac = _as_small_fraction(J)
     if J_frac is None:
         return None
-    combined: dict = {}
+    combined = collections.Counter()
     for kind, freq, coeff in _signal_terms(name, J_frac):
-        if freq == 0:
-            continue  # constant (cos) or vanishing (sin) term
-        if freq < 0:
-            freq = -freq
-            if kind == "sin":
-                coeff = -coeff
-        key = (kind, freq)
-        combined[key] = combined.get(key, Fraction(0)) + coeff
+        # a zero frequency is a constant (cos) or vanishing (sin) term; cos
+        # is even in the frequency and sin odd
+        if freq != 0:
+            combined[kind, abs(freq)] += -coeff if freq < 0 and kind == "sin" else coeff
     freqs = [freq for (kind, freq), coeff in combined.items() if coeff != 0]
     if not freqs:
         return None
-    g = freqs[0]
-    for f in freqs[1:]:
-        g = _frac_gcd(g, f)
+    g = Fraction(math.gcd(*(f.numerator for f in freqs)),
+                 math.lcm(*(f.denominator for f in freqs)))
     return float(2.0 * math.pi / g)
 
 
@@ -557,11 +550,7 @@ def periodicity_report(J) -> list[PeriodEstimate]:
     t_max = 4.5 * max(known) if known else 16.0 * np.pi
     ts = np.linspace(0.0, t_max, 8192)
     dt = ts[1] - ts[0]
-    out = []
-    for name in _SIGNALS:
-        values = _SIGNALS[name](ts, float(J))
-        est = estimate_period(values, float(dt))
-        out.append(PeriodEstimate(
-            signal=name, estimated=est, exact=exact[name],
-            degenerate=bool(est is None)))
-    return out
+    estimated = {name: estimate_period(signal(ts, float(J)), float(dt))
+                 for name, signal in _SIGNALS.items()}
+    return [PeriodEstimate(name, est, exact[name], degenerate=est is None)
+            for name, est in estimated.items()]

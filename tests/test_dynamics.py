@@ -5,7 +5,6 @@ import pytest
 
 from triplaq.cli_io import SweepConfig, cmd_evolve
 from triplaq.dynamics import (
-    EigenDecomposition,
     amplitudes_closed_form,
     closed_form_state,
     evolve_numeric,
@@ -100,42 +99,41 @@ class TestClosedForm:
 
 class TestJacobiEigensolver:
     def test_zero_matrix(self):
-        dec = hermitian_eigendecompose(np.zeros((16, 16)))
-        assert np.all(dec.eigenvalues == 0.0)
-        assert np.array_equal(dec.eigenvectors, np.eye(16))
+        w, v = hermitian_eigendecompose(np.zeros((16, 16)))
+        assert np.all(w == 0.0)
+        assert np.array_equal(v, np.eye(16))
 
     def test_diagonal_matrix(self):
-        dec = hermitian_eigendecompose(np.diag(np.arange(1.0, 17.0)))
-        np.testing.assert_allclose(dec.eigenvalues, np.arange(1.0, 17.0))
-        assert np.array_equal(dec.eigenvectors, np.eye(16))
+        w, v = hermitian_eigendecompose(np.diag(np.arange(1.0, 17.0)))
+        np.testing.assert_allclose(w, np.arange(1.0, 17.0))
+        assert np.array_equal(v, np.eye(16))
 
     def test_single_excitation_ring_spectrum(self):
         block = single_excitation_block(build_hamiltonian(default_plaquette(J=0.0)))
-        dec = hermitian_eigendecompose(block)
-        np.testing.assert_allclose(dec.eigenvalues, [-1, 0, 0, 1], atol=1e-13)
+        w, _ = hermitian_eigendecompose(block)
+        np.testing.assert_allclose(w, [-1, 0, 0, 1], atol=1e-13)
 
     def test_against_reference_solver(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
             b = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
             h = (b + b.conj().T) / 2
-            dec = hermitian_eigendecompose(h)
-            np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h),
-                                       atol=1e-12)
-            resid = h @ dec.eigenvectors - dec.eigenvectors @ np.diag(dec.eigenvalues)
+            w, v = hermitian_eigendecompose(h)
+            np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
+            resid = h @ v - v @ np.diag(w)
             assert np.abs(resid).max() < 1e-10
-            unit = dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(16)
+            unit = v.conj().T @ v - np.eye(16)
             assert np.abs(unit).max() < 1e-10
-            assert np.all(np.diff(dec.eigenvalues) >= -1e-14)
+            assert np.all(np.diff(w) >= -1e-14)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         b = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         h = (b + b.conj().T) / 2
-        d1 = hermitian_eigendecompose(h)
-        d2 = hermitian_eigendecompose(h.copy())
-        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+        w1, v1 = hermitian_eigendecompose(h)
+        w2, v2 = hermitian_eigendecompose(h.copy())
+        assert np.array_equal(w1, w2)
+        assert np.array_equal(v1, v2)
 
     def test_rejects_non_hermitian(self):
         m = np.zeros((4, 4), dtype=complex)
@@ -150,15 +148,14 @@ class TestStackedJacobi:
 
     @staticmethod
     def _assert_matches_per_matrix(stack):
-        dec = hermitian_eigendecompose(stack)
-        assert dec.eigenvalues.shape == stack.shape[:-1]
-        assert dec.eigenvectors.shape == stack.shape
+        w, v = hermitian_eigendecompose(stack)
+        assert w.shape == stack.shape[:-1]
+        assert v.shape == stack.shape
         for k, h in enumerate(stack):
-            one = hermitian_eigendecompose(h)
-            assert one.eigenvalues.shape == (16,)
-            assert np.array_equal(dec.eigenvalues[k], one.eigenvalues), k
-            assert np.array_equal(dec.eigenvectors[k], one.eigenvectors), k
-        return dec
+            w1, v1 = hermitian_eigendecompose(h)
+            assert w1.shape == (16,)
+            assert np.array_equal(w[k], w1), k
+            assert np.array_equal(v[k], v1), k
 
     def test_swapped_control_jsweep_grid(self):
         # the spectral J sweep's 401 couplings, degenerate J = 0 included
@@ -192,11 +189,11 @@ class TestStackedJacobi:
         rng = np.random.default_rng(5)
         b = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
         stack = b + b.conj().swapaxes(-1, -2)
-        dec = hermitian_eigendecompose(stack)
-        assert dec.eigenvalues.shape == (2, 3, 4)
-        assert dec.eigenvectors.shape == (2, 3, 4, 4)
-        flat = hermitian_eigendecompose(stack.reshape(6, 4, 4))
-        assert np.array_equal(dec.eigenvectors.reshape(6, 4, 4), flat.eigenvectors)
+        w, v = hermitian_eigendecompose(stack)
+        assert w.shape == (2, 3, 4)
+        assert v.shape == (2, 3, 4, 4)
+        _, v_flat = hermitian_eigendecompose(stack.reshape(6, 4, 4))
+        assert np.array_equal(v.reshape(6, 4, 4), v_flat)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_non_finite_entry_rejected(self, bad):
@@ -259,9 +256,20 @@ class TestPropagation:
         assert norm_error(psi).max() < 1e-10
         assert sector_leak(psi).max() < 1e-12
 
+    @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
+    def test_takes_the_pair_numpy_returns(self, factory):
+        # a drop-in swap: numpy's (eigenvalues, eigenvectors) propagates as ours
+        psi0, ts = initial_bell_state(), np.linspace(0.0, 8 * np.pi, 65)
+        for J in (0.0, 0.5, 2.0 / 3.0, 1.0, 2.0):
+            H = build_hamiltonian(factory(J))
+            w, v = hermitian_eigendecompose(H)
+            assert w.shape == (16,) and v.shape == (16, 16)
+            ours = evolve_numeric((w, v), psi0, ts)
+            assert np.abs(evolve_numeric(np.linalg.eigh(H), psi0, ts) - ours).max() <= 1e-12
+
     def test_norm_drift_raises(self):
         good = _dec(0.5)
-        broken = EigenDecomposition(good.eigenvalues, 0.9 * good.eigenvectors)
+        broken = (good[0], 0.9 * good[1])
         with pytest.raises(NumericalHealthError, match="norm"):
             evolve_numeric(broken, initial_bell_state(), 1.0)
 
@@ -299,8 +307,7 @@ class TestGridEngine:
         psi0 = initial_bell_state()
         ts = np.arange(0.0, 8 * np.pi + 1e-12, np.pi / 64)
         for J in (0.0, 0.5, 2.0 / 3.0, 1.0, 2.0):
-            dec = _dec(J, factory)
-            V, E = dec.eigenvectors, dec.eigenvalues
+            dec = E, V = _dec(J, factory)
             explicit = np.array([V @ np.diag(np.exp(-1j * E * t)) @ V.conj().T @ psi0
                                  for t in ts])
             batch = evolve_numeric(dec, psi0, ts)
@@ -317,10 +324,9 @@ class TestGridEngine:
         batch = evolve_numeric(stacked, psi0, ts)
         assert batch.shape == (js.size, ts.size, 16)
         for k, J in enumerate(js):
-            dec = _dec(J, factory)
+            dec = E, V = _dec(J, factory)
             assert np.array_equal(batch[k], evolve_numeric(dec, psi0, ts))
             # the propagator written out: one (nt, 16) @ (16, 16) matmul
-            V, E = dec.eigenvectors, dec.eigenvalues
             inline = (np.exp(-1j * np.multiply.outer(ts, E)) * (V.conj().T @ psi0)) @ V.T
             assert np.array_equal(batch[k], inline)
         at_one_t = evolve_numeric(stacked, psi0, 1.3)
@@ -335,9 +341,8 @@ class TestGridEngine:
         ts = np.linspace(0.0, 4 * np.pi, 5)
         geom = swapped_control_plaquette(0.0)
         for chunk in np.array_split(np.linspace(0.0, 2.0, 401), 4):
-            stack = hermitian_eigendecompose(np.stack(
+            stack = E, V = hermitian_eigendecompose(np.stack(
                 [build_hamiltonian(geom.with_couplings(J=float(J))) for J in chunk]))
-            V, E = stack.eigenvectors, stack.eigenvalues
             coef = np.conj(V).swapaxes(-1, -2) @ psi0
             inline = np.matmul(np.exp(-1j * (ts[:, None] * E[..., None, :])) * coef[..., None, :],
                                V.swapaxes(-1, -2))
@@ -345,7 +350,7 @@ class TestGridEngine:
 
     def test_batched_norm_drift_raises(self):
         good = _dec(0.5)
-        broken = EigenDecomposition(good.eigenvalues, 0.9 * good.eigenvectors)
+        broken = (good[0], 0.9 * good[1])
         with pytest.raises(NumericalHealthError, match="norm"):
             evolve_numeric(broken, initial_bell_state(), [0.0, 1.0])
 

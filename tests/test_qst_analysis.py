@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from triplaq import qst_analysis
 from triplaq.dynamics import closed_form_state
-from triplaq.entanglement import concurrence_gap, state_concurrence
+from triplaq.entanglement import SCAN_PAIRS, concurrence_gap, pair_concurrences, state_concurrence
 from triplaq.qst_analysis import (
     estimate_period,
     exact_signal_period,
@@ -19,6 +19,7 @@ from triplaq.qst_analysis import (
     periodicity_report,
     sequence_table,
     verify_transfers,
+    w_deviation,
     wstate_candidate_from_state,
     wstate_scan,
 )
@@ -234,6 +235,34 @@ class TestWStateScan:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             wstate_scan((0.0, 2 * np.pi), (0.0, 2.0), 16, 0.0)
+
+    def test_reversed_j_range_rejected(self):
+        # it once scanned only J = 2 and returned no candidates
+        with pytest.raises(ValueError, match="J range"):
+            wstate_scan((0.0, 4 * np.pi), (2.0, 0.0), 32, 1e-3)
+
+    def test_reversed_t_range_rejected(self):
+        # it once scanned only t = 4 pi and t = 0 and returned 8 candidates
+        with pytest.raises(ValueError, match="t range"):
+            wstate_scan((4 * np.pi, 0.0), (0.0, 2.0), 32, 1e-3)
+
+
+class TestWDeviation:
+    def test_zero_on_w_state(self):
+        c = pair_concurrences(embed_single_excitation((0.5, 0.5, 0.5, 0.5)), SCAN_PAIRS)
+        assert w_deviation(c) == 0.0
+
+    def test_largest_distance_from_half(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(200, 4)) + 1j * rng.normal(size=(200, 4))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        c = pair_concurrences(embed_single_excitation(a), SCAN_PAIRS)
+        expected = np.abs(c - 0.5).max(axis=1)
+        # pair axis first: the transposed stack, or four separate arrays
+        assert np.array_equal(w_deviation(c.T), expected)
+        assert np.array_equal(w_deviation([c[:, k] for k in range(4)]), expected)
+        for row, want in zip(c, expected):
+            assert w_deviation(row) == max(abs(row - 0.5)) == want
 
 
 class TestPeriodicity:

@@ -238,9 +238,9 @@ class TestEventsMatchScalarLoop:
     def test_forbidden_refines_every_coupling_in_one_pass(self, monkeypatch):
         lanes = []
 
-        def spy(f, lo, hi, xtol=1e-10):
+        def spy(f, lo, hi):
             lanes.append(len(lo))
-            return _golden_max(f, lo, hi, xtol)
+            return _golden_max(f, lo, hi)
 
         monkeypatch.setattr(qst_analysis, "_golden_max", spy)
         assert forbidden_J_scan(EIGHT_J, 200.0) == _scalar_forbidden_J_scan(EIGHT_J, 200.0)
