@@ -51,6 +51,7 @@ from .spin_core import (
     PlaquetteGeometry,
     SINGLE_EXCITATION_INDICES,
     build_hamiltonian,
+    build_hamiltonians,
     default_plaquette,
     embed_single_excitation,
     initial_bell_state,

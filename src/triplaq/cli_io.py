@@ -61,6 +61,7 @@ from .qst_analysis import (
 from .spin_core import (
     SINGLE_EXCITATION_INDICES,
     build_hamiltonian,
+    build_hamiltonians,
     default_plaquette,
     embed_single_excitation,
     initial_bell_state,
@@ -387,8 +388,7 @@ def cmd_surface(cfg: SweepConfig, signals) -> dict:
         per_j = []
         for chunk in np.array_split(js_d, -(-js_d.size // TIME_CHUNK)):
             with _hamiltonian_flags("--j-range, --d"):
-                decomp = hermitian_eigendecompose(np.stack(
-                    [build_hamiltonian(geom.with_couplings(J=float(J))) for J in chunk]))
+                decomp = hermitian_eigendecompose(build_hamiltonians(geom, chunk))
             per_j.append(evolve_numeric(decomp, psi0, ts_d))
             del decomp      # free it before the next stack is built
         states = np.concatenate(per_j).swapaxes(0, 1)
@@ -599,8 +599,7 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     # bad --geometry fails before any scan runs
     geom = resolve_geometry(cfg.geometry, 0.0)
     with _hamiltonian_flags("--geometry"):
-        conservation = hermitian_eigendecompose(np.stack(
-            [build_hamiltonian(geom.with_couplings(J=J)) for J in (0.0, 0.5, 1.0, 2.0)]))
+        conservation = hermitian_eigendecompose(build_hamiltonians(geom, (0.0, 0.5, 1.0, 2.0)))
 
     # Route equivalence, committed geometry vs swapped negative control.
     t_fine = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)

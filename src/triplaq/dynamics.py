@@ -1,10 +1,11 @@
 """Time evolution of the Bell-pair initial state, by two independent routes.
 
 Route one evaluates the closed-form single-excitation amplitudes; route two
-diagonalizes the Hamiltonian (cyclic Jacobi) and applies the spectral
-propagator.  :func:`oracle_equivalence_report` certifies that both routes
-agree, which is what pins down the committed bond geometry.  Times and
-couplings are in units of the ring coupling D (see :mod:`triplaq.spin_core`).
+diagonalizes the Hamiltonian (cyclic Jacobi, bit-identical when swept one
+total-S^z block at a time) and applies the spectral propagator.
+:func:`oracle_equivalence_report` certifies that both routes agree, which is
+what pins down the committed bond geometry.  Times and couplings are in
+units of the ring coupling D (see :mod:`triplaq.spin_core`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalHealthError
 from .spin_core import (
-    build_hamiltonian,
+    build_hamiltonians,
     default_plaquette,
     embed_single_excitation,
     initial_bell_state,
@@ -132,51 +133,72 @@ def _jacobi_sweep(A, Vt, skip_below):
             q += 1
 
 
+def _blocks(A) -> list[np.ndarray]:
+    """Sorted index arrays of the connected components of the off-diagonal
+    entries nonzero in any matrix of the stack A, in order of their first
+    index.  A rotation inside one component touches no entry outside it."""
+    n = A.shape[-1]
+    linked = np.any(A, axis=0) | np.eye(n, dtype=bool)
+    linked |= linked.T
+    for _ in range(n.bit_length()):     # until it holds every path of < 2n steps
+        linked = linked @ linked
+    return [np.flatnonzero(row) for i, row in enumerate(linked) if row.argmax() == i]
+
+
 def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi diagonalization of a Hermitian matrix, shape (n, n), or
     of a stack of them, shape (..., n, n), in one pass over the stack.  Like
     ``np.linalg.eigh`` it returns (eigenvalues, eigenvectors): ascending,
     shape (..., n), and shape (..., n, n), column k belonging to value k.
 
-    Rotations are applied in a fixed row-major order, which makes the output
-    deterministic (including the basis chosen inside degenerate eigenspaces).
-    Convergence, per matrix: off-diagonal Frobenius norm below 1e-13
-    relative to the matrix's own scale, within 100 sweeps.  Each matrix of
-    a stack gets exactly the rotations it would get alone, so the result
-    equals per-matrix calls bit for bit.  Raises ContractViolationError for
-    a non-finite or non-Hermitian input and for a Frobenius norm that
-    overflows.
+    Each block of :func:`_blocks` (the plaquette's total S^z sectors, sizes
+    1, 4, 6, 4, 1) is swept as its own stack, pairs in row-major order, so
+    the output is deterministic (degenerate eigenspaces included).  Blocks
+    touch disjoint entries, so each matrix gets exactly the rotations of a
+    sweep over its full rows, and those it would get alone: the result
+    equals per-matrix calls bit for bit.  Convergence, per matrix:
+    off-diagonal Frobenius norm below 1e-13 of the matrix's own scale,
+    within 100 sweeps.  Raises ContractViolationError for a non-finite or
+    non-Hermitian input and for a Frobenius norm that overflows.
     """
     H = _require_hermitian(H)
     lead, n = H.shape[:-2], H.shape[-1]
-    A = H.reshape(-1, n, n).copy()
-    m = A.shape[0]
-    with np.errstate(over="ignore"):
-        scale = np.array([max(1.0, float(np.linalg.norm(a))) for a in A])
+    H = H.reshape(-1, n, n)
+    m = H.shape[0]
+    # per block: its indices, a copy of its entries, its transposed
+    # eigenvector matrices (see _rotate), its off-diagonal flat positions
+    blocks = [(idx, H[np.arange(m)[:, None, None], idx[:, None], idx],
+               np.tile(np.eye(idx.size, dtype=complex), (m, 1, 1)),
+               np.flatnonzero(~np.eye(idx.size, dtype=bool))) for idx in _blocks(H)]
+    flat = H.reshape(m, -1)     # np.vecdot makes no temporary of its size
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.sqrt(np.vecdot(flat, flat).real))
     if not np.isfinite(scale).all():
         raise ContractViolationError("matrix Frobenius norm overflows")
     # elements this small cannot move the off-norm past the tolerance, and
     # rotating on denormal-range values would overflow the phase division
     skip_below = 1e-13 * scale / (10.0 * n * n)
-    Vt = np.empty_like(A)
-    Vt[:] = np.eye(n)
-    live = np.ones(m, dtype=bool)       # the matrices not yet converged
     for _ in range(100):
-        for k in np.flatnonzero(live):
-            live[k] = float(np.linalg.norm(A[k] - np.diag(np.diag(A[k])))) > 1e-13 * scale[k]
+        off = [np.take(A.reshape(m, -1), pos, axis=1) for _, A, _, pos in blocks]
+        live = np.sqrt(sum(np.vecdot(x, x).real for x in off)) > 1e-13 * scale
         if not live.any():
             break
         # a converged matrix skips every pair, so it never rotates again
-        _jacobi_sweep(A, Vt, np.where(live, skip_below, np.inf))
-    evals = np.diagonal(A, axis1=-2, axis2=-1).real
+        skip = np.where(live, skip_below, np.inf)
+        for _, A, Vt, _ in blocks:
+            _jacobi_sweep(A, Vt, skip)
+    evals = np.empty((m, n))
+    for idx, A, _, _ in blocks:
+        evals[:, idx] = np.diagonal(A, axis1=-2, axis2=-1).real
     order = np.argsort(evals, axis=-1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=-1)
-    del A       # free it before the eigenvectors are copied out
-    # rows of Vt in eigenvalue order: each eigenvector matrix column-major,
-    # as V[:, order] lays out one matrix, so that propagation runs the same
-    # BLAS calls for a stack
-    vecs = Vt[np.arange(m)[:, None], order].swapaxes(-1, -2)
-    return evals.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
+    # the rows of each Vt, put at their eigenvalues' ranks: each eigenvector
+    # matrix column-major, as V[:, order] lays out one matrix, so that
+    # propagation runs the same BLAS calls for a stack
+    rank, vecs = np.argsort(order, axis=-1), np.zeros_like(H)
+    for idx, _, Vt, _ in blocks:
+        vecs[np.arange(m)[:, None, None], rank[:, idx, None], idx] = Vt
+    return evals.reshape(lead + (n,)), vecs.swapaxes(-1, -2).reshape(lead + (n, n))
 
 
 def evolve_numeric(decomp, psi0: np.ndarray, t) -> np.ndarray:
@@ -223,7 +245,8 @@ def phase_aligned_distance(psi: np.ndarray, reference: np.ndarray):
 
 #: Times propagated per batch, and couplings per stacked decomposition in
 #: ``surface``; keeps each batch small (128 x 16 complex states, 32 KiB;
-#: 128 Hamiltonians, 512 KiB) however long the grid is.
+#: 128 Hamiltonians, 512 KiB) however long the grid is.  One stack of all
+#: 401 couplings of a 401-point J sweep raised the peak RSS by about 4 MiB.
 TIME_CHUNK = 128
 
 
@@ -243,8 +266,9 @@ def oracle_equivalence_report(J_values, t_values,
 
     The deviation per point is the phase-quotiented distance between the
     numerically propagated state and the embedded closed-form amplitudes.
-    A wrong bond geometry shows up as an O(1) deviation.  All Hamiltonians
-    are diagonalized as one stack; ties go to the first J, then the first t.
+    A wrong bond geometry shows up as an O(1) deviation.  One stack holds
+    the Hamiltonians of ``geometry_factory``'s bond pattern, which must not
+    depend on J, at every J; ties go to the first J, then the first t.
     Propagation runs one J and at most TIME_CHUNK times at a time, so every
     temporary stays at 32 KiB; larger ones took fresh pages from the kernel
     on every call, at a cost that follows the host's memory load.
@@ -254,8 +278,7 @@ def oracle_equivalence_report(J_values, t_values,
     if not J_values or not ts.size:
         raise ValueError("J and t grids must be nonempty")
     psi0 = initial_bell_state()
-    E, V = hermitian_eigendecompose(np.stack(
-        [build_hamiltonian(geometry_factory(J)) for J in J_values]))
+    E, V = hermitian_eigendecompose(build_hamiltonians(geometry_factory(J_values[0]), J_values))
     worst = (-1.0, 0.0, 0.0)
     for j, J in enumerate(J_values):
         for lo in range(0, ts.size, TIME_CHUNK):

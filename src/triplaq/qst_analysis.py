@@ -33,6 +33,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: Width at which a golden-section lane stops narrowing.
 GOLDEN_XTOL = 1e-10
 
+#: Largest denominator with which a float coupling reads as an exact fraction.
+SMALL_FRACTION_MAX_DENOMINATOR = 512
 #: Wootters tolerance of a complete transfer: c12 <= TOL and c34 >= 1 - TOL.
 TRANSFER_TOL = 1e-8
 
@@ -165,9 +167,9 @@ def _golden_max(f, lo, hi):
 class QstEvent:
     """A located complete-transfer event.
 
-    ``J`` is an exact Fraction when the event snapped onto the rational
-    lattice (``snapped=True``), otherwise a float.  ``confirmed`` requires
-    the gap to reach 1 within 1e-10 and :func:`verify_transfers` to pass.
+    ``snapped`` (``m`` set) if it snapped onto the rational lattice, where
+    ``J`` is an exact Fraction, else a float.  ``confirmed`` requires the
+    gap to reach 1 within 1e-10 and :func:`verify_transfers` to pass.
     """
 
     m: int | None
@@ -177,7 +179,7 @@ class QstEvent:
     c12: float
     c34: float
     confirmed: bool
-    snapped: bool
+    snapped = property(lambda self: self.m is not None)
 
 
 #: Refined gap values below this are not events.
@@ -279,7 +281,7 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
                                  np.maximum(J_lo, j_peak - j_step),
                                  np.minimum(J_hi, j_peak + j_step))
 
-    found: dict = {}      # key -> (m, t, J, gap_ok, snapped)
+    found: dict = {}      # key -> (m, t, J, gap_ok)
     values = concurrence_gap(t_peak, j_peak)
     for t_c, j_c, value in zip(t_peak.tolist(), j_peak.tolist(), values.tolist()):
         if value < EVENT_KEEP:
@@ -301,16 +303,15 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
             m_ev, t_ev, J_ev, key = None, t_c, j_c, (round(t_c, 6), round(j_c, 6))
         if t_ev >= t_hi - 1e-9 or key in found:  # window stays half-open
             continue
-        found[key] = (m_ev, float(t_ev), J_ev, snap_ok or abs(value - 1.0) < 1e-10, snap_ok)
+        found[key] = (m_ev, float(t_ev), J_ev, snap_ok or abs(value - 1.0) < 1e-10)
     pending = sorted(found.values(), key=lambda e: (e[1], float(e[2])))
     t_ev = np.array([e[1] for e in pending])
     j_ev = np.array([float(e[2]) for e in pending])
     gap = concurrence_gap(t_ev, j_ev)
     c12, c34, ok = verify_transfers(t_ev, j_ev)
     return [QstEvent(m=m, t=t, J=J, gap_value=float(g), c12=float(a), c34=float(b),
-                     confirmed=gap_ok and bool(k), snapped=snapped)
-            for (m, t, J, gap_ok, snapped), g, a, b, k
-            in zip(pending, gap, c12, c34, ok)]
+                     confirmed=gap_ok and bool(k))
+            for (m, t, J, gap_ok), g, a, b, k in zip(pending, gap, c12, c34, ok)]
 
 
 @dataclass(frozen=True)
@@ -489,12 +490,12 @@ def exact_signal_period(name: str, J) -> float | None:
     return float(2.0 * math.pi / g)
 
 
-def _as_small_fraction(J, max_denominator: int = 512) -> Fraction | None:
+def _as_small_fraction(J) -> Fraction | None:
     if isinstance(J, Fraction):
         return J
     if isinstance(J, int):
         return Fraction(J)
-    frac = Fraction(float(J)).limit_denominator(max_denominator)
+    frac = Fraction(float(J)).limit_denominator(SMALL_FRACTION_MAX_DENOMINATOR)
     return frac if abs(float(frac) - float(J)) < 1e-12 else None
 
 

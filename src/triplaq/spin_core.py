@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -96,8 +96,9 @@ class PlaquetteGeometry:
 
     DM_Z bonds couple with their ``strength`` and HEISENBERG_ISO bonds with
     ``strength * J``.  The bond pattern is independent of J, so one geometry
-    can be re-coupled across a sweep.  Another D is a change of units,
-    H(J, D) = D * H(J/D, 1), made at the command line.
+    gives a whole sweep's Hamiltonians (:func:`build_hamiltonians`).
+    Another D is a change of units, H(J, D) = D * H(J/D, 1), made at the
+    command line.
     """
 
     bonds: tuple[BondSpec, ...]
@@ -117,10 +118,6 @@ class PlaquetteGeometry:
                 raise ConfigError(
                     f"duplicate {b.kind.value} bond on sites {b.unordered_pair}")
             seen.add(key)
-
-    def with_couplings(self, *, J: float) -> "PlaquetteGeometry":
-        """Same bond pattern with a new isotropic coupling."""
-        return replace(self, J=J)
 
 
 _RING = ((1, 2), (2, 3), (3, 4), (4, 1))
@@ -184,19 +181,27 @@ def _bond_terms(kind: BondKind, i: int, j: int) -> tuple[np.ndarray, ...]:
     return terms
 
 
-def build_hamiltonian(geom: PlaquetteGeometry) -> np.ndarray:
-    """Assemble the 16x16 Hamiltonian from a geometry's bond list.
-
-    Each DM_Z bond i->j adds ``strength*(Sx_i Sy_j - Sy_i Sx_j)``; each
-    HEISENBERG_ISO bond adds ``strength*J*(Sx Sx + Sy Sy + Sz Sz)``, one axis
-    at a time.  The result is Hermitian and commutes with total S^z.
-    """
-    H = np.zeros((DIM, DIM), dtype=complex)
+def build_hamiltonians(geom: PlaquetteGeometry, J_values) -> np.ndarray:
+    """The Hamiltonians of ``geom``'s bonds at each of the 1-d ``J_values``,
+    shape (len(J_values), 16, 16), in one pass over the bonds: each DM_Z bond
+    i->j adds ``strength*(Sx_i Sy_j - Sy_i Sx_j)``, each HEISENBERG_ISO bond
+    ``strength*J*(Sx Sx + Sy Sy + Sz Sz)`` one axis at a time.  Each slice is
+    Hermitian, commutes with total S^z and equals the build at its J alone
+    bit for bit (same products, summed in the same order)."""
+    J = np.asarray(J_values, dtype=float).reshape(-1, 1, 1)
+    H = np.zeros((J.shape[0], DIM, DIM), dtype=complex)
+    product = np.empty_like(H)
     for b in geom.bonds:
-        coeff = b.strength if b.kind is BondKind.DM_Z else b.strength * geom.J
+        coeff = b.strength if b.kind is BondKind.DM_Z else b.strength * J
         for term in _bond_terms(b.kind, b.from_site, b.to_site):
-            H += coeff * term
+            H += np.multiply(coeff, term, out=product)
     return H
+
+
+def build_hamiltonian(geom: PlaquetteGeometry) -> np.ndarray:
+    """The 16x16 Hamiltonian of a geometry at its own coupling ``geom.J``
+    (see :func:`build_hamiltonians`)."""
+    return build_hamiltonians(geom, [geom.J])[0]
 
 
 def _excitation_count(index: int) -> int:

@@ -45,6 +45,7 @@ from triplaq.qst_analysis import is_lattice_transfer, verify_transfers, wstate_s
 from triplaq.spin_core import (
     SINGLE_EXCITATION_INDICES,
     build_hamiltonian,
+    build_hamiltonians,
     default_plaquette,
     initial_bell_state,
     norm_error,
@@ -622,8 +623,7 @@ class TestSurfaceCommand:
             states = closed_form_state(ts_d[:, None], js_d)
         else:
             geom = resolve_geometry(geometry, 0.0)
-            decomp = hermitian_eigendecompose(np.stack(
-                [build_hamiltonian(geom.with_couplings(J=float(J))) for J in js_d]))
+            decomp = hermitian_eigendecompose(build_hamiltonians(geom, js_d))
             states = evolve_numeric(decomp, initial_bell_state(), ts_d).swapaxes(0, 1)
         rows = []
         for t, t_d, row_states in zip(ts, ts_d, states):

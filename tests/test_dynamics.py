@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplaq.cli_io import SweepConfig, cmd_evolve
 from triplaq.dynamics import (
+    _blocks,
     amplitudes_closed_form,
     closed_form_state,
     evolve_numeric,
@@ -18,6 +21,7 @@ from triplaq.spin_core import (
     BondSpec,
     PlaquetteGeometry,
     build_hamiltonian,
+    build_hamiltonians,
     default_plaquette,
     embed_single_excitation,
     initial_bell_state,
@@ -223,6 +227,73 @@ class TestStackedJacobi:
             hermitian_eigendecompose(np.zeros((0, 16, 16)))
 
 
+#: The basis indices of each total S^z sector, by excitation count.
+_SZ_SECTORS = [[b for b in range(16) if bin(b).count("1") == k] for k in range(5)]
+
+
+class TestSzBlocks:
+    """The solver sweeps each connected block of the stack's combined
+    off-diagonal pattern on its own."""
+
+    @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
+    def test_builtin_geometries_split_into_sz_sectors(self, factory):
+        for js in ([0.7], [0.0, 0.5, 2.0]):
+            blocks = _blocks(build_hamiltonians(factory(0.0), js))
+            assert [b.tolist() for b in blocks] == _SZ_SECTORS
+            assert [b.size for b in blocks] == [1, 4, 6, 4, 1]
+
+    def test_dense_matrix_is_one_block(self):
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        blocks = _blocks((b + b.conj().T)[None])
+        assert [blk.tolist() for blk in blocks] == [list(range(16))]
+
+    @pytest.mark.parametrize("entries", [((2, 12), (12, 2)), ((12, 2),)],
+                             ids=["pair", "one-sided"])
+    def test_one_off_sector_entry_merges_two_sectors(self, entries):
+        # |0010> coupled to |1100>; a one-sided entry within the Hermitian
+        # tolerance links the sectors too
+        stack = build_hamiltonians(default_plaquette(0.0), [0.0, 0.5])
+        for p, q in entries:
+            stack[1, p, q] = 1e-3 if len(entries) == 2 else 1e-13
+        blocks = _blocks(stack)
+        assert [b.tolist() for b in blocks] == [
+            [0], sorted(_SZ_SECTORS[1] + _SZ_SECTORS[2]), _SZ_SECTORS[3], [15]]
+        w, v = hermitian_eigendecompose(stack[1])
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(stack[1]), atol=1e-12)
+        assert np.abs(stack[1] @ v - v * w).max() < 1e-12
+
+
+@st.composite
+def _sz_conserving_stacks(draw):
+    """A random bond list with random strengths, built at random couplings."""
+    pairs = [(i, j) for i in range(1, 5) for j in range(1, 5) if i < j]
+    bonds = []
+    for kind in BondKind:
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=0, max_size=6, unique=True))
+        for i, j in chosen:
+            flip = draw(st.booleans())
+            bonds.append(BondSpec(kind, j if flip else i, i if flip else j,
+                                  draw(st.floats(-3.0, 3.0))))
+    if not bonds:
+        bonds.append(BondSpec(BondKind.DM_Z, 1, 2))
+    js = draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5))
+    return build_hamiltonians(PlaquetteGeometry(tuple(bonds)), js)
+
+
+class TestBlockedJacobiProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(_sz_conserving_stacks())
+    def test_eigen_pairs_of_sz_conserving_stacks(self, stack):
+        w, v = hermitian_eigendecompose(stack)
+        scale = np.maximum(1.0, np.linalg.norm(stack, axis=(-2, -1)))
+        tol = 1e-12 * scale
+        assert (np.abs(w - np.linalg.eigvalsh(stack)).max(axis=-1) <= tol).all()
+        assert (np.linalg.norm(stack @ v - v * w[..., None, :], axis=(-2, -1)) <= tol).all()
+        unit = v.conj().swapaxes(-1, -2) @ v - np.eye(16)
+        assert (np.linalg.norm(unit, axis=(-2, -1)) <= tol).all()
+
+
 def _dec(J, factory=default_plaquette):
     return hermitian_eigendecompose(build_hamiltonian(factory(J)))
 
@@ -341,8 +412,7 @@ class TestGridEngine:
         ts = np.linspace(0.0, 4 * np.pi, 5)
         geom = swapped_control_plaquette(0.0)
         for chunk in np.array_split(np.linspace(0.0, 2.0, 401), 4):
-            stack = E, V = hermitian_eigendecompose(np.stack(
-                [build_hamiltonian(geom.with_couplings(J=float(J))) for J in chunk]))
+            stack = E, V = hermitian_eigendecompose(build_hamiltonians(geom, chunk))
             coef = np.conj(V).swapaxes(-1, -2) @ psi0
             inline = np.matmul(np.exp(-1j * (ts[:, None] * E[..., None, :])) * coef[..., None, :],
                                V.swapaxes(-1, -2))

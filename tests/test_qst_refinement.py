@@ -116,7 +116,7 @@ def _scalar_locate_events_2d(t_range, J_range, resolution):
         events[key] = QstEvent(
             m=m_hyp if snap_ok else None, t=float(t_ev),
             J=j_frac if snap_ok else j_ev, gap_value=gap_ev,
-            c12=math.nan, c34=math.nan, confirmed=reached_tol, snapped=snap_ok)
+            c12=math.nan, c34=math.nan, confirmed=reached_tol)
     pending = sorted(events.values(), key=lambda e: (e.t, float(e.J)))
     c12, c34, ok = verify_transfers(np.array([e.t for e in pending]),
                                     np.array([float(e.J) for e in pending]))

@@ -9,6 +9,7 @@ from triplaq.spin_core import (
     BondSpec,
     PlaquetteGeometry,
     build_hamiltonian,
+    build_hamiltonians,
     default_plaquette,
     embed_single_excitation,
     initial_bell_state,
@@ -102,11 +103,6 @@ class TestGeometry:
         with pytest.raises(ValueError, match="finite"):
             BondSpec(BondKind.HEISENBERG_ISO, 1, 3, strength)
 
-    def test_with_couplings_keeps_pattern(self):
-        geom = default_plaquette(J=0.2).with_couplings(J=1.5)
-        assert geom.J == 1.5 and geom.D == 1.0
-        assert geom.bonds == default_plaquette(J=0.2).bonds
-
 
 class TestHamiltonian:
     def test_hermitian_and_sector_conserving(self):
@@ -170,6 +166,20 @@ class TestHamiltonian:
         # not reach the next
         H[:] = 7.0
         assert np.array_equal(build_hamiltonian(geom), self._kron_reference(geom))
+
+    @pytest.mark.parametrize("geom", [
+        default_plaquette(0.3), swapped_control_plaquette(-0.2),
+        parse_geometry_text("dm_z 2 1 0.75\ndm_z 3 4 -1.25\nheisenberg_iso 1 3 0.3\n"
+                            "heisenberg_iso 4 2 1.7\nheisenberg_iso 1 2 -0.45\n", J=0.8)],
+        ids=["default", "swapped-control", "file"])
+    def test_stacked_build_equals_single_builds(self, geom):
+        js = np.array([0.0, -0.0, 0.37, 2.0 / 3.0, -1.3, -7.5, 1e3, -1e3])
+        stack = build_hamiltonians(geom, js)
+        assert stack.shape == (js.size, 16, 16)
+        for H, J in zip(stack, js):
+            at_j = PlaquetteGeometry(geom.bonds, J=float(J))
+            assert np.array_equal(H, build_hamiltonian(at_j))
+            assert np.array_equal(H, self._kron_reference(at_j))
 
     def test_heisenberg_leg_matrix_element(self):
         # <1000|H|0010> couples excitations on sites 1 and 3 through
