@@ -140,7 +140,7 @@ def _blocks(A) -> list[np.ndarray]:
     n = A.shape[-1]
     linked = np.any(A, axis=0) | np.eye(n, dtype=bool)
     linked |= linked.T
-    for _ in range(n.bit_length()):     # until it holds every path of < 2n steps
+    for _ in range(n.bit_length()):     # then it holds every path of up to n steps
         linked = linked @ linked
     return [np.flatnonzero(row) for i, row in enumerate(linked) if row.argmax() == i]
 

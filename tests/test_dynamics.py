@@ -248,14 +248,14 @@ class TestSzBlocks:
         blocks = _blocks((b + b.conj().T)[None])
         assert [blk.tolist() for blk in blocks] == [list(range(16))]
 
-    @pytest.mark.parametrize("entries", [((2, 12), (12, 2)), ((12, 2),)],
+    @pytest.mark.parametrize("entries, value", [(((2, 12), (12, 2)), 1e-3), (((12, 2),), 1e-13)],
                              ids=["pair", "one-sided"])
-    def test_one_off_sector_entry_merges_two_sectors(self, entries):
+    def test_one_off_sector_entry_merges_two_sectors(self, entries, value):
         # |0010> coupled to |1100>; a one-sided entry within the Hermitian
         # tolerance links the sectors too
         stack = build_hamiltonians(default_plaquette(0.0), [0.0, 0.5])
         for p, q in entries:
-            stack[1, p, q] = 1e-3 if len(entries) == 2 else 1e-13
+            stack[1, p, q] = value
         blocks = _blocks(stack)
         assert [b.tolist() for b in blocks] == [
             [0], sorted(_SZ_SECTORS[1] + _SZ_SECTORS[2]), _SZ_SECTORS[3], [15]]
