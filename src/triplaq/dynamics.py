@@ -1,8 +1,9 @@
 """Time evolution of the Bell-pair initial state, by two independent routes.
 
 Route one evaluates the closed-form single-excitation amplitudes; route two
-diagonalizes the Hamiltonian (cyclic Jacobi, bit-identical when swept one
-total-S^z block at a time) and applies the spectral propagator.
+diagonalizes a Hamiltonian (cyclic Jacobi, bit-identical when swept one
+total-S^z block at a time) and applies the spectral propagator, to the full
+16x16 H or, as ``surface`` does, to its 4x4 single-excitation block.
 :func:`oracle_equivalence_report` certifies that both routes agree, which is
 what pins down the committed bond geometry.  Times and couplings are in
 units of the ring coupling D (see :mod:`triplaq.spin_core`).
@@ -205,9 +206,10 @@ def evolve_numeric(decomp, psi0: np.ndarray, t) -> np.ndarray:
     """Spectral propagation psi(t) = V exp(-i E t) V+ psi0 of a diagonalized
     H, given as the (E, V) pair that ``np.linalg.eigh`` returns.
 
-    ``t`` is a scalar, giving one 16-vector, or a vector of times, giving
+    ``psi0`` has H's dimension n: 16, or 4 for a single-excitation block.
+    ``t`` is a scalar, giving one n-vector, or a vector of times, giving
     one row per time from a single matmul.  A stacked decomposition (leading
-    axes ``...``) gives shape (..., 16) or (..., nt, 16), each stack entry
+    axes ``...``) gives shape (..., n) or (..., nt, n), each stack entry
     bit-identical to propagating its own decomposition.  Raises
     NumericalHealthError if any row's norm moved by more than 1e-8.
     """
@@ -243,10 +245,8 @@ def phase_aligned_distance(psi: np.ndarray, reference: np.ndarray):
     return np.linalg.norm(psi - ph / np.abs(ph) * reference, axis=-1)
 
 
-#: Times propagated per batch, and couplings per stacked decomposition in
-#: ``surface``; keeps each batch small (128 x 16 complex states, 32 KiB;
-#: 128 Hamiltonians, 512 KiB) however long the grid is.  One stack of all
-#: 401 couplings of a 401-point J sweep raised the peak RSS by about 4 MiB.
+#: Times propagated, grid rows evaluated or table rows formatted per batch;
+#: keeps each batch small (128 x 16 complex states, 32 KiB) on any grid.
 TIME_CHUNK = 128
 
 

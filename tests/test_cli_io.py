@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import triplaq
-from triplaq import cli_io, dynamics
+from triplaq import cli_io, dynamics, qst_analysis
 from triplaq.cli_io import (
     MAX_GRID_POINTS,
     VERIFY_BLOCK,
@@ -33,11 +34,13 @@ from triplaq.dynamics import (
     phase_aligned_distance,
 )
 from triplaq.entanglement import (
+    ALL_PAIRS,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
     concurrence_gap,
     gap_from_state,
+    pair_concurrences,
     state_concurrence,
 )
 from triplaq.errors import ConfigError
@@ -47,9 +50,11 @@ from triplaq.spin_core import (
     build_hamiltonian,
     build_hamiltonians,
     default_plaquette,
+    embed_single_excitation,
     initial_bell_state,
     norm_error,
     sector_leak,
+    single_excitation_block,
     swapped_control_plaquette,
 )
 
@@ -275,14 +280,14 @@ class TestNoPerCouplingLoops:
             monkeypatch.setattr(module, "hermitian_eigendecompose", counted)
         return calls
 
-    def test_surface_decomposes_j_in_chunks(self, tmp_path, monkeypatch):
+    def test_surface_decomposes_one_block_stack(self, tmp_path, monkeypatch):
         calls = self._spy(monkeypatch)
         code = main(["surface", "--geometry", "swapped-control", "--signals", "GAP",
                      "--t-range", f"0:{FOUR_PI}:5", "--j-range", "0:2:401",
                      "--out", str(tmp_path / "s.csv")])
         assert code == 0
-        assert len(calls) == -(-401 // TIME_CHUNK)
-        assert sum(shape[0] for shape in calls) == 401
+        # every J's 4x4 single-excitation block, in one call
+        assert calls == [(401, 4, 4)]
 
     @pytest.mark.parametrize("geometry", ["default", "swapped-control"])
     def test_surface_calls_the_quartic_once_per_row_and_pair(self, tmp_path, monkeypatch,
@@ -560,6 +565,82 @@ class TestEvolveCommand:
         assert np.loadtxt(out, delimiter=",", skiprows=1)[:, 15].max() < 1e-9
 
 
+def _block_route_states(geom, ts, js):
+    """States over (t, J), shape (nt, nJ, 16), one J at a time: the 4x4
+    single-excitation block of each J's Hamiltonian, diagonalized alone,
+    propagates the Bell pair's four amplitudes."""
+    psi0 = initial_bell_state()[list(SINGLE_EXCITATION_INDICES)]
+    per_j = [evolve_numeric(hermitian_eigendecompose(single_excitation_block(
+        build_hamiltonian(replace(geom, J=float(J))))), psi0, ts) for J in js]
+    return embed_single_excitation(np.stack(per_j, axis=1))
+
+
+def _full_route_states(geom, ts, js):
+    """The same states from the 16x16 Hamiltonians, one stack over J."""
+    decomp = hermitian_eigendecompose(build_hamiltonians(geom, js))
+    return evolve_numeric(decomp, initial_bell_state(), ts).swapaxes(0, 1)
+
+
+class TestSurfaceSectorRoute:
+    """surface on a non-default geometry: the single-excitation block stack
+    against the 16x16 route and the sector concurrence formula."""
+
+    GEOMETRIES = {
+        "non-unit": "dm_z 1 2 0.8\ndm_z 2 3 -1.3\ndm_z 3 4 1.1\ndm_z 4 1 0.6\n"
+                    "heisenberg_iso 1 3 0.7\nheisenberg_iso 2 4 1.9\n"
+                    "heisenberg_iso 1 2 0.35\n",
+        "dm-only": "dm_z 1 2 1\ndm_z 2 3 1\ndm_z 3 4 1\ndm_z 4 1 1\ndm_z 1 3 0.5\n",
+        "iso-only": "heisenberg_iso 1 2 1\nheisenberg_iso 2 3 1\nheisenberg_iso 3 4 1\n"
+                    "heisenberg_iso 4 1 1\nheisenberg_iso 2 4 0.5\n",
+    }
+
+    def _run(self, tmp_path, monkeypatch, name):
+        """Run surface on geometry ``name`` (built in or a file above) and
+        return (geometry, evaluated t, evaluated J, blocks, states)."""
+        if name in self.GEOMETRIES:
+            path = tmp_path / f"{name}.txt"
+            path.write_text(self.GEOMETRIES[name])
+            name = str(path)
+        seen = {"blocks": [], "states": []}
+        for fn, key in ((single_excitation_block, "blocks"),
+                        (embed_single_excitation, "states")):
+            def spy(x, fn=fn, key=key):
+                seen[key].append(fn(x))
+                return seen[key][-1]
+            monkeypatch.setattr(cli_io, fn.__name__, spy)
+        assert main(["surface", "--geometry", name, "--d", "0.8", "--signals", "C12,C13",
+                     "--t-range", "0.1:11:9", "--j-range=-1.5:2.5:17",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        cfg = SweepConfig(t_min=0.1, t_max=11.0, t_steps=9, j_min=-1.5, j_max=2.5,
+                          j_steps=17, d=0.8)
+        (states,) = seen["states"]
+        return (resolve_geometry(name, 0.0), cfg.d * cfg.t_grid(), cfg.j_grid() / cfg.d,
+                seen["blocks"], states)
+
+    @pytest.mark.parametrize("name", ["swapped-control", "non-unit", "dm-only", "iso-only"])
+    def test_states_match_full_hamiltonian_route(self, tmp_path, monkeypatch, name):
+        geom, ts, js, _, states = self._run(tmp_path, monkeypatch, name)
+        assert states.shape == (ts.size, js.size, 16)
+        assert np.abs(states - _full_route_states(geom, ts, js)).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["swapped-control", "non-unit"])
+    def test_pair_concurrences_match_sector_formula(self, tmp_path, monkeypatch, name):
+        _, _, _, _, states = self._run(tmp_path, monkeypatch, name)
+        # sector slot k holds the excitation at site 4 - k
+        amps = np.abs(states[..., list(SINGLE_EXCITATION_INDICES)])
+        got = pair_concurrences(states, ALL_PAIRS)
+        want = np.stack([2 * amps[..., 4 - m] * amps[..., 4 - n] for m, n in ALL_PAIRS], -1)
+        assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("name, zero", [("dm-only", 1), ("iso-only", 0)])
+    def test_one_bond_kind_leaves_one_block_zero(self, tmp_path, monkeypatch, name, zero):
+        # the blocks of H(0) = H_DM and of H(1) = H_DM + H_iso
+        _, _, _, blocks, _ = self._run(tmp_path, monkeypatch, name)
+        h_dm, h_one = blocks
+        assert not np.any((h_dm, h_one - h_dm)[zero])
+        assert np.any((h_dm, h_one - h_dm)[1 - zero])
+
+
 class TestSurfaceCommand:
     def test_header_and_first_row(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -622,9 +703,7 @@ class TestSurfaceCommand:
         if geometry == "default":
             states = closed_form_state(ts_d[:, None], js_d)
         else:
-            geom = resolve_geometry(geometry, 0.0)
-            decomp = hermitian_eigendecompose(build_hamiltonians(geom, js_d))
-            states = evolve_numeric(decomp, initial_bell_state(), ts_d).swapaxes(0, 1)
+            states = _block_route_states(resolve_geometry(geometry, 0.0), ts_d, js_d)
         rows = []
         for t, t_d, row_states in zip(ts, ts_d, states):
             for J, j_d, psi in zip(js, js_d, row_states):
@@ -833,6 +912,18 @@ class TestReportCommand:
         assert code == 1
         payload = json.loads(out.read_text())
         assert "error" in payload and "geom.txt" in payload["error"]["message"]
+
+    def test_missing_period_estimate_fails_periodicity(self, tmp_path, monkeypatch):
+        # every signal has an exact period at J = 0 and 1; an estimator that
+        # finds none must not pass the check
+        monkeypatch.setattr(qst_analysis, "estimate_period", lambda values, dt: None)
+        out = tmp_path / "report.json"
+        assert main(["report", "--t-range", "0:3:5", "--j-range", "0:2:3",
+                     "--out", str(out)]) == 2
+        payload = json.loads(out.read_text())
+        assert payload["checks"]["periodicity_consistent"] is False
+        assert all(est["estimated"] is None and est["exact"]
+                   for ests in payload["results"]["periodicity"].values() for est in ests)
 
     @pytest.mark.parametrize("argv, message", [
         (["--geometry", "/missing/geom.txt"], "geom.txt"),

@@ -406,8 +406,8 @@ class TestGridEngine:
             assert np.array_equal(at_one_t[k], evolve_numeric(_dec(J, factory), psi0, [1.3])[0])
 
     def test_coefficients_bit_identical_on_spectral_jsweep_stacks(self):
-        # the four stacks surface decomposes for 401 swapped-control J: V+ psi0
-        # formed as (psi0* V)* propagates exactly as the conjugated copy of V
+        # 401 swapped-control J in four 16x16 stacks: V+ psi0 formed as
+        # (psi0* V)* propagates exactly as the conjugated copy of V
         psi0 = initial_bell_state().astype(complex)
         ts = np.linspace(0.0, 4 * np.pi, 5)
         geom = swapped_control_plaquette(0.0)
