@@ -27,6 +27,7 @@ import numpy as np
 
 from .dynamics import (
     TIME_CHUNK,
+    closed_form_batches,
     closed_form_state,
     evolve_numeric,
     hermitian_eigendecompose,
@@ -536,6 +537,7 @@ def cmd_wstate(cfg: SweepConfig, resolution: int) -> dict:
 # ---------------------------------------------------------------------------
 
 _ORACLE_J = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
+_CONSERVATION_J = (0.0, 0.5, 1.0, 2.0)
 
 
 def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
@@ -543,14 +545,14 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
     the configured (t, J) grid.
 
     They reduce one pair-major grid of pair concurrences, filled one t-row
-    at a time so the batches stay small; each reduction holds at most a few
-    (t, J) temporaries besides it, and the grid is freed on return, before
-    the report's other scans run.
+    at a time so the batches stay small (the closed form runs on blocks of
+    rows); each reduction holds at most a few (t, J) temporaries besides it,
+    and the grid is freed on return, before the report's other scans run.
     """
     ts, js = cfg.t_grid(), cfg.j_grid()
     c = np.empty((len(ALL_PAIRS), ts.size, js.size))
-    for k, t in enumerate(ts):
-        c[:, k] = pair_concurrences(closed_form_state(float(t), js), ALL_PAIRS).T
+    for k, psi in enumerate(closed_form_batches((t, js) for t in ts)):
+        c[:, k] = pair_concurrences(psi, ALL_PAIRS).T
     conc = dict(zip(ALL_PAIRS, c))
     w12, w34, w13, w24 = w_scan = [conc[pair] for pair in SCAN_PAIRS]
     tt = ts[:, None]
@@ -593,18 +595,24 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     checks: dict = {}
     _check_grid(max(cfg.t_steps * cfg.j_steps, _scan_points(cfg, 64)),
                 "--t-range", "--j-range")
-    # the conservation check's Hamiltonians, diagonalized first so that a
-    # bad --geometry fails before any scan runs
+    # every Hamiltonian the report diagonalizes, in one stack: the
+    # conservation check's and the oracle's, committed and swapped.  The
+    # solver gives each matrix exactly the rotations it gets alone, and a
+    # bad --geometry fails here, before any scan runs
     geom = resolve_geometry(cfg.geometry, 0.0)
     with _hamiltonian_flags("--geometry"):
-        conservation = hermitian_eigendecompose(build_hamiltonians(geom, (0.0, 0.5, 1.0, 2.0)))
+        stacks = (build_hamiltonians(geom, _CONSERVATION_J),
+                  build_hamiltonians(default_plaquette(0.0), _ORACLE_J),
+                  build_hamiltonians(swapped_control_plaquette(0.0), _ORACLE_J))
+        E, V = hermitian_eigendecompose(np.concatenate(stacks))
+    ends = np.cumsum([len(stack) for stack in stacks])[:-1]
+    conservation, committed, swapped = zip(np.split(E, ends), np.split(V, ends))
 
     # Route equivalence, committed geometry vs swapped negative control.
     t_fine = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
     t_coarse = np.arange(0.0, 2.0 * np.pi + 1e-12, np.pi / 16.0)
-    oracle = oracle_equivalence_report(_ORACLE_J, t_fine)
-    control = oracle_equivalence_report(_ORACLE_J, t_coarse,
-                                        geometry_factory=swapped_control_plaquette)
+    oracle = oracle_equivalence_report(committed, _ORACLE_J, t_fine)
+    control = oracle_equivalence_report(swapped, _ORACLE_J, t_coarse)
     results["oracle"] = {
         "max_deviation": oracle.max_deviation, "worst_t": oracle.worst_t,
         "worst_j": oracle.worst_J, "points": oracle.points,

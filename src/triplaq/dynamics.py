@@ -1,12 +1,15 @@
 """Time evolution of the Bell-pair initial state, by two independent routes.
 
-Route one evaluates the closed-form single-excitation amplitudes; route two
-diagonalizes a Hamiltonian (cyclic Jacobi, bit-identical when swept one
-total-S^z block at a time) and applies the spectral propagator, to the full
-16x16 H or, as ``surface`` does, to its 4x4 single-excitation block.
-:func:`oracle_equivalence_report` certifies that both routes agree, which is
-what pins down the committed bond geometry.  Times and couplings are in
-units of the ring coupling D (see :mod:`triplaq.spin_core`).
+Route one evaluates the closed-form single-excitation amplitudes, on a
+grid in blocks of AMPLITUDE_BLOCK points (:func:`closed_form_batches`);
+route two diagonalizes a stack of Hamiltonians (cyclic Jacobi, bit-identical
+when swept one total-S^z block at a time) and applies the spectral
+propagator, to the full 16x16 H or, as ``surface`` does, to its 4x4
+single-excitation block.  :func:`oracle_equivalence_report` certifies that
+both routes agree on a J stack's (E, V) pair, which is what pins down the
+committed bond geometry; the report decomposes the oracle's stacks and its
+conservation check's in one call.  Times and couplings are in units of the
+ring coupling D (see :mod:`triplaq.spin_core`).
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NumericalHealthError
-from .spin_core import (
-    build_hamiltonians,
-    default_plaquette,
-    embed_single_excitation,
-    initial_bell_state,
-)
+from .spin_core import embed_single_excitation, initial_bell_state
 
 
 def amplitudes_closed_form(t, J) -> np.ndarray:
@@ -62,8 +60,10 @@ def _require_hermitian(H: np.ndarray) -> np.ndarray:
     if H.ndim < 2 or H.shape[-1] != H.shape[-2] or H.size == 0:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {H.shape}")
     # a NaN or infinite entry makes the defect NaN or infinite, so it fails
-    # too; one temporary of H's size, as stacks can be large
-    adjoint = H.conj().swapaxes(-1, -2)
+    # too; one temporary of H's size, as stacks can be large: a C-ordered
+    # copy of the transpose, so that neither in-place step needs a buffer
+    adjoint = H.swapaxes(-1, -2).copy()
+    np.conjugate(adjoint, out=adjoint)
     with np.errstate(invalid="ignore"):
         adjoint -= H
     defect = np.abs(adjoint).max()
@@ -249,6 +249,40 @@ def phase_aligned_distance(psi: np.ndarray, reference: np.ndarray):
 #: keeps each batch small (128 x 16 complex states, 32 KiB) on any grid.
 TIME_CHUNK = 128
 
+#: Closed-form points evaluated per call.  A point's 4 amplitudes take 64 B
+#: against 256 B for its embedded state, so this block is as large as one
+#: TIME_CHUNK batch of states (32 KiB).
+AMPLITUDE_BLOCK = 4 * TIME_CHUNK
+
+
+def _embedded_block(block):
+    t, J = (np.concatenate(points) for points in zip(*block))
+    ends = np.cumsum([t_batch.size for t_batch, _ in block])[:-1]
+    for batch in np.split(amplitudes_closed_form(t, J), ends):
+        yield embed_single_excitation(batch)
+
+
+def closed_form_batches(batches):
+    """Closed-form states of each (t, J) batch in turn: for a batch of n
+    broadcast points, one (n, 16) array, bit for bit ``closed_form_state(t,
+    J)`` flattened.
+
+    Consecutive batches share one :func:`amplitudes_closed_form` call of at
+    most AMPLITUDE_BLOCK points (a larger batch gets a call of its own), and
+    each batch is embedded on its own, so no state outgrows its batch.
+    """
+    block, size = [], 0
+    for t, J in batches:
+        t, J = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=float),
+                                                       np.asarray(J, dtype=float)))
+        if block and size + t.size > AMPLITUDE_BLOCK:
+            yield from _embedded_block(block)
+            block, size = [], 0
+        block.append((t, J))
+        size += t.size
+    if block:
+        yield from _embedded_block(block)
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -260,33 +294,37 @@ class OracleReport:
     points: int
 
 
-def oracle_equivalence_report(J_values, t_values,
-                              geometry_factory=default_plaquette) -> OracleReport:
+def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
     """Sweep both evolution routes over a (J, t) grid and report the worst point.
 
+    ``decomp`` is the (E, V) pair of the Hamiltonians at ``J_values``,
+    stacked in that order, as :func:`hermitian_eigendecompose` returns it.
     The deviation per point is the phase-quotiented distance between the
     numerically propagated state and the embedded closed-form amplitudes.
-    A wrong bond geometry shows up as an O(1) deviation.  One stack holds
-    the Hamiltonians of ``geometry_factory``'s bond pattern, which must not
-    depend on J, at every J; ties go to the first J, then the first t.
-    Propagation runs one J and at most TIME_CHUNK times at a time, so every
-    temporary stays at 32 KiB; larger ones took fresh pages from the kernel
-    on every call, at a cost that follows the host's memory load.
+    A wrong bond geometry shows up as an O(1) deviation; ties go to the
+    first J, then the first t.  Propagation runs one J and at most
+    TIME_CHUNK times at a time, so every state temporary stays at 32 KiB
+    (the closed form runs in blocks of :func:`closed_form_batches`); larger
+    ones took fresh pages from the kernel on every call, at a cost that
+    follows the host's memory load.
     """
     J_values = [float(J) for J in J_values]
     ts = np.asarray(list(t_values), dtype=float)
     if not J_values or not ts.size:
         raise ValueError("J and t grids must be nonempty")
+    E, V = decomp
+    if E.shape[:-1] != (len(J_values),):
+        raise ValueError(f"expected eigenvalues of {len(J_values)} Hamiltonians, "
+                         f"got shape {E.shape}")
     psi0 = initial_bell_state()
-    E, V = hermitian_eigendecompose(build_hamiltonians(geometry_factory(J_values[0]), J_values))
+    batches = [(j, ts[lo:lo + TIME_CHUNK])
+               for j in range(len(J_values)) for lo in range(0, ts.size, TIME_CHUNK)]
+    references = closed_form_batches((chunk, J_values[j]) for j, chunk in batches)
     worst = (-1.0, 0.0, 0.0)
-    for j, J in enumerate(J_values):
-        for lo in range(0, ts.size, TIME_CHUNK):
-            chunk = ts[lo:lo + TIME_CHUNK]
-            dev = phase_aligned_distance(evolve_numeric((E[j], V[j]), psi0, chunk),
-                                         closed_form_state(chunk, J))
-            k = int(np.argmax(dev))
-            if dev[k] > worst[0]:
-                worst = (float(dev[k]), float(chunk[k]), J)
+    for (j, chunk), reference in zip(batches, references):
+        dev = phase_aligned_distance(evolve_numeric((E[j], V[j]), psi0, chunk), reference)
+        k = int(np.argmax(dev))
+        if dev[k] > worst[0]:
+            worst = (float(dev[k]), float(chunk[k]), J_values[j])
     return OracleReport(max_deviation=worst[0], worst_t=worst[1],
                         worst_J=worst[2], points=len(J_values) * ts.size)

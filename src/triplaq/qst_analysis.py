@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import TIME_CHUNK, closed_form_state
+from .dynamics import TIME_CHUNK, closed_form_batches, closed_form_state
 from .entanglement import (
     SCAN_PAIRS,
     closed_form_c12,
@@ -416,8 +416,8 @@ def wstate_scan(t_range, J_range, resolution: int = 32,
     ts = np.linspace(t_lo, t_hi, n_t)
     js = np.linspace(J_lo, J_hi, n_j)
     out = []
-    for t in ts:
-        cs = pair_concurrences(closed_form_state(float(t), js), SCAN_PAIRS)
+    for t, psi in zip(ts, closed_form_batches((t, js) for t in ts)):
+        cs = pair_concurrences(psi, SCAN_PAIRS)
         dev = w_deviation(cs.T)
         for j in np.flatnonzero(dev < threshold):
             out.append(WStateCandidate(

@@ -36,6 +36,7 @@ from triplaq.qst_analysis import (
 )
 from triplaq.spin_core import (
     build_hamiltonian,
+    build_hamiltonians,
     default_plaquette,
     embed_single_excitation,
     initial_bell_state,
@@ -83,10 +84,12 @@ def grid_sweep():
 
 def test_criterion_1_oracle_equivalence():
     ts = np.arange(0.0, 8 * np.pi + 1e-12, np.pi / 128)
-    committed = oracle_equivalence_report(CRITERION_J, ts)
+    committed = oracle_equivalence_report(
+        hermitian_eigendecompose(build_hamiltonians(default_plaquette(0.0), CRITERION_J)),
+        CRITERION_J, ts)
     control = oracle_equivalence_report(
-        CRITERION_J, np.arange(0.0, 2 * np.pi, np.pi / 16),
-        geometry_factory=swapped_control_plaquette)
+        hermitian_eigendecompose(build_hamiltonians(swapped_control_plaquette(0.0), CRITERION_J)),
+        CRITERION_J, np.arange(0.0, 2 * np.pi, np.pi / 16))
     ok = committed.max_deviation < 1e-9 and control.max_deviation > 1e-2
     _status(1, "oracle equivalence", ok,
             f"max dev {committed.max_deviation:.3e} over {committed.points} "

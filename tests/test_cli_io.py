@@ -264,6 +264,34 @@ def test_overflowing_hamiltonian_report_is_exit_1(tmp_path, capsys, monkeypatch)
     assert "--geometry" in json.loads(out.read_text())["error"]["message"]
 
 
+#: Geometry files by name: every bond non-unit, one bond kind only, and a
+#: single DM bond, whose Hamiltonians split into blocks finer than the
+#: total S^z sectors.
+GEOMETRY_FILES = {
+    "non-unit": "dm_z 1 2 0.8\ndm_z 2 3 -1.3\ndm_z 3 4 1.1\ndm_z 4 1 0.6\n"
+                "heisenberg_iso 1 3 0.7\nheisenberg_iso 2 4 1.9\n"
+                "heisenberg_iso 1 2 0.35\n",
+    "dm-only": "dm_z 1 2 1\ndm_z 2 3 1\ndm_z 3 4 1\ndm_z 4 1 1\ndm_z 1 3 0.5\n",
+    "iso-only": "heisenberg_iso 1 2 1\nheisenberg_iso 2 3 1\nheisenberg_iso 3 4 1\n"
+                "heisenberg_iso 4 1 1\nheisenberg_iso 2 4 0.5\n",
+    "one-dm-bond": "dm_z 1 2 1\n",
+}
+
+
+def _geometry_arg(tmp_path, name) -> str:
+    """The --geometry value for ``name``: a built-in name as it is, a name of
+    GEOMETRY_FILES as the path of that file, written under tmp_path."""
+    if name not in GEOMETRY_FILES:
+        return name
+    path = tmp_path / f"{name}.txt"
+    path.write_text(GEOMETRY_FILES[name])
+    return str(path)
+
+
+#: The report's small grid for tests that watch how it computes.
+SMALL_REPORT_GRID = ["--t-range", f"0:{FOUR_PI}:9", "--j-range", "0:2:5"]
+
+
 class TestNoPerCouplingLoops:
     """The spectral route diagonalizes stacks of Hamiltonians, not one per J."""
 
@@ -306,12 +334,50 @@ class TestNoPerCouplingLoops:
         assert sorted(calls) == sorted([((7, 16), pair) for pair in
                                         ((1, 2), (3, 4), (1, 3), (2, 4))] * 6)
 
-    def test_report_makes_three_stacked_calls(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("geometry", ["default", "swapped-control", "non-unit"])
+    def test_report_decomposes_one_stack(self, tmp_path, monkeypatch, geometry):
         calls = self._spy(monkeypatch)
-        main(["report", "--t-range", f"0:{FOUR_PI}:9", "--j-range", "0:2:5",
+        main(["report", "--geometry", _geometry_arg(tmp_path, geometry), *SMALL_REPORT_GRID,
               "--out", str(tmp_path / "r.json")])
-        assert len(calls) <= 3
-        assert all(len(shape) == 3 for shape in calls)
+        # the conservation check's 4 Hamiltonians, the oracle's 8 committed
+        # and 8 swapped ones
+        assert calls == [(20, 16, 16)]
+
+
+class TestReportDecomposition:
+    """The report's one stack holds three J stacks.  The solver sweeps the
+    union of their blocks, yet gives each matrix exactly the rotations of
+    its own stack."""
+
+    @staticmethod
+    def _bits(a):
+        return np.ascontiguousarray(a).view(np.uint8)
+
+    @pytest.mark.parametrize("geometry", ["default", "swapped-control", *GEOMETRY_FILES])
+    def test_merged_decomposition_equals_three_calls(self, tmp_path, monkeypatch, geometry):
+        seen = []
+
+        def spy(H):
+            seen.append((H, hermitian_eigendecompose(H)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli_io, "hermitian_eigendecompose", spy)
+        name = _geometry_arg(tmp_path, geometry)
+        main(["report", "--geometry", name, *SMALL_REPORT_GRID,
+              "--out", str(tmp_path / "r.json")])
+        [(H, (E, V))] = seen
+        oracle_j = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
+        stacks = (build_hamiltonians(resolve_geometry(name, 0.0), (0.0, 0.5, 1.0, 2.0)),
+                  build_hamiltonians(default_plaquette(0.0), oracle_j),
+                  build_hamiltonians(swapped_control_plaquette(0.0), oracle_j))
+        assert np.array_equal(H, np.concatenate(stacks))
+        lo = 0
+        for stack in stacks:
+            e, v = hermitian_eigendecompose(stack)
+            part = slice(lo, lo + len(stack))
+            assert np.array_equal(self._bits(E[part]), self._bits(e))
+            assert np.array_equal(self._bits(V[part]), self._bits(v))
+            lo += len(stack)
 
 
 class TestGeometryResolution:
@@ -585,22 +651,11 @@ class TestSurfaceSectorRoute:
     """surface on a non-default geometry: the single-excitation block stack
     against the 16x16 route and the sector concurrence formula."""
 
-    GEOMETRIES = {
-        "non-unit": "dm_z 1 2 0.8\ndm_z 2 3 -1.3\ndm_z 3 4 1.1\ndm_z 4 1 0.6\n"
-                    "heisenberg_iso 1 3 0.7\nheisenberg_iso 2 4 1.9\n"
-                    "heisenberg_iso 1 2 0.35\n",
-        "dm-only": "dm_z 1 2 1\ndm_z 2 3 1\ndm_z 3 4 1\ndm_z 4 1 1\ndm_z 1 3 0.5\n",
-        "iso-only": "heisenberg_iso 1 2 1\nheisenberg_iso 2 3 1\nheisenberg_iso 3 4 1\n"
-                    "heisenberg_iso 4 1 1\nheisenberg_iso 2 4 0.5\n",
-    }
-
     def _run(self, tmp_path, monkeypatch, name):
-        """Run surface on geometry ``name`` (built in or a file above) and
-        return (geometry, evaluated t, evaluated J, blocks, states)."""
-        if name in self.GEOMETRIES:
-            path = tmp_path / f"{name}.txt"
-            path.write_text(self.GEOMETRIES[name])
-            name = str(path)
+        """Run surface on geometry ``name`` (built in or one of
+        GEOMETRY_FILES) and return (geometry, evaluated t, evaluated J,
+        blocks, states)."""
+        name = _geometry_arg(tmp_path, name)
         seen = {"blocks": [], "states": []}
         for fn, key in ((single_excitation_block, "blocks"),
                         (embed_single_excitation, "states")):

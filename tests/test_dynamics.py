@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triplaq import dynamics
 from triplaq.cli_io import SweepConfig, cmd_evolve
 from triplaq.dynamics import (
+    AMPLITUDE_BLOCK,
+    HERMITIAN_TOL,
     _blocks,
+    _require_hermitian,
     amplitudes_closed_form,
+    closed_form_batches,
     closed_form_state,
     evolve_numeric,
     hermitian_eigendecompose,
@@ -99,6 +104,35 @@ class TestClosedForm:
         np.testing.assert_allclose(np.abs(amplitudes_closed_form(ts, 0.5)),
                                    np.abs(amplitudes_closed_form(ts + 8 * np.pi, 0.5)),
                                    atol=1e-10)
+
+
+class TestClosedFormBatches:
+    def test_each_batch_equals_closed_form_state(self):
+        ts, js = np.linspace(0.0, 9.0, 11), np.linspace(-1.0, 2.0, 65)
+        batches = [*((t, js) for t in ts), (ts, 0.7), (ts[:3], js[:3]), (1.5, 0.25)]
+        states = list(closed_form_batches(batches))
+        assert len(states) == len(batches)
+        for (t, J), psi in zip(batches, states):
+            want = closed_form_state(t, J).reshape(-1, 16)
+            assert np.array_equal(psi.view(np.uint8), want.view(np.uint8))
+
+    def test_blocks_hold_whole_batches(self, monkeypatch):
+        sizes = []
+
+        def counted(t, J):
+            sizes.append(np.size(t))
+            return amplitudes_closed_form(t, J)
+
+        monkeypatch.setattr(dynamics, "amplitudes_closed_form", counted)
+        # the report grid's rows: 7 rows of 65 couplings fill a block
+        js = np.linspace(0.0, 2.0, 65)
+        rows = list(closed_form_batches((t, js) for t in np.linspace(0.0, 4 * np.pi, 129)))
+        assert [psi.shape for psi in rows] == [(65, 16)] * 129
+        assert sizes == [7 * 65] * 18 + [3 * 65]
+        # a batch larger than a block is evaluated alone
+        sizes.clear()
+        list(closed_form_batches([(0.5, 0.1), (np.zeros(AMPLITUDE_BLOCK + 1), 0.5), (0.0, 0.5)]))
+        assert sizes == [1, AMPLITUDE_BLOCK + 1, 1]
 
 
 class TestJacobiEigensolver:
@@ -225,6 +259,43 @@ class TestStackedJacobi:
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError):
             hermitian_eigendecompose(np.zeros((0, 16, 16)))
+
+
+class TestHermitianCheck:
+    """The input check every decomposition runs, on the report's merged
+    stack: the conservation check's 4 Hamiltonians and the oracle's 8 + 8."""
+
+    @staticmethod
+    def _report_stack():
+        js = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
+        return np.concatenate((build_hamiltonians(default_plaquette(0.0), (0.0, 0.5, 1.0, 2.0)),
+                               build_hamiltonians(default_plaquette(0.0), js),
+                               build_hamiltonians(swapped_control_plaquette(0.0), js)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), 1e-11])
+    def test_defect_in_one_matrix_raises(self, bad):
+        H = self._report_stack()
+        H[13, 0, 15] = bad      # an entry zero in every matrix
+        with pytest.raises(ContractViolationError, match="not finite and Hermitian"):
+            _require_hermitian(H)
+
+    def test_defect_is_reported(self):
+        H = self._report_stack()
+        H[13, 0, 15] = 1e-11
+        with pytest.raises(ContractViolationError, match=r"defect 1\.000e-11"):
+            _require_hermitian(H)
+        H[13, 0, 15] = HERMITIAN_TOL
+        assert _require_hermitian(H) is H
+
+    def test_temporaries_stay_within_twice_the_stack(self):
+        H = self._report_stack()
+        tracemalloc.start()
+        try:
+            _require_hermitian(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * H.nbytes
 
 
 #: The basis indices of each total S^z sector, by excitation count.
@@ -425,14 +496,19 @@ class TestGridEngine:
             evolve_numeric(broken, initial_bell_state(), [0.0, 1.0])
 
 
+def _stack_dec(js, factory=default_plaquette):
+    return hermitian_eigendecompose(build_hamiltonians(factory(0.0), js))
+
+
 class TestOracle:
     def test_trivial_grid(self):
-        rep = oracle_equivalence_report([0.0], [0.0])
+        rep = oracle_equivalence_report(_stack_dec([0.0]), [0.0], [0.0])
         assert rep.max_deviation < 1e-12
 
     def test_committed_geometry_matches(self):
         ts = np.arange(0.0, 8 * np.pi, np.pi / 64)
-        rep = oracle_equivalence_report([0.0, 0.5, 1.0, 2.0], ts)
+        js = [0.0, 0.5, 1.0, 2.0]
+        rep = oracle_equivalence_report(_stack_dec(js), js, ts)
         assert rep.max_deviation < 1e-9
 
     def test_committed_geometry_matches_offscale_d(self, tmp_path):
@@ -444,13 +520,19 @@ class TestOracle:
 
     def test_swapped_geometry_fails_loudly(self):
         ts = np.arange(0.0, 2 * np.pi, np.pi / 16)
-        rep = oracle_equivalence_report(
-            [0.0, 0.5, 1.0, 2.0], ts, geometry_factory=swapped_control_plaquette)
+        js = [0.0, 0.5, 1.0, 2.0]
+        rep = oracle_equivalence_report(_stack_dec(js, swapped_control_plaquette), js, ts)
         assert rep.max_deviation > 1e-2
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            oracle_equivalence_report([], [0.0])
+            oracle_equivalence_report((np.empty((0, 16)), np.empty((0, 16, 16))), [], [0.0])
+        with pytest.raises(ValueError):
+            oracle_equivalence_report(_stack_dec([0.0]), [0.0], [])
+
+    def test_decomposition_must_match_the_couplings(self):
+        with pytest.raises(ValueError, match="2 Hamiltonians"):
+            oracle_equivalence_report(_stack_dec([0.0, 0.5, 1.0]), [0.0, 0.5], [0.0])
 
     @pytest.mark.parametrize("factory", [default_plaquette, swapped_control_plaquette])
     def test_worst_point_matches_per_j_decompositions(self, factory):
@@ -466,7 +548,7 @@ class TestOracle:
                 k = int(np.argmax(dev))
                 if dev[k] > worst[0]:
                     worst = (float(dev[k]), float(chunk[k]), J)
-        rep = oracle_equivalence_report(js, ts, geometry_factory=factory)
+        rep = oracle_equivalence_report(_stack_dec(js, factory), js, ts)
         assert (rep.max_deviation, rep.worst_t, rep.worst_J) == worst
         assert rep.points == len(js) * ts.size
 
@@ -478,7 +560,7 @@ class TestOracle:
         ts = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
         tracemalloc.start()
         try:
-            oracle_equivalence_report(js, ts)
+            oracle_equivalence_report(_stack_dec(js), js, ts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
