@@ -1,15 +1,14 @@
 """Time evolution of the Bell-pair initial state, by two independent routes.
 
-Route one evaluates the closed-form single-excitation amplitudes, on a
-grid in blocks of AMPLITUDE_BLOCK points (:func:`closed_form_batches`);
-route two diagonalizes a stack of Hamiltonians (cyclic Jacobi, bit-identical
-when swept one total-S^z block at a time) and applies the spectral
-propagator, to the full 16x16 H or, as ``surface`` does, to its 4x4
-single-excitation block.  :func:`oracle_equivalence_report` certifies that
-both routes agree on a J stack's (E, V) pair, which is what pins down the
-committed bond geometry; the report decomposes the oracle's stacks and its
-conservation check's in one call.  Times and couplings are in units of the
-ring coupling D (see :mod:`triplaq.spin_core`).
+Route one evaluates the closed-form single-excitation amplitudes (on a
+grid, in blocks: :func:`closed_form_batches`); route two diagonalizes a
+stack of Hamiltonians (cyclic Jacobi, bit-identical when swept one total-S^z
+block at a time) and applies the spectral propagator, to the full 16x16 H
+or, as ``surface`` does, to its 4x4 single-excitation block.
+:func:`oracle_equivalence_report` certifies that both routes agree on a J
+stack's (E, V) pair, which is what pins down the committed bond geometry.
+Times and couplings are in units of the ring coupling D (see
+:mod:`triplaq.spin_core`).
 """
 
 from __future__ import annotations
