@@ -30,11 +30,10 @@ from .errors import (
 )
 from .qst_analysis import (
     ForbiddenScanResult,
-    PeriodEstimate,
     QstEvent,
     SequenceEntry,
+    SignalPeriod,
     WStateCandidate,
-    estimate_period,
     exact_signal_period,
     find_qst_J,
     forbidden_J_scan,

@@ -73,7 +73,7 @@ from .spin_core import (
     swapped_control_plaquette,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 #: Largest grid a command may evaluate, checked before anything is allocated.
 MAX_GRID_POINTS = 2 ** 24
 #: Largest phase (|J| + D)*|t| that evolve and surface evaluate, and
@@ -538,6 +538,7 @@ def cmd_wstate(cfg: SweepConfig, resolution: int) -> dict:
 
 _ORACLE_J = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
 _CONSERVATION_J = (0.0, 0.5, 1.0, 2.0)
+_PERIODICITY_J = tuple(map(Fraction, ("0", "1", "1/2", "2/3", "7/64", "1/31", "1/101", "1/511")))
 
 
 def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
@@ -671,18 +672,10 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
                                "max_sector_leak": worst_leak}
     checks["norm_sector_conservation"] = worst_norm < 1e-10 and worst_leak < 1e-12
 
-    # Oscillation periods at two representative couplings; a missing estimate fails
-    period_ok = True
-    periods = {}
-    for J in (0.0, 1.0):
-        estimates = periodicity_report(J)
-        for est in estimates:
-            if est.exact:
-                period_ok &= (est.estimated is not None
-                              and abs(est.estimated - est.exact) < 0.05 * est.exact)
-        periods[str(J)] = [asdict(est) for est in estimates]
-    results["periodicity"] = periods
-    checks["periodicity_consistent"] = period_ok
+    # Exact revival and signal periods, each checked by repetition
+    periods = {str(J): periodicity_report(J) for J in _PERIODICITY_J}
+    results["periodicity"] = {J: [asdict(s) for s in p] for J, p in periods.items()}
+    checks["periodicity_consistent"] = all(s.verified for p in periods.values() for s in p)
 
     return results, checks
 

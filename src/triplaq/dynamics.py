@@ -37,11 +37,13 @@ def amplitudes_closed_form(t, J) -> np.ndarray:
     sin_d = np.sin(t)
     cos_d = np.cos(t)
     pref = 1.0 / (2.0 * np.sqrt(2.0))
-    a0001 = pref * (c * (sin_d - cos_d + 1) - 1j * s * (-sin_d + cos_d + 1))
-    a0010 = pref * (c * (-sin_d - cos_d + 1) - 1j * s * (sin_d + cos_d + 1))
-    a0100 = pref * (c * (-sin_d + cos_d + 1) + 1j * s * (-sin_d + cos_d - 1))
-    a1000 = pref * (c * (sin_d + cos_d + 1) + 1j * s * (sin_d + cos_d - 1))
-    return np.stack((a0001, a0010, a0100, a1000), axis=-1)
+    # each component written in place: no stacked copy of all four
+    out = np.empty(c.shape + (4,), dtype=complex)
+    out[..., 0] = pref * (c * (sin_d - cos_d + 1) - 1j * s * (-sin_d + cos_d + 1))
+    out[..., 1] = pref * (c * (-sin_d - cos_d + 1) - 1j * s * (sin_d + cos_d + 1))
+    out[..., 2] = pref * (c * (-sin_d + cos_d + 1) + 1j * s * (-sin_d + cos_d - 1))
+    out[..., 3] = pref * (c * (sin_d + cos_d + 1) + 1j * s * (sin_d + cos_d - 1))
+    return out
 
 
 def closed_form_state(t, J) -> np.ndarray:

@@ -465,29 +465,27 @@ def _signal_terms(name: str, J: Fraction):
     raise ValueError(f"unknown signal {name!r}")
 
 
-def exact_signal_period(name: str, J) -> float | None:
-    """Algebraic fundamental period of a closed-form signal at rational J.
-
-    Collects the signal's frequency/coefficient table exactly (Fraction
-    arithmetic), drops cancelled terms, and returns 2*pi over the gcd of the
-    surviving frequencies p_i/q_i (reduced), gcd(p_i)/lcm(q_i).  None when
-    the signal is constant or J is not a small rational.
-    """
-    J_frac = _as_small_fraction(J)
-    if J_frac is None:
-        return None
+def _frequencies(name: str, J: Fraction) -> tuple[Fraction, Fraction]:
+    """(gcd, largest) of the positive frequencies of a signal's table at
+    exact J whose combined coefficients do not cancel; the gcd of rationals
+    p_i/q_i (reduced) is gcd(p_i)/lcm(q_i).  No table ever cancels fully."""
     combined = collections.Counter()
-    for kind, freq, coeff in _signal_terms(name, J_frac):
+    for kind, freq, coeff in _signal_terms(name, J):
         # a zero frequency is a constant (cos) or vanishing (sin) term; cos
         # is even in the frequency and sin odd
         if freq != 0:
             combined[kind, abs(freq)] += -coeff if freq < 0 and kind == "sin" else coeff
     freqs = [freq for (kind, freq), coeff in combined.items() if coeff != 0]
-    if not freqs:
-        return None
-    g = Fraction(math.gcd(*(f.numerator for f in freqs)),
-                 math.lcm(*(f.denominator for f in freqs)))
-    return float(2.0 * math.pi / g)
+    return (Fraction(math.gcd(*(f.numerator for f in freqs)),
+                     math.lcm(*(f.denominator for f in freqs))), max(freqs))
+
+
+def exact_signal_period(name: str, J) -> float | None:
+    """Algebraic fundamental period 2*pi/g of a closed-form signal at
+    rational J, g the gcd of its table's surviving frequencies in exact
+    arithmetic; None when J is not a small rational."""
+    J_frac = _as_small_fraction(J)
+    return None if J_frac is None else float(2.0 * math.pi / _frequencies(name, J_frac)[0])
 
 
 def _as_small_fraction(J) -> Fraction | None:
@@ -499,59 +497,64 @@ def _as_small_fraction(J) -> Fraction | None:
     return frac if abs(float(frac) - float(J)) < 1e-12 else None
 
 
-def estimate_period(values, dt: float) -> float | None:
-    """Fundamental period by autocorrelation peak picking.
-
-    Returns None for a flat (degenerate) signal; otherwise the lag of the
-    first strong autocorrelation maximum, refined by parabolic interpolation.
-    The peak is searched in the inverse FFT of the power spectrum of the
-    signal zero-padded to at least 2n - 1 samples (Wiener-Khinchin), so no
-    circular wrap reaches a lag below n; the interpolation, which amplifies
-    rounding, takes its three lags from direct products.
-    """
-    x = np.asarray(values, dtype=float)
-    if x.size < 8 or float(np.std(x)) < 1e-12:
-        return None
-    x = x - x.mean()
-    n = x.size
-    nfft = 1 << (2 * n - 1).bit_length()
-    spectrum = np.fft.rfft(x, nfft)
-    num = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2, nfft)[:n]
-    cum = np.concatenate(([0.0], np.cumsum(x * x)))
-    lead = cum[1:][::-1]          # sum x_i^2 over i < n-k, for lag k = 0..n-1
-    trail = cum[n] - cum[:n]      # sum x_i^2 over i >= k
-    norm = np.sqrt(lead * trail)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(norm > 0, num / norm, 0.0)
-    for k in range(2, n - 1):
-        if r[k] >= r[k - 1] and r[k] >= r[k + 1] and r[k] >= 0.99:
-            lo, mid, hi = (np.dot(x[j:], x[:n - j]) / norm[j] if norm[j] > 0 else 0.0
-                           for j in (k - 1, k, k + 1))
-            denom = lo - 2.0 * mid + hi
-            delta = 0.5 * (lo - hi) / denom if denom != 0 else 0.0
-            return float((k + delta) * dt)
-    return None
+#: Times at which :func:`periodicity_report` compares each signal with its
+#: shifts: spread over [0, 2*pi), since samples k*T/64 would alias.
+PERIOD_SAMPLES = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
 
 @dataclass(frozen=True)
-class PeriodEstimate:
+class SignalPeriod:
+    """A closed-form signal's exact period T at one coupling and the checks
+    that make T its fundamental period: ``multiple``, the state's revival
+    period over T, is an integer in exact arithmetic (else None); the
+    ``repeat_defect`` max |s(t + T) - s(t)| over PERIOD_SAMPLES is at most
+    1e-12; and the ``subperiod_change``, the least over the primes r with
+    2*pi*r/T at most the largest frequency of max |s(t + T/r) - s(t)|,
+    exceeds 1e-9 (None when no prime qualifies)."""
+
     signal: str
-    estimated: float | None
-    exact: float | None
-    degenerate: bool
+    period: float
+    revival_period: float
+    multiple: int | None
+    repeat_defect: float
+    subperiod_change: float | None
+    verified: bool
 
 
-def periodicity_report(J) -> list[PeriodEstimate]:
-    """Estimated and (for rational J) exact fundamental periods per signal,
-    from 8192 samples of each closed-form signal on [0, t_max]: t_max is
-    4.5 times the longest exact period, so every signal with one shows at
-    least four periods, or 16*pi when no signal has one."""
-    exact = {name: exact_signal_period(name, J) for name in _SIGNALS}
-    known = [p for p in exact.values() if p]
-    t_max = 4.5 * max(known) if known else 16.0 * np.pi
-    ts = np.linspace(0.0, t_max, 8192)
-    dt = ts[1] - ts[0]
-    estimated = {name: estimate_period(signal(ts, float(J)), float(dt))
-                 for name, signal in _SIGNALS.items()}
-    return [PeriodEstimate(name, est, exact[name], degenerate=est is None)
-            for name, est in estimated.items()]
+def _primes_upto(n: int) -> np.ndarray:
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, math.isqrt(n) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = False
+    return np.flatnonzero(sieve)
+
+
+def periodicity_report(J) -> list[SignalPeriod]:
+    """Each signal's exact period at a rational J (as exact_signal_period
+    reads it), checked without a search, beside the state's revival period
+    2*pi / gcd(J - 1, J + 1, 2), the gcd of the Bohr frequencies of the
+    circulant block, whose eigenvalues are J/2, J/2, 1 - J/2, -1 - J/2."""
+    J_frac = _as_small_fraction(J)
+    if J_frac is None:
+        raise ValueError(f"periods need a rational coupling, got {J}")
+    p, q = J_frac.numerator, J_frac.denominator
+    revival = Fraction(math.gcd(p - q, p + q, 2 * q), q)
+    revival_period = float(2.0 * math.pi / revival)
+    out = []
+    for name, signal in _SIGNALS.items():
+        g, largest = _frequencies(name, J_frac)
+        T = float(2.0 * math.pi / g)
+        base = signal(PERIOD_SAMPLES, p / q)
+        repeat = float(np.abs(signal(PERIOD_SAMPLES + T, p / q) - base).max())
+        # a period T is k fundamental periods, k <= largest/g, so it is the
+        # fundamental one unless T/r is a period for some prime r up to that k
+        primes = _primes_upto(largest // g)
+        change = None if primes.size == 0 else float(np.abs(
+            signal(PERIOD_SAMPLES + (T / primes)[:, None], p / q) - base).max(axis=1).min())
+        multiple = g // revival if g % revival == 0 else None
+        out.append(SignalPeriod(
+            name, T, revival_period, multiple, repeat, change,
+            verified=(multiple is not None and repeat <= 1e-12
+                      and (change is None or change > 1e-9))))
+    return out

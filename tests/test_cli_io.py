@@ -932,7 +932,7 @@ class TestReportCommand:
         _, payload, _ = report
         assert set(payload) == {"schema_version", "config_echo", "results",
                                 "checks"}
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["config_echo"]["t_steps"] == 33
         assert payload["config_echo"]["threshold"] == 1e-3
         assert payload["results"]["wstate"]["threshold"] == 1e-3
@@ -960,6 +960,15 @@ class TestReportCommand:
         assert results["forbidden"]["3.0"]["margin"] > 0
         assert results["conservation"]["max_norm_error"] < 1e-10
 
+    def test_periodicity_block(self, report):
+        _, payload, _ = report
+        periods = payload["results"]["periodicity"]
+        assert set(periods) == {"0", "1", "1/2", "2/3", "7/64", "1/31", "1/101", "1/511"}
+        for entries in periods.values():
+            assert [e["signal"] for e in entries] == ["C12", "C34", "C13", "GAP"]
+            assert all(e["verified"] for e in entries)
+        assert payload["checks"]["periodicity_consistent"] is True
+
     def test_missing_geometry_yields_error_document(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(["report", "--geometry", "/missing/geom.txt",
@@ -968,17 +977,30 @@ class TestReportCommand:
         payload = json.loads(out.read_text())
         assert "error" in payload and "geom.txt" in payload["error"]["message"]
 
-    def test_missing_period_estimate_fails_periodicity(self, tmp_path, monkeypatch):
-        # every signal has an exact period at J = 0 and 1; an estimator that
-        # finds none must not pass the check
-        monkeypatch.setattr(qst_analysis, "estimate_period", lambda values, dt: None)
+    @pytest.mark.parametrize("corrupt, failing", [
+        # without its sin(2t) term, C13's table claims half the period
+        # where the gcd of its other frequencies is twice as large, and the
+        # signal does not repeat after it
+        (lambda terms: terms[:2] + terms[3:], ("1", "1/31", "1/101", "1/511")),
+        # sin(2t) read as sin(t): wherever the t term sets the gcd, the
+        # claimed period is twice the signal's, which repeats after half of it
+        (lambda terms: terms[:2] + [("sin", Fraction(1), terms[2][2])] + terms[3:],
+         ("0", "1", "2/3", "1/31", "1/101", "1/511")),
+    ], ids=["dropped-term", "halved-frequency"])
+    def test_corrupted_table_fails_periodicity(self, tmp_path, monkeypatch,
+                                               corrupt, failing):
+        terms = qst_analysis._signal_terms
+        monkeypatch.setattr(qst_analysis, "_signal_terms", lambda name, J: (
+            corrupt(terms(name, J)) if name == "C13" else terms(name, J)))
         out = tmp_path / "report.json"
         assert main(["report", "--t-range", "0:3:5", "--j-range", "0:2:3",
                      "--out", str(out)]) == 2
         payload = json.loads(out.read_text())
         assert payload["checks"]["periodicity_consistent"] is False
-        assert all(est["estimated"] is None and est["exact"]
-                   for ests in payload["results"]["periodicity"].values() for est in ests)
+        assert {(J, entry["signal"])
+                for J, entries in payload["results"]["periodicity"].items()
+                for entry in entries if not entry["verified"]} == {
+            (J, "C13") for J in failing}
 
     @pytest.mark.parametrize("argv, message", [
         (["--geometry", "/missing/geom.txt"], "geom.txt"),

@@ -83,6 +83,24 @@ class TestClosedForm:
             for k, J in enumerate(js):
                 assert np.array_equal(grid[i, k], amplitudes_closed_form(float(t), float(J)))
 
+    def test_matches_stacked_components(self):
+        # the four component expressions stacked, as built before the
+        # components were written into one array: the bits are the same
+        t = np.concatenate(([0.0, -0.0, np.pi], np.linspace(0.0, 60.0, 41)))[:, None]
+        J = np.array([-2.5, -0.0, 0.0, 1e-300, 0.5, 2.0 / 3.0, 7.0])
+        c, s = np.cos(J * t / 2.0), np.sin(J * t / 2.0)
+        sin_d, cos_d = np.sin(t), np.cos(t)
+        pref = 1.0 / (2.0 * np.sqrt(2.0))
+        want = np.stack((
+            pref * (c * (sin_d - cos_d + 1) - 1j * s * (-sin_d + cos_d + 1)),
+            pref * (c * (-sin_d - cos_d + 1) - 1j * s * (sin_d + cos_d + 1)),
+            pref * (c * (-sin_d + cos_d + 1) + 1j * s * (-sin_d + cos_d - 1)),
+            pref * (c * (sin_d + cos_d + 1) + 1j * s * (sin_d + cos_d - 1))), axis=-1)
+        got = amplitudes_closed_form(t, J)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert amplitudes_closed_form(1.3, 0.5).tobytes() == \
+            amplitudes_closed_form(np.array([1.3]), 0.5)[0].tobytes()
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             amplitudes_closed_form(-0.1, 0.0)

@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplaq import qst_analysis
-from triplaq.dynamics import closed_form_state
+from triplaq.dynamics import closed_form_state, phase_aligned_distance
 from triplaq.entanglement import SCAN_PAIRS, concurrence_gap, pair_concurrences, state_concurrence
 from triplaq.qst_analysis import (
-    estimate_period,
     exact_signal_period,
     find_qst_J,
     forbidden_J_scan,
@@ -265,7 +264,18 @@ class TestWDeviation:
             assert w_deviation(row) == max(abs(row - 0.5)) == want
 
 
+@st.composite
+def small_fractions(draw):
+    """J = p/q with q < 600 and |J| <= 3."""
+    q = draw(st.integers(1, 599))
+    return F(draw(st.integers(-3 * q, 3 * q)), q)
+
+
 class TestPeriodicity:
+    # the report's couplings; the autocorrelation estimator missed the
+    # periods at 7/64, 1/31, 1/101 and 1/511
+    COUPLINGS = (F(0), F(1), F(1, 2), F(2, 3), F(7, 64), F(1, 31), F(1, 101), F(1, 511))
+
     def test_exact_periods(self):
         assert exact_signal_period("C12", 0) == pytest.approx(2 * np.pi)
         assert exact_signal_period("C13", 0) == pytest.approx(np.pi)
@@ -274,48 +284,50 @@ class TestPeriodicity:
 
     def test_exact_period_requires_rational(self):
         assert exact_signal_period("C12", np.sqrt(2)) is None
+        with pytest.raises(ValueError, match="rational"):
+            periodicity_report(np.sqrt(2))
 
     def test_report_zero_coupling(self):
-        report = {p.signal: p for p in periodicity_report(0.0)}
-        assert report["C12"].exact == pytest.approx(2 * np.pi)
-        assert report["C12"].estimated == pytest.approx(2 * np.pi, rel=0.01)
-        assert not report["C12"].degenerate
+        c12 = {p.signal: p for p in periodicity_report(0.0)}["C12"]
+        assert c12.period == pytest.approx(2 * np.pi)
+        assert c12.revival_period == pytest.approx(2 * np.pi)
+        assert c12.multiple == 1 and c12.verified
 
     def test_report_forbidden_coupling_still_oscillates(self):
-        report = {p.signal: p for p in periodicity_report(1.0)}
-        assert report["GAP"].exact == pytest.approx(np.pi)
-        assert report["GAP"].estimated == pytest.approx(np.pi, rel=0.01)
+        gap = {p.signal: p for p in periodicity_report(1.0)}["GAP"]
+        assert gap.period == pytest.approx(np.pi)
+        assert gap.multiple == 1 and gap.verified
 
-    def test_degenerate_signal(self):
-        assert estimate_period(np.zeros(512), 0.01) is None
+    @pytest.mark.parametrize("J", COUPLINGS)
+    def test_periods_verified(self, J):
+        report = periodicity_report(J)
+        assert [entry.signal for entry in report] == ["C12", "C34", "C13", "GAP"]
+        # the state itself revives, up to a global phase, after that period
+        t = qst_analysis.PERIOD_SAMPLES
+        revival = report[0].revival_period
+        assert phase_aligned_distance(closed_form_state(t + revival, float(J)),
+                                      closed_form_state(t, float(J))).max() < 1e-12
+        for entry in report:
+            assert entry.revival_period == revival
+            assert entry.period == exact_signal_period(entry.signal, J)
+            assert entry.multiple * entry.period == pytest.approx(revival)
+            assert entry.repeat_defect <= 1e-12 and entry.subperiod_change > 1e-9
+            assert entry.verified, entry
 
-    @staticmethod
-    def _direct_estimate(values, dt):
-        """The same normalized autocorrelation and peak picking, with the
-        O(n^2) direct correlation."""
-        x = np.asarray(values, dtype=float)
-        x = x - x.mean()
-        n = x.size
-        num = np.correlate(x, x, mode="full")[n - 1:]
-        cum = np.concatenate(([0.0], np.cumsum(x * x)))
-        norm = np.sqrt(cum[1:][::-1] * (cum[n] - cum[:n]))
-        r = num / norm
-        for k in range(2, n - 1):
-            if r[k] >= r[k - 1] and r[k] >= r[k + 1] and r[k] >= 0.99:
-                denom = r[k - 1] - 2.0 * r[k] + r[k + 1]
-                delta = 0.5 * (r[k - 1] - r[k + 1]) / denom if denom != 0 else 0.0
-                return float((k + delta) * dt)
-        return None
+    def test_revival_period_and_c13_half_period(self):
+        assert periodicity_report(F(1, 511))[0].revival_period == pytest.approx(
+            511 * np.pi)
+        for J in (F(1, 2), F(2, 3)):
+            c13 = {p.signal: p for p in periodicity_report(J)}["C13"]
+            assert c13.multiple == 2 and c13.verified
 
-    @pytest.mark.parametrize("J", [0.0, 0.2, 0.123, 0.5, 2.0 / 3.0, 1.0, 1.4, 2.0])
-    def test_fft_autocorrelation_matches_direct(self, J):
-        ts = np.linspace(0.0, 16.0 * np.pi, 8192)
-        for name, signal in qst_analysis._SIGNALS.items():
-            values = signal(ts, J)
-            if float(np.std(values)) < 1e-12:
-                continue
-            fast = estimate_period(values, ts[1])
-            slow = self._direct_estimate(values, ts[1])
-            assert (fast is None) == (slow is None), name
-            if slow is not None:
-                assert abs(fast - slow) <= 1e-12, name
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(qst_analysis._SIGNALS)),
+           t=st.floats(0.0, 8.0 * np.pi), J=small_fractions())
+    def test_terms_reproduce_signal(self, name, t, J):
+        # the tables omit constant terms, so compare s(t) - s(0)
+        table = sum(float(c) * (np.cos(float(f) * t) - 1.0 if kind == "cos"
+                                else np.sin(float(f) * t))
+                    for kind, f, c in qst_analysis._signal_terms(name, J))
+        signal = qst_analysis._SIGNALS[name]
+        assert abs(table - (signal(t, float(J)) - signal(0.0, float(J)))) <= 1e-14
