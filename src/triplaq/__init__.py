@@ -34,7 +34,6 @@ from .qst_analysis import (
     SequenceEntry,
     SignalPeriod,
     WStateCandidate,
-    exact_signal_period,
     find_qst_J,
     forbidden_J_scan,
     gap_at_transfer_times,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NumericalHealthError
-from .spin_core import embed_single_excitation, initial_bell_state
+from .spin_core import _blocks, embed_single_excitation, initial_bell_state
 
 
 def amplitudes_closed_form(t, J) -> np.ndarray:
@@ -135,32 +135,20 @@ def _jacobi_sweep(A, Vt, skip_below):
             q += 1
 
 
-def _blocks(A) -> list[np.ndarray]:
-    """Sorted index arrays of the connected components of the off-diagonal
-    entries nonzero in any matrix of the stack A, in order of their first
-    index.  A rotation inside one component touches no entry outside it."""
-    n = A.shape[-1]
-    linked = np.any(A, axis=0) | np.eye(n, dtype=bool)
-    linked |= linked.T
-    for _ in range(n.bit_length()):     # then it holds every path of up to n steps
-        linked = linked @ linked
-    return [np.flatnonzero(row) for i, row in enumerate(linked) if row.argmax() == i]
-
-
 def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi diagonalization of a Hermitian matrix, shape (n, n), or
     of a stack of them, shape (..., n, n), in one pass over the stack.  Like
     ``np.linalg.eigh`` it returns (eigenvalues, eigenvectors): ascending,
     shape (..., n), and shape (..., n, n), column k belonging to value k.
 
-    Each block of :func:`_blocks` (the plaquette's total S^z sectors, sizes
-    1, 4, 6, 4, 1) is swept as its own stack, pairs in row-major order, so
-    the output is deterministic (degenerate eigenspaces included).  Blocks
-    touch disjoint entries, so each matrix gets exactly the rotations of a
-    sweep over its full rows, and those it would get alone: the result
-    equals per-matrix calls bit for bit.  Convergence, per matrix:
-    off-diagonal Frobenius norm below 1e-13 of the matrix's own scale,
-    within 100 sweeps.  Raises ContractViolationError for a non-finite or
+    Each block of :func:`~triplaq.spin_core._blocks` (the plaquette's total
+    S^z sectors, sizes 1, 4, 6, 4, 1) is swept as its own stack, pairs in
+    row-major order, so the output is deterministic (degenerate eigenspaces
+    included).  Blocks touch disjoint entries, so each matrix gets exactly
+    the rotations of a sweep over its full rows, and those it would get
+    alone: the result equals per-matrix calls bit for bit.  Convergence,
+    per matrix: off-diagonal Frobenius norm below 1e-13 of the matrix's own
+    scale, within 100 sweeps.  Raises ContractViolationError for a non-finite or
     non-Hermitian input and for a Frobenius norm that overflows.
     """
     H = _require_hermitian(H)

@@ -2,12 +2,14 @@
 
 The full recipe (partial trace, spin-flipped product, characteristic
 quartic) works for any two-qubit reduced state and broadcasts over stacks of
-states or matrices, each matrix bit for bit as if alone.  The pure-state SVD
-route serves the scans.  The closed forms evaluate fixed trigonometric
-reference expressions for the (1,2), (3,4) and (1,3) pair signals; the
-validation sweep shows the first two track the *square* of the Wootters
-value and the third matches neither, so the Wootters route is always the
-source of truth.
+states or matrices, each matrix bit for bit as if alone.  The pure-state
+route serves the scans: the singular values of the Hill-Wootters matrices,
+one connected block of their nonzero pattern at a time, so that the
+single-excitation states the scans score need no SVD.  The closed forms
+evaluate fixed trigonometric reference expressions for the (1,2), (3,4) and
+(1,3) pair signals; the validation sweep shows the first two track the
+*square* of the Wootters value and the third matches neither, so the
+Wootters route is always the source of truth.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError, NumericalHealthError
+from .spin_core import _blocks
 
 ALL_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 #: The four pair signals tracked by scans: first pair, last pair, both legs.
@@ -60,6 +63,12 @@ def _check_states(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1:] != (16,):
         raise ValueError(f"expected (..., 16) state vectors, got shape {psi.shape}")
+    bad = ~np.isfinite(psi)
+    if bad.any():
+        at = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise ContractViolationError(
+            f"{np.count_nonzero(bad)} state amplitude(s) not finite, the first "
+            f"psi{list(at)} = {psi[at]}")
     return psi
 
 
@@ -189,14 +198,27 @@ def pair_concurrences(psi: np.ndarray, pairs=ALL_PAIRS) -> np.ndarray:
 
     For a pure state the pair's reduced matrix is rho = B B+, with B the
     4x4 block of kept-by-traced amplitudes, and the square roots of the
-    eigenvalues of rho rho_tilde are the singular values of B^T (sy x sy) B
-    (Hill and Wootters, PRL 78, 5022, 1997), so one batched SVD serves a
-    whole stack of states and pairs.  Unlike the quartic route of
+    eigenvalues of rho rho_tilde are the singular values of M = B^T (sy x sy) B
+    (Hill and Wootters, PRL 78, 5022, 1997).  Unlike the quartic route of
     :func:`state_concurrence`, this keeps concurrences far below 1e-6; the
     eigenvalues of M^H M would square them and lose them again.
+
+    M's singular values are taken one block of
+    :func:`~triplaq.spin_core._blocks` at a time, over the whole stack of
+    states and pairs: permuting M to a direct sum of its blocks leaves them
+    unchanged.  A 1x1 block's value is its entry's modulus; each larger
+    block gets one batched SVD.  A state with one excitation (every state
+    the scans score) has one nonzero entry in M, so its stack takes no SVD;
+    a dense stack is one 4x4 block, one SVD as before.  A non-finite
+    amplitude raises ContractViolationError before any block is solved.
     """
-    gammas = np.linalg.svd(_hill_wootters_matrices(psi, pairs), compute_uv=False)
-    return np.maximum(0.0, 2.0 * gammas[..., 0] - gammas.sum(axis=-1))
+    M = _hill_wootters_matrices(psi, pairs)
+    gammas = np.empty(M.shape[:-1])
+    for idx in _blocks(M.reshape(-1, 4, 4)):
+        block = M[..., idx[:, None], idx]
+        gammas[..., idx] = (np.abs(block[..., 0]) if idx.size == 1
+                            else np.linalg.svd(block, compute_uv=False))
+    return np.maximum(0.0, 2.0 * gammas.max(axis=-1) - gammas.sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -480,14 +480,6 @@ def _frequencies(name: str, J: Fraction) -> tuple[Fraction, Fraction]:
                      math.lcm(*(f.denominator for f in freqs))), max(freqs))
 
 
-def exact_signal_period(name: str, J) -> float | None:
-    """Algebraic fundamental period 2*pi/g of a closed-form signal at
-    rational J, g the gcd of its table's surviving frequencies in exact
-    arithmetic; None when J is not a small rational."""
-    J_frac = _as_small_fraction(J)
-    return None if J_frac is None else float(2.0 * math.pi / _frequencies(name, J_frac)[0])
-
-
 def _as_small_fraction(J) -> Fraction | None:
     if isinstance(J, Fraction):
         return J
@@ -531,8 +523,10 @@ def _primes_upto(n: int) -> np.ndarray:
 
 
 def periodicity_report(J) -> list[SignalPeriod]:
-    """Each signal's exact period at a rational J (as exact_signal_period
-    reads it), checked without a search, beside the state's revival period
+    """Each signal's exact period 2*pi/g at a rational J, g the gcd of its
+    table's surviving frequencies in exact arithmetic (a float J is read as
+    the fraction of denominator at most SMALL_FRACTION_MAX_DENOMINATOR within
+    1e-12 of it), checked without a search, beside the state's revival period
     2*pi / gcd(J - 1, J + 1, 2), the gcd of the Bohr frequencies of the
     circulant block, whose eigenvalues are J/2, J/2, 1 - J/2, -1 - J/2."""
     J_frac = _as_small_fraction(J)

@@ -226,6 +226,26 @@ def single_excitation_block(H: np.ndarray) -> np.ndarray:
     return H[np.ix_(idx, idx)].copy()
 
 
+def _blocks(A) -> list[np.ndarray]:
+    """Sorted index arrays of the connected components of the off-diagonal
+    entries nonzero in any matrix of the stack A, shape (m, n, n), in order
+    of their first index.
+
+    Permuting A by its blocks leaves a direct sum of them, so a solver may
+    work on each block of the whole stack on its own: the Jacobi sweep of
+    :func:`triplaq.dynamics.hermitian_eigendecompose` (a rotation inside one
+    block touches no entry outside it; the plaquette's Hamiltonians split
+    into their total S^z sectors) and the singular values of
+    :func:`triplaq.entanglement.pair_concurrences`.
+    """
+    n = A.shape[-1]
+    linked = np.any(A, axis=0) | np.eye(n, dtype=bool)
+    linked |= linked.T
+    for _ in range(n.bit_length()):     # then it holds every path of up to n steps
+        linked = linked @ linked
+    return [np.flatnonzero(row) for i, row in enumerate(linked) if row.argmax() == i]
+
+
 def embed_single_excitation(amplitudes) -> np.ndarray:
     """Lift single-excitation amplitudes, shape (..., 4), to states (..., 16).
 

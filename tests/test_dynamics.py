@@ -10,7 +10,6 @@ from triplaq.cli_io import SweepConfig, cmd_evolve
 from triplaq.dynamics import (
     AMPLITUDE_BLOCK,
     HERMITIAN_TOL,
-    _blocks,
     _require_hermitian,
     amplitudes_closed_form,
     closed_form_batches,
@@ -25,6 +24,7 @@ from triplaq.spin_core import (
     BondKind,
     BondSpec,
     PlaquetteGeometry,
+    _blocks,
     build_hamiltonian,
     build_hamiltonians,
     default_plaquette,

@@ -9,7 +9,6 @@ from triplaq import qst_analysis
 from triplaq.dynamics import closed_form_state, phase_aligned_distance
 from triplaq.entanglement import SCAN_PAIRS, concurrence_gap, pair_concurrences, state_concurrence
 from triplaq.qst_analysis import (
-    exact_signal_period,
     find_qst_J,
     forbidden_J_scan,
     gap_at_transfer_times,
@@ -275,17 +274,27 @@ class TestPeriodicity:
     # the report's couplings; the autocorrelation estimator missed the
     # periods at 7/64, 1/31, 1/101 and 1/511
     COUPLINGS = (F(0), F(1), F(1, 2), F(2, 3), F(7, 64), F(1, 31), F(1, 101), F(1, 511))
+    #: The periods of C12, C34, C13 and GAP at each coupling in units of pi:
+    #: 2/g, g the gcd of the signal's frequencies, worked out by hand (at
+    #: J = 1/31 the GAP frequencies |J - 3|, J + 3, J + 1, |J - 1| are 2/31
+    #: times 46, 47, 16, 15, so g = 2/31)
+    PERIODS_OVER_PI = {F(0): (2, 2, 1, 2), F(1): (1, 1, 1, 1), F(1, 2): (4, 4, 2, 4),
+                       F(2, 3): (6, 6, 3, 6), F(7, 64): (128, 128, 64, 128),
+                       F(1, 31): (31,) * 4, F(1, 101): (101,) * 4, F(1, 511): (511,) * 4}
 
     def test_exact_periods(self):
-        assert exact_signal_period("C12", 0) == pytest.approx(2 * np.pi)
-        assert exact_signal_period("C13", 0) == pytest.approx(np.pi)
-        assert exact_signal_period("GAP", 1) == pytest.approx(np.pi)
-        assert exact_signal_period("GAP", F(1, 2)) == pytest.approx(4 * np.pi)
+        def period(signal, J):
+            return {p.signal: p.period for p in periodicity_report(J)}[signal]
+        assert period("C12", 0) == pytest.approx(2 * np.pi)
+        assert period("C13", 0) == pytest.approx(np.pi)
+        assert period("GAP", 1) == pytest.approx(np.pi)
+        assert period("GAP", F(1, 2)) == pytest.approx(4 * np.pi)
 
     def test_exact_period_requires_rational(self):
-        assert exact_signal_period("C12", np.sqrt(2)) is None
         with pytest.raises(ValueError, match="rational"):
             periodicity_report(np.sqrt(2))
+        # a float within 1e-12 of a small fraction reads as that fraction
+        assert periodicity_report(0.5) == periodicity_report(F(1, 2))
 
     def test_report_zero_coupling(self):
         c12 = {p.signal: p for p in periodicity_report(0.0)}["C12"]
@@ -307,9 +316,9 @@ class TestPeriodicity:
         revival = report[0].revival_period
         assert phase_aligned_distance(closed_form_state(t + revival, float(J)),
                                       closed_form_state(t, float(J))).max() < 1e-12
-        for entry in report:
+        for entry, over_pi in zip(report, self.PERIODS_OVER_PI[J]):
             assert entry.revival_period == revival
-            assert entry.period == exact_signal_period(entry.signal, J)
+            assert entry.period == pytest.approx(over_pi * np.pi, rel=1e-15)
             assert entry.multiple * entry.period == pytest.approx(revival)
             assert entry.repeat_defect <= 1e-12 and entry.subperiod_change > 1e-9
             assert entry.verified, entry
