@@ -141,14 +141,14 @@ def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``np.linalg.eigh`` it returns (eigenvalues, eigenvectors): ascending,
     shape (..., n), and shape (..., n, n), column k belonging to value k.
 
-    Each block of :func:`~triplaq.spin_core._blocks` (the plaquette's total
-    S^z sectors, sizes 1, 4, 6, 4, 1) is swept as its own stack, pairs in
-    row-major order, so the output is deterministic (degenerate eigenspaces
-    included).  Blocks touch disjoint entries, so each matrix gets exactly
-    the rotations of a sweep over its full rows, and those it would get
-    alone: the result equals per-matrix calls bit for bit.  Convergence,
-    per matrix: off-diagonal Frobenius norm below 1e-13 of the matrix's own
-    scale, within 100 sweeps.  Raises ContractViolationError for a non-finite or
+    Each block of :func:`_blocks` (the plaquette's total S^z sectors, sizes
+    1, 4, 6, 4, 1) is swept as its own stack, pairs in row-major order, so
+    the output is deterministic (degenerate eigenspaces included).  Blocks
+    touch disjoint entries, so each matrix gets exactly the rotations of a
+    sweep over its full rows, and those it would get alone: the result
+    equals per-matrix calls bit for bit.  Convergence, per matrix:
+    off-diagonal Frobenius norm below 1e-13 of the matrix's own scale,
+    within 100 sweeps.  Raises ContractViolationError for a non-finite or
     non-Hermitian input and for a Frobenius norm that overflows.
     """
     H = _require_hermitian(H)

@@ -229,15 +229,11 @@ def single_excitation_block(H: np.ndarray) -> np.ndarray:
 def _blocks(A) -> list[np.ndarray]:
     """Sorted index arrays of the connected components of the off-diagonal
     entries nonzero in any matrix of the stack A, shape (m, n, n), in order
-    of their first index.
-
-    Permuting A by its blocks leaves a direct sum of them, so a solver may
-    work on each block of the whole stack on its own: the Jacobi sweep of
-    :func:`triplaq.dynamics.hermitian_eigendecompose` (a rotation inside one
-    block touches no entry outside it; the plaquette's Hamiltonians split
-    into their total S^z sectors) and the singular values of
-    :func:`triplaq.entanglement.pair_concurrences`.
-    """
+    of their first index.  Permuted by them, every matrix is a direct sum of
+    blocks that a solver may treat one at a time: the Jacobi sweep of
+    :func:`triplaq.dynamics.hermitian_eigendecompose` (the plaquette's S^z
+    sectors) and the singular values of
+    :func:`triplaq.entanglement.pair_concurrences`."""
     n = A.shape[-1]
     linked = np.any(A, axis=0) | np.eye(n, dtype=bool)
     linked |= linked.T
