@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import (
     TIME_CHUNK,
-    closed_form_batches,
+    closed_form_rows,
     closed_form_state,
     evolve_numeric,
     hermitian_eigendecompose,
@@ -545,15 +545,17 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
     """The report's closed-form comparison, monogamy check and W scan over
     the configured (t, J) grid.
 
-    They reduce one pair-major grid of pair concurrences, filled one t-row
-    at a time so the batches stay small (the closed form runs on blocks of
-    rows); each reduction holds at most a few (t, J) temporaries besides it,
-    and the grid is freed on return, before the report's other scans run.
+    They reduce one pair-major grid of pair concurrences, filled one block
+    of :func:`closed_form_rows` at a time (7 t-rows, 455 states, on the
+    default grid) with one :func:`pair_concurrences` call each, so the
+    batches stay small; each reduction holds at most a few (t, J)
+    temporaries besides it, and the grid is freed on return, before the
+    report's other scans run.
     """
     ts, js = cfg.t_grid(), cfg.j_grid()
     c = np.empty((len(ALL_PAIRS), ts.size, js.size))
-    for k, psi in enumerate(closed_form_batches((t, js) for t in ts)):
-        c[:, k] = pair_concurrences(psi, ALL_PAIRS).T
+    for lo, psi in closed_form_rows(ts, js):
+        c[:, lo:lo + len(psi)] = np.moveaxis(pair_concurrences(psi, ALL_PAIRS), -1, 0)
     conc = dict(zip(ALL_PAIRS, c))
     w12, w34, w13, w24 = w_scan = [conc[pair] for pair in SCAN_PAIRS]
     tt = ts[:, None]

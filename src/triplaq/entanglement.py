@@ -4,8 +4,9 @@ The full recipe (partial trace, spin-flipped product, characteristic
 quartic) works for any two-qubit reduced state and broadcasts over stacks of
 states or matrices, each matrix bit for bit as if alone.  The pure-state
 route serves the scans: the singular values of the Hill-Wootters matrices,
-one connected block of their nonzero pattern at a time, so that the
-single-excitation states the scans score need no SVD.  The closed forms
+built and solved one connected block at a time of the pattern the
+amplitudes allow, so that the single-excitation states the scans score
+build one entry per matrix and need no SVD.  The closed forms
 evaluate fixed trigonometric reference expressions for the (1,2), (3,4) and
 (1,3) pair signals; the validation sweep shows the first two track the
 *square* of the Wootters value and the third matches neither, so the
@@ -178,19 +179,30 @@ def state_concurrence(psi, pair):
     return wootters_concurrence(partial_trace_pair(psi, pair))
 
 
-def _hill_wootters_matrices(psi: np.ndarray, pairs) -> np.ndarray:
-    """M = B^T (sy x sy) B of each pair of (..., 16) states, shape
-    (..., len(pairs), 4, 4), with B the pair's 4x4 block.
+def _hill_wootters_block(B: np.ndarray) -> np.ndarray:
+    """One diagonal block of M = B^T (sy x sy) B per matrix, given the
+    block's columns of the pair's 4x4 block B, shape (..., 4, k): shape
+    (..., k, k).
 
     sy x sy is the anti-diagonal (-1, 1, 1, -1), so with b0..b3 the rows of
     B, M = P + P^T for P = b1 (x) b2 - b0 (x) b3: outer products over the
     stack instead of one small complex matmul per matrix, and M is exactly
-    symmetric.
+    symmetric.  Entry (i, j) reads only columns i and j of B.
     """
-    B = _check_states(psi)[..., np.stack([_BLOCK_INDEX[_check_pair(pair)] for pair in pairs])]
     P = B[..., 1, :, None] * B[..., 2, None, :]
     P -= B[..., 0, :, None] * B[..., 3, None, :]
     return P + np.swapaxes(P, -1, -2)
+
+
+def _structural_pattern(psi: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The 4x4 bool pattern of the M entries that can be nonzero in any
+    state of the stack and any pair, from the union of the amplitudes'
+    nonzero patterns; ``index`` holds the pairs' flat block indices, shape
+    (pairs, 4, 4).  An entry M_ij = P_ij + P_ji is structurally zero unless
+    b1_i b2_j, b0_i b3_j or their transposes can be nonzero."""
+    b = np.any(psi.reshape(-1, 16) != 0, axis=0)[index]
+    P = (b[:, 1, :, None] & b[:, 2, None, :]) | (b[:, 0, :, None] & b[:, 3, None, :])
+    return np.any(P | np.swapaxes(P, -1, -2), axis=0)
 
 
 def pair_concurrences(psi: np.ndarray, pairs=ALL_PAIRS) -> np.ndarray:
@@ -206,16 +218,24 @@ def pair_concurrences(psi: np.ndarray, pairs=ALL_PAIRS) -> np.ndarray:
     M's singular values are taken one block of
     :func:`~triplaq.spin_core._blocks` at a time, over the whole stack of
     states and pairs: permuting M to a direct sum of its blocks leaves them
-    unchanged.  A 1x1 block's value is its entry's modulus; each larger
-    block gets one batched SVD.  A state with one excitation (every state
-    the scans score) has one nonzero entry in M, so its stack takes no SVD;
-    a dense stack is one 4x4 block, one SVD as before.  A non-finite
-    amplitude raises ContractViolationError before any block is solved.
+    unchanged.  The blocks split M's structural pattern, which is read off
+    the union nonzero pattern of the amplitudes and contains every nonzero
+    entry, so M is built only on its blocks.  A block with no structural
+    entry has singular values 0; a 1x1 block's value is its entry's modulus;
+    each larger block gets one batched SVD.  A state with one excitation
+    (every state the scans score) has one structural entry in M, so its
+    stack takes no SVD; a dense stack is one 4x4 block, one SVD.  A
+    non-finite amplitude raises ContractViolationError before any block is
+    solved.
     """
-    M = _hill_wootters_matrices(psi, pairs)
-    gammas = np.empty(M.shape[:-1])
-    for idx in _blocks(M.reshape(-1, 4, 4)):
-        block = M[..., idx[:, None], idx]
+    psi = _check_states(psi)
+    index = np.stack([_BLOCK_INDEX[_check_pair(pair)] for pair in pairs])
+    pattern = _structural_pattern(psi, index)
+    gammas = np.zeros(psi.shape[:-1] + (len(pairs), 4))
+    for idx in _blocks(pattern[None]):
+        if not pattern[np.ix_(idx, idx)].any():
+            continue
+        block = _hill_wootters_block(psi[..., index[:, :, idx]])
         gammas[..., idx] = (np.abs(block[..., 0]) if idx.size == 1
                             else np.linalg.svd(block, compute_uv=False))
     return np.maximum(0.0, 2.0 * gammas.max(axis=-1) - gammas.sum(axis=-1))

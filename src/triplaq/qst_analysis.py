@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import TIME_CHUNK, closed_form_batches, closed_form_state
+from .dynamics import TIME_CHUNK, closed_form_rows, closed_form_state
 from .entanglement import (
     SCAN_PAIRS,
     closed_form_c12,
@@ -416,14 +416,14 @@ def wstate_scan(t_range, J_range, resolution: int = 32,
     ts = np.linspace(t_lo, t_hi, n_t)
     js = np.linspace(J_lo, J_hi, n_j)
     out = []
-    for t, psi in zip(ts, closed_form_batches((t, js) for t in ts)):
+    for lo, psi in closed_form_rows(ts, js):
         cs = pair_concurrences(psi, SCAN_PAIRS)
-        dev = w_deviation(cs.T)
-        for j in np.flatnonzero(dev < threshold):
+        dev = w_deviation(np.moveaxis(cs, -1, 0))
+        for i, j in zip(*np.nonzero(dev < threshold)):
             out.append(WStateCandidate(
-                t=float(t), J=float(js[j]),
-                concurrences=tuple(float(c) for c in cs[j]),
-                max_deviation_from_half=float(dev[j])))
+                t=float(ts[lo + i]), J=float(js[j]),
+                concurrences=tuple(float(c) for c in cs[i, j]),
+                max_deviation_from_half=float(dev[i, j])))
     return out
 
 

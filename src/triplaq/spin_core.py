@@ -229,11 +229,13 @@ def single_excitation_block(H: np.ndarray) -> np.ndarray:
 def _blocks(A) -> list[np.ndarray]:
     """Sorted index arrays of the connected components of the off-diagonal
     entries nonzero in any matrix of the stack A, shape (m, n, n), in order
-    of their first index.  Permuted by them, every matrix is a direct sum of
-    blocks that a solver may treat one at a time: the Jacobi sweep of
+    of their first index; A may be a bool stack of patterns.  Permuted by
+    them, every matrix is a direct sum of blocks that a solver may treat one
+    at a time: the Jacobi sweep of
     :func:`triplaq.dynamics.hermitian_eigendecompose` (the plaquette's S^z
     sectors) and the singular values of
-    :func:`triplaq.entanglement.pair_concurrences`."""
+    :func:`triplaq.entanglement.pair_concurrences`, which passes the one
+    structural pattern its amplitudes allow."""
     n = A.shape[-1]
     linked = np.any(A, axis=0) | np.eye(n, dtype=bool)
     linked |= linked.T

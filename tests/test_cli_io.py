@@ -1030,6 +1030,37 @@ def test_report_wstate_list_equals_wstate_scan(tmp_path):
     assert results["monogamy_max_excess"] == 0.0
 
 
+def _recorded_pair_concurrences(monkeypatch, module):
+    """Patch ``module``'s pair_concurrences to record each result."""
+    results = []
+    def spy(psi, pairs):
+        results.append(pair_concurrences(psi, pairs))
+        return results[-1]
+    monkeypatch.setattr(module, "pair_concurrences", spy)
+    return results
+
+
+def test_grid_sweep_scores_blocks_of_rows(monkeypatch):
+    """The default 129 x 65 grid is scored in blocks of 7 t-rows, one
+    pair_concurrences call each, bit for bit the per-row calls."""
+    cfg = SweepConfig()
+    blocked = _recorded_pair_concurrences(monkeypatch, cli_io)
+    results, checks = {}, {}
+    cli_io._grid_sweep(cfg, results, checks)
+    assert [len(c) for c in blocked] == [7] * 18 + [3]
+    js = cfg.j_grid()
+    per_row = np.stack([pair_concurrences(closed_form_state(t, js), ALL_PAIRS)
+                        for t in cfg.t_grid()])
+    assert np.array_equal(np.concatenate(blocked), per_row)
+    # one row per block writes the same grid, so every reduction agrees
+    monkeypatch.setattr(dynamics, "AMPLITUDE_BLOCK", 1)
+    one_row = _recorded_pair_concurrences(monkeypatch, cli_io)
+    row_results, row_checks = {}, {}
+    cli_io._grid_sweep(cfg, row_results, row_checks)
+    assert len(one_row) == 129
+    assert (row_results, row_checks) == (results, checks)
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(triplaq.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

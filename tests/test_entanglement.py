@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import strategies as st
 
 from triplaq.dynamics import (
     amplitudes_closed_form,
+    closed_form_rows,
     closed_form_state,
     evolve_numeric,
     hermitian_eigendecompose,
 )
 from triplaq.entanglement import (
+    _BLOCK_INDEX,
     ALL_PAIRS,
     _check_density,
-    _hill_wootters_matrices,
+    _hill_wootters_block,
+    _structural_pattern,
     closed_form_c12,
     closed_form_c13,
     closed_form_c34,
@@ -174,6 +178,22 @@ def _random_state_stacks(draw):
     return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
+@st.composite
+def _masked_state_stacks(draw):
+    """Normalized random 16-vectors with a random set of amplitudes zeroed
+    in each state (at least one kept), so that the stack's union pattern can
+    be any nonempty subset of the 16 basis states, not only S^z sectors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 6))
+    keep = rng.random((n, 16)) < draw(st.floats(0.05, 0.95))
+    keep[np.arange(n), rng.integers(0, 16, n)] = True
+    psi = np.where(keep, rng.normal(size=(n, 16)) + 1j * rng.normal(size=(n, 16)), 0.0)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+#: Every pair's flat block indices, stacked in ALL_PAIRS order.
+_PAIR_INDEX = np.stack([_BLOCK_INDEX[pair] for pair in ALL_PAIRS])
+
 #: Total S^z sector families, by excitation count: each sector alone and
 #: three mixtures of two.
 _SECTOR_FAMILIES = [(0,), (1,), (2,), (3,), (4,), (1, 3), (0, 2), (1, 2)]
@@ -212,11 +232,24 @@ class TestPairConcurrences:
                                    rtol=0, atol=1e-14)
 
     @settings(max_examples=30, deadline=None)
-    @given(_random_state_stacks())
-    def test_hill_wootters_matrix_is_exactly_symmetric(self, psi):
-        M = _hill_wootters_matrices(psi, ALL_PAIRS)
-        assert M.shape == psi.shape[:-1] + (6, 4, 4)
+    @given(_random_state_stacks(), st.lists(st.integers(0, 3), min_size=1, max_size=4,
+                                            unique=True))
+    def test_hill_wootters_matrix_is_exactly_symmetric(self, psi, cols):
+        idx = np.sort(cols)
+        M = _hill_wootters_block(psi[..., _PAIR_INDEX[:, :, idx]])
+        assert M.shape == psi.shape[:-1] + (6, idx.size, idx.size)
         assert np.array_equal(M, M.swapaxes(-1, -2))
+        # a block of M is M's rows and columns idx: B^T (sy x sy) B cut down
+        sy = np.array([[0, -1j], [1j, 0]])
+        B = psi[..., _PAIR_INDEX]
+        full = np.swapaxes(B, -1, -2) @ np.kron(sy, sy) @ B
+        np.testing.assert_allclose(M, full[..., idx[:, None], idx], rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_masked_state_stacks())
+    def test_matches_matmul_formula_on_zero_mask_stacks(self, psi):
+        got = pair_concurrences(psi, ALL_PAIRS)
+        np.testing.assert_allclose(got, _matmul_concurrences(psi), rtol=0, atol=1e-14)
 
     def test_matches_scalar_route_on_default_grid(self):
         ts = np.linspace(0.0, 4 * np.pi, 129)
@@ -300,11 +333,48 @@ class TestPairConcurrences:
         ids=["single-excitation", "two-excitation", "dense"])
     def test_one_svd_per_block_larger_than_one(self, monkeypatch, sectors, blocks):
         psi = _sector_states(sectors, np.random.default_rng(11), 6)
-        M = _hill_wootters_matrices(psi, ALL_PAIRS)
-        assert [b.tolist() for b in _blocks(M.reshape(-1, 4, 4))] == blocks
+        pattern = _structural_pattern(psi, _PAIR_INDEX)
+        assert [b.tolist() for b in _blocks(pattern[None])] == blocks
         calls = _counting_svd(monkeypatch)
         pair_concurrences(psi, ALL_PAIRS)
         assert calls == [(6, 6, len(b), len(b)) for b in blocks if len(b) > 1]
+
+    def test_structural_block_larger_than_numerical(self, monkeypatch):
+        # two-excitation states with psi5 psi10 = -psi6 psi9 exactly: pair
+        # (1,2)'s M_12 = b1_1 b2_2 + b1_2 b2_1 cancels to 0 in every state,
+        # so M's nonzero entries split {1, 2} into {1} and {2}, while the
+        # amplitudes' pattern keeps it whole and it takes an SVD
+        rng = np.random.default_rng(5)
+        x, y, u, v = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        psi = np.zeros((8, 16), dtype=complex)
+        psi[:, 5], psi[:, 10], psi[:, 6], psi[:, 9] = x, y, x, -y
+        psi[:, 3], psi[:, 12] = u, v
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        index = np.stack([_BLOCK_INDEX[(1, 2)]])
+        M = _hill_wootters_block(psi[..., index])
+        assert (M[..., 1, 2] == 0).all() and (M[..., 1, 1] != 0).all()
+        assert [b.tolist() for b in _blocks(M.reshape(-1, 4, 4))] == [[0, 3], [1], [2]]
+        assert [b.tolist() for b in _blocks(_structural_pattern(psi, index)[None])] == [
+            [0, 3], [1, 2]]
+        calls = _counting_svd(monkeypatch)
+        got = pair_concurrences(psi, ((1, 2),))
+        assert calls == [(8, 1, 2, 2), (8, 1, 2, 2)]
+        np.testing.assert_allclose(got, _matmul_concurrences(psi, ((1, 2),)),
+                                   rtol=0, atol=1e-14)
+
+    def test_memory_on_a_default_grid_block(self):
+        # one block of the report's sweep: 7 t-rows of 65 couplings, 455
+        # states; M is built only on its one structural entry per pair
+        _, psi = next(closed_form_rows(np.linspace(0.0, 4 * np.pi, 129),
+                                       np.linspace(0.0, 2.0, 65)))
+        assert psi.shape == (7, 65, 16)
+        tracemalloc.start()
+        try:
+            pair_concurrences(psi, ALL_PAIRS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * psi.nbytes
 
     def test_small_concurrence_matches_sector_shortcut(self):
         psi = _small_c12_state()

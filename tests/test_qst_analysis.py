@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplaq import qst_analysis
+from triplaq import dynamics, qst_analysis
 from triplaq.dynamics import closed_form_state, phase_aligned_distance
 from triplaq.entanglement import SCAN_PAIRS, concurrence_gap, pair_concurrences, state_concurrence
 from triplaq.qst_analysis import (
@@ -225,6 +225,26 @@ class TestWStateScan:
         assert (1.0, 0.5) in hits and (0.5, 1.0) in hits
         exact = [c for c in cands if c.max_deviation_from_half < 1e-9]
         assert exact
+
+    @pytest.mark.parametrize("scan", [((0.0, 4 * np.pi), (0.0, 2.0), 32, 1e-3),
+                                      ((0.2, 9.0), (0.0, 3.0), 45, 0.2)],
+                             ids=["default", "wide"])
+    def test_blocks_of_rows_match_per_row_calls(self, monkeypatch, scan):
+        def recorded():
+            results = []
+            def spy(psi, pairs):
+                results.append(pair_concurrences(psi, pairs))
+                return results[-1]
+            monkeypatch.setattr(qst_analysis, "pair_concurrences", spy)
+            return results
+
+        blocked = recorded()
+        cands = wstate_scan(*scan)
+        monkeypatch.setattr(dynamics, "AMPLITUDE_BLOCK", 1)
+        per_row = recorded()
+        assert wstate_scan(*scan) == cands
+        assert len(blocked) < len(per_row) == sum(len(c) for c in blocked)
+        assert np.array_equal(np.concatenate(blocked), np.concatenate(per_row))
 
     def test_loose_threshold_catches_generic_points(self):
         cands = wstate_scan((0.0, 2 * np.pi), (0.0, 2.0), 16, 0.5)
