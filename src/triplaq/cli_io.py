@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import (
+    AMPLITUDE_BLOCK,
     TIME_CHUNK,
-    closed_form_rows,
+    closed_form_batches,
     closed_form_state,
     evolve_numeric,
     hermitian_eigendecompose,
@@ -47,10 +48,13 @@ from .entanglement import (
 from .errors import ConfigError, ContractViolationError, NumericalHealthError, TriplaqError
 from .qst_analysis import (
     TABLE_FAMILIES,
+    TRANSFER_LATTICE,
+    W_LATTICE,
     find_qst_J,
     forbidden_J_scan,
     gap_at_transfer_times,
     is_lattice_transfer,
+    lattice_count,
     locate_events_2d,
     periodicity_report,
     sequence_table,
@@ -148,7 +152,7 @@ COMMAND_OPTIONS = {
     "table1": ("--format",),
     "events": ("--t-range", "--j-range", "--format"),
     "forbidden": ("--format",),
-    "wstate": ("--t-range", "--j-range", "--threshold", "--format"),
+    "wstate": ("--t-range", "--j-range", "--format"),
     "report": ("--t-range", "--j-range", "--geometry", "--threshold"),
 }
 
@@ -197,7 +201,7 @@ def _check_grid(points: float, *flags: str) -> None:
 
 
 def _scan_points(cfg: SweepConfig, resolution: int) -> float:
-    """Points of an events or wstate grid, ``resolution`` per pi and per unit J."""
+    """Points of an events grid, ``resolution`` per pi and per unit J."""
     return ((cfg.t_max - cfg.t_min) / np.pi * resolution
             * ((cfg.j_max - cfg.j_min) * resolution + 1))
 
@@ -518,14 +522,15 @@ def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
             "forbidden": sum(1 for r in results if r.forbidden)}
 
 
-def cmd_wstate(cfg: SweepConfig, resolution: int) -> dict:
-    if resolution < 1:
-        raise ConfigError(f"--resolution must be at least 1, got {resolution}")
-    _check_grid(_scan_points(cfg, resolution), "--t-range", "--j-range", "--resolution")
-    cands = wstate_scan((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max),
-                        resolution, cfg.threshold)
-    payload = {"threshold": cfg.threshold,
-               "candidates": [asdict(c) for c in cands], "count": len(cands)}
+def cmd_wstate(cfg: SweepConfig) -> dict:
+    window = (cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max)
+    # bounded in phase (D is 1: wstate takes no --d), then in number,
+    # before any point is built
+    _check_phase((max(abs(cfg.j_min), abs(cfg.j_max)) + 1.0) * cfg.t_max,
+                 "--t-range, --j-range", "(|J| + 1)*t")
+    _check_grid(lattice_count(W_LATTICE, *window), "--t-range", "--j-range")
+    cands = wstate_scan(*window)
+    payload = {"candidates": [asdict(c) for c in cands], "count": len(cands)}
     header = ["t", "j", "c12", "c34", "c13", "c24", "max_deviation_from_half"]
     rows = [[c.t, c.J, *c.concurrences, c.max_deviation_from_half] for c in cands]
     _write_table(cfg.out, cfg.fmt, header, rows, payload)
@@ -545,17 +550,21 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
     """The report's closed-form comparison, monogamy check and W scan over
     the configured (t, J) grid.
 
-    They reduce one pair-major grid of pair concurrences, filled one block
-    of :func:`closed_form_rows` at a time (7 t-rows, 455 states, on the
-    default grid) with one :func:`pair_concurrences` call each, so the
-    batches stay small; each reduction holds at most a few (t, J)
+    They reduce one pair-major grid of pair concurrences, filled in blocks
+    of max(1, AMPLITUDE_BLOCK // js.size) t-rows (7 t-rows, 455 states, on
+    the default grid), each one :func:`closed_form_batches` batch and one
+    :func:`pair_concurrences` call; each reduction holds at most a few (t, J)
     temporaries besides it, and the grid is freed on return, before the
     report's other scans run.
     """
     ts, js = cfg.t_grid(), cfg.j_grid()
     c = np.empty((len(ALL_PAIRS), ts.size, js.size))
-    for lo, psi in closed_form_rows(ts, js):
-        c[:, lo:lo + len(psi)] = np.moveaxis(pair_concurrences(psi, ALL_PAIRS), -1, 0)
+    rows = max(1, AMPLITUDE_BLOCK // js.size)
+    starts = range(0, ts.size, rows)
+    blocks = closed_form_batches((ts[lo:lo + rows, None], js) for lo in starts)
+    for lo, psi in zip(starts, blocks):
+        c[:, lo:lo + rows] = np.moveaxis(
+            pair_concurrences(psi.reshape(-1, js.size, 16), ALL_PAIRS), -1, 0)
     conc = dict(zip(ALL_PAIRS, c))
     w12, w34, w13, w24 = w_scan = [conc[pair] for pair in SCAN_PAIRS]
     tt = ts[:, None]
@@ -650,14 +659,15 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
         v in solutions[e.m] for e in sequence_table(7) for v in e.values)
     checks["transfers_verified"] = bool(ok.all())
 
-    # Forbidden couplings and the event finder at a pinned forbidden J.
+    # Forbidden couplings, and the transfer lattice of the window at the
+    # pinned forbidden J = 1: empty, since n = m never has the parity of m + 1.
     forb = forbidden_J_scan((1.0, 3.0), 20.0 * np.pi)
     results["forbidden"] = {str(r.J): {"sup_gap": r.sup_gap, "margin": r.margin,
                                        "t_at_sup": r.t_at_sup} for r in forb}
-    pinned = locate_events_2d((cfg.t_min, cfg.t_max), (1.0, 1.0), 64)
-    results["events_at_pinned_j1"] = len(pinned)
+    results["events_at_pinned_j1"] = pinned = lattice_count(
+        TRANSFER_LATTICE, (cfg.t_min, cfg.t_max), (1.0, 1.0))
     checks["forbidden_couplings_certified"] = (
-        all(r.forbidden for r in forb) and not pinned)
+        all(r.forbidden for r in forb) and pinned == 0)
 
     # Event scan over the configured window.
     events = locate_events_2d((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max), 64)
@@ -768,8 +778,7 @@ def build_parser() -> _Parser:
                    help="comma list of couplings")
     p.add_argument("--t-max", dest="t_max_scan", type=_finite_float,
                    default=20.0 * np.pi, help="scan horizon")
-    command("wstate", "W-state witness scan").add_argument(
-        "--resolution", type=int, default=32, help="grid points per pi / per unit J")
+    command("wstate", "list the exact W points")
     command("report", "consolidated certification report")
     return parser
 
@@ -806,7 +815,7 @@ def main(argv=None) -> int:
         elif args.command == "forbidden":
             summary = cmd_forbidden(cfg, args.j_values, args.t_max_scan)
         elif args.command == "wstate":
-            summary = cmd_wstate(cfg, args.resolution)
+            summary = cmd_wstate(cfg)
         else:
             payload, code = cmd_report(cfg)
             if "checks" in payload:

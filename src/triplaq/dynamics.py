@@ -273,22 +273,6 @@ def closed_form_batches(batches):
         yield from _embedded_block(block)
 
 
-def closed_form_rows(ts, js):
-    """Closed-form states of the grid ts x js in blocks of whole t-rows:
-    for each block, ``(lo, psi)`` with psi of shape (rows, js.size, 16) the
-    states of ``ts[lo:lo + rows]``, bit for bit :func:`closed_form_state`.
-
-    A block holds AMPLITUDE_BLOCK // js.size rows (one when a row is
-    larger), so each is one batch of :func:`closed_form_batches` and a
-    consumer handles the grid in a few calls, not one per row.
-    """
-    rows = max(1, AMPLITUDE_BLOCK // js.size)
-    starts = range(0, ts.size, rows)
-    batches = closed_form_batches((ts[lo:lo + rows, None], js) for lo in starts)
-    for lo, psi in zip(starts, batches):
-        yield lo, psi.reshape(-1, js.size, 16)
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Worst-case disagreement between the numeric and closed-form routes."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import TIME_CHUNK, closed_form_rows, closed_form_state
+from .dynamics import TIME_CHUNK, closed_form_state
 from .entanglement import (
     SCAN_PAIRS,
     closed_form_c12,
@@ -28,6 +28,7 @@ from .entanglement import (
     concurrence_gap,
     pair_concurrences,
 )
+from .errors import NumericalHealthError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: Width at which a golden-section lane stops narrowing.
@@ -55,22 +56,62 @@ def _check_m(m) -> int:
     return int(m)
 
 
-def is_lattice_transfer(m: int, J: Fraction) -> bool:
-    """Exact rule for gap(m*pi, J) = 1, that is cos(m*pi*J) = (-1)**(m+1):
-    m*J is an integer of the parity of m + 1."""
-    mJ = _check_m(m) * Fraction(J)
-    return mJ.denominator == 1 and (mJ.numerator - m - 1) % 2 == 0
+#: The lattices {(k*step, n/k) : k >= 1, n = 1 + shift*k (mod 2)} as
+#: (step, shift): transfers at t = m*pi, where n has the parity of m + 1,
+#: and W points at t = k*pi/2, where n is odd.
+TRANSFER_LATTICE = (np.pi, 1)
+W_LATTICE = (np.pi / 2, 0)
+
+
+def _lattice_rows(lattice, t_lo, t_hi, J_lo, J_hi):
+    """(k, first n, point count) of each row of ``lattice`` in the closed
+    window, int64 arrays ascending in k; a point is in it when its printed
+    floats k*step and n/k are.  ceil(k*J) is within one of the first n with
+    n/k >= J (k*|J| is far below 2**53), and the float test moves it there."""
+    step, shift = lattice
+    k = np.arange(max(1, math.floor(t_lo / step)), math.ceil(t_hi / step) + 1)
+    k = k[(k * step >= t_lo) & (k * step <= t_hi)]
+    parity = (1 + shift * k) % 2
+
+    def first_n(J):
+        n = np.ceil(k * J).astype(np.int64)
+        n += n / k < J
+        n -= (n - 1) / k >= J
+        return n + (n - parity) % 2
+
+    # the last n with n/k <= J_hi is minus the first with n/k >= -J_hi
+    first, last = first_n(J_lo), -first_n(-J_hi)
+    return k, first, np.maximum(0, (last - first) // 2 + 1)
+
+
+def _lattice(lattice, *window) -> tuple[np.ndarray, np.ndarray]:
+    """(k, n) int64 arrays of the points of ``lattice`` in the closed window
+    (t_lo, t_hi, J_lo, J_hi), ordered by k, then n."""
+    k, first, count = _lattice_rows(lattice, *window)
+    n = np.repeat(first - 2 * (np.cumsum(count) - count), count)  # row start
+    return np.repeat(k, count), n + 2 * np.arange(n.size)
+
+
+def lattice_count(lattice, t_range, J_range) -> int:
+    """Points of ``lattice`` in the closed window, counted before any is built."""
+    return int(_lattice_rows(lattice, *_scan_window(t_range, J_range))[2].sum())
+
+
+def is_lattice_transfer(m: int, J) -> bool:
+    """Exact rule for gap(m*pi, J) = 1, that is cos(m*pi*J) = (-1)**(m+1), at
+    an exact rational J: m*J is an integer of the parity of m + 1."""
+    m = _check_m(m)
+    n, r = divmod(m * J.numerator, J.denominator)
+    return r == 0 and (n - 1 - TRANSFER_LATTICE[1] * m) % 2 == 0
 
 
 def find_qst_J(m: int) -> tuple[Fraction, ...]:
-    """All couplings in [0, 2] with a complete transfer at t = m*pi.
-
-    The lattice points n/m of [0, 2] that pass :func:`is_lattice_transfer`
-    (J = 2k/m for odd m, (2k+1)/m for even m), reduced and ascending.
-    """
+    """All couplings in [0, 2] with a complete transfer at t = m*pi: row m
+    of the transfer lattice (J = 2k/m for odd m, (2k+1)/m for even m),
+    reduced and ascending."""
     m = _check_m(m)
-    return tuple(J for J in (Fraction(n, m) for n in range(2 * m + 1))
-                 if is_lattice_transfer(m, J))
+    _, n = _lattice(TRANSFER_LATTICE, m * np.pi, m * np.pi, 0.0, 2.0)
+    return tuple(Fraction(p, m) for p in n.tolist())
 
 
 def verify_transfers(t, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -373,12 +414,12 @@ def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
 
 
 # ---------------------------------------------------------------------------
-# W-state witness scan
+# W points
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WStateCandidate:
-    """A grid point where all four tracked pair concurrences sit near 1/2."""
+    """A point where all four tracked pair concurrences sit at 1/2."""
 
     t: float
     J: float
@@ -402,29 +443,26 @@ def wstate_candidate_from_state(psi: np.ndarray) -> WStateCandidate:
         max_deviation_from_half=float(w_deviation(cs)))
 
 
-def wstate_scan(t_range, J_range, resolution: int = 32,
-                threshold: float = 1e-3) -> list[WStateCandidate]:
-    """Find grid points whose four pair concurrences all lie within
-    ``threshold`` of 1/2 (every pair concurrence of a four-qubit W state
-    equals 2/N = 1/2).  Grids are inclusive at both ends.
-    """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    t_lo, t_hi, J_lo, J_hi = _scan_window(t_range, J_range)
-    n_t = max(2, int(round((t_hi - t_lo) * resolution / np.pi)) + 1)
-    n_j = max(1, int(round((J_hi - J_lo) * resolution)) + 1)
-    ts = np.linspace(t_lo, t_hi, n_t)
-    js = np.linspace(J_lo, J_hi, n_j)
-    out = []
-    for lo, psi in closed_form_rows(ts, js):
-        cs = pair_concurrences(psi, SCAN_PAIRS)
-        dev = w_deviation(np.moveaxis(cs, -1, 0))
-        for i, j in zip(*np.nonzero(dev < threshold)):
-            out.append(WStateCandidate(
-                t=float(ts[lo + i]), J=float(js[j]),
-                concurrences=tuple(float(c) for c in cs[i, j]),
-                max_deviation_from_half=float(dev[i, j])))
-    return out
+#: Largest |C - 1/2| of a W point: 1.4e-15 on the default window, about 1e-10
+#: at phases (|J| + 1)*t up to 2**20.
+W_POINT_TOL = 1e-9
+
+
+def wstate_scan(t_range, J_range) -> list[WStateCandidate]:
+    """The W points of the closed window, by t, then J: the lattice
+    {(k*pi/2, n/k) : n odd}, where all four populations are 1/4 and so every
+    pair concurrence is 2/N = 1/2, as in a four-qubit W state.  One
+    :func:`pair_concurrences` call verifies them all to W_POINT_TOL."""
+    k, n = _lattice(W_LATTICE, *_scan_window(t_range, J_range))
+    t, J = k * W_LATTICE[0], n / k
+    cs = pair_concurrences(closed_form_state(t, J), SCAN_PAIRS)
+    dev = w_deviation(cs.T)
+    if (dev > W_POINT_TOL).any():
+        i = int(dev.argmax())
+        raise NumericalHealthError(f"W point (t, J) = ({t[i]!r}, {J[i]!r}): pair "
+                                   f"concurrences off 1/2 by {dev[i]:.3g}")
+    return [WStateCandidate(t_i, J_i, tuple(c), d) for t_i, J_i, c, d in
+            zip(t.tolist(), J.tolist(), cs.tolist(), dev.tolist())]
 
 
 # ---------------------------------------------------------------------------

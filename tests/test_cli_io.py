@@ -85,7 +85,7 @@ class TestSweepConfig:
         assert config_from_text(text, "surface") == SweepConfig(
             t_min=0.25, t_max=7.5, t_steps=33, j_min=0.1, j_max=1.9, j_steps=5,
             d=2.0, geometry="default", out="x.csv", fmt="json")
-        assert config_from_text("threshold = 0.5\n", "wstate") == SweepConfig(threshold=0.5)
+        assert config_from_text("threshold = 0.5\n", "report") == SweepConfig(threshold=0.5)
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -111,7 +111,7 @@ READS = {
     "table1": ("--format",),
     "events": ("--t-range", "--j-range", "--format"),
     "forbidden": ("--format",),
-    "wstate": ("--t-range", "--j-range", "--threshold", "--format"),
+    "wstate": ("--t-range", "--j-range", "--format"),
     "report": ("--t-range", "--j-range", "--geometry", "--threshold"),
 }
 SHARED = ("--t-range", "--j-range", "--d", "--geometry", "--threshold", "--format")
@@ -139,8 +139,8 @@ def test_non_finite_input_is_exit_1(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
-def test_unread_options_number_twenty():
-    assert len(UNREAD) == 20
+def test_unread_options_number_twenty_one():
+    assert len(UNREAD) == 21
 
 
 @pytest.mark.parametrize("command, option", [
@@ -171,6 +171,7 @@ def test_read_options_parse(command):
     ("report", "fmt = json\n", "fmt"),
     ("table1", "j_max = 3.0\n", "j_max"),
     ("events", "geometry = swapped-control\n", "geometry"),
+    ("wstate", "threshold = 0.5\n", "threshold"),
 ])
 def test_unread_config_key_is_exit_1(tmp_path, capsys, command, text, key):
     cfg_path = tmp_path / "sweep.cfg"
@@ -911,13 +912,6 @@ class TestScanCommands:
         assert margins[1.0] == pytest.approx(1.0, abs=1e-8)
         assert margins[3.0] == pytest.approx(0.75, abs=1e-8)
 
-    def test_wstate_loose_threshold(self, tmp_path):
-        out = tmp_path / "w.json"
-        code = main(["wstate", "--threshold", "0.5", "--t-range", "0:6.2832:17",
-                     "--j-range", "0:2:9", "--format", "json", "--out", str(out)])
-        assert code == 0
-        assert json.loads(out.read_text())["count"] > 0
-
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
@@ -1017,17 +1011,39 @@ class TestReportCommand:
         assert message in json.loads(out.read_text())["error"]["message"]
 
 
-def test_report_wstate_list_equals_wstate_scan(tmp_path):
-    """The default report grid, 129 x 65 over [0, 4 pi] x [0, 2], is the
-    wstate scan's grid at resolution 32."""
+def test_report_exact_candidates_lie_on_the_w_lattice(tmp_path):
+    """Every candidate of the report's default grid check that is a W state
+    to 1e-12 is a point that wstate lists."""
     out = tmp_path / "report.json"
     assert main(["report", "--out", str(out)]) == 2
     results = json.loads(out.read_text())["results"]
-    expected = [{"t": c.t, "j": c.J, "max_deviation_from_half": c.max_deviation_from_half}
-                for c in wstate_scan((0.0, FOUR_PI), (0.0, 2.0), 32, 1e-3)]
-    assert len(expected) == 28
-    assert results["wstate"]["candidates"] == expected
+    lattice = np.array([(c.t, c.J) for c in wstate_scan((0.0, FOUR_PI), (0.0, 2.0))])
+    exact = np.array([(c["t"], c["j"]) for c in results["wstate"]["candidates"]
+                      if c["max_deviation_from_half"] < 1e-12])
+    assert len(exact) == 20
+    assert (np.abs(exact[:, None] - lattice[None]).max(axis=-1).min(axis=1) <= 1e-12).all()
     assert results["monogamy_max_excess"] == 0.0
+
+
+@pytest.mark.parametrize("argv, unbuilt", [
+    # 1.8e10 points, beyond MAX_GRID_POINTS
+    (["--t-range", "0:600000:2", "--j-range", "0:0.5:2"], ("_lattice",)),
+    (["--t-range", "0:2000000:2"], ("_lattice", "_lattice_rows")),
+], ids=["count", "phase"])
+def test_wstate_window_is_bounded_before_any_point(tmp_path, capsys, monkeypatch,
+                                                    argv, unbuilt):
+    """The phase bound comes before the point count, and the count before
+    any point."""
+    def no_points(*args, **kwargs):
+        raise AssertionError("W points were enumerated before the window was bounded")
+
+    for name in unbuilt:
+        monkeypatch.setattr(qst_analysis, name, no_points)
+    out = tmp_path / "w.csv"
+    assert main(["wstate", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --t-range, --j-range: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def _recorded_pair_concurrences(monkeypatch, module):
@@ -1053,7 +1069,7 @@ def test_grid_sweep_scores_blocks_of_rows(monkeypatch):
                         for t in cfg.t_grid()])
     assert np.array_equal(np.concatenate(blocked), per_row)
     # one row per block writes the same grid, so every reduction agrees
-    monkeypatch.setattr(dynamics, "AMPLITUDE_BLOCK", 1)
+    monkeypatch.setattr(cli_io, "AMPLITUDE_BLOCK", 1)
     one_row = _recorded_pair_concurrences(monkeypatch, cli_io)
     row_results, row_checks = {}, {}
     cli_io._grid_sweep(cfg, row_results, row_checks)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from triplaq.dynamics import (
     amplitudes_closed_form,
-    closed_form_rows,
+    closed_form_batches,
     closed_form_state,
     evolve_numeric,
     hermitian_eigendecompose,
@@ -365,9 +365,9 @@ class TestPairConcurrences:
     def test_memory_on_a_default_grid_block(self):
         # one block of the report's sweep: 7 t-rows of 65 couplings, 455
         # states; M is built only on its one structural entry per pair
-        _, psi = next(closed_form_rows(np.linspace(0.0, 4 * np.pi, 129),
-                                       np.linspace(0.0, 2.0, 65)))
-        assert psi.shape == (7, 65, 16)
+        ts, js = np.linspace(0.0, 4 * np.pi, 129), np.linspace(0.0, 2.0, 65)
+        psi = next(closed_form_batches([(ts[:7, None], js)]))
+        assert psi.shape == (455, 16)
         tracemalloc.start()
         try:
             pair_concurrences(psi, ALL_PAIRS)

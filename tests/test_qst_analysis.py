@@ -15,15 +15,24 @@ from triplaq.qst_analysis import (
     is_lattice_transfer,
     locate_events_2d,
     periodicity_report,
+    TRANSFER_LATTICE,
+    W_LATTICE,
+    lattice_count,
     sequence_table,
     verify_transfers,
     w_deviation,
     wstate_candidate_from_state,
     wstate_scan,
 )
+from triplaq.errors import NumericalHealthError
 from triplaq.spin_core import embed_single_excitation
 
 F = Fraction
+
+#: (t/pi, J) of the nodes of the 32-per-pi grid of [0, 4 pi] x [0, 2] whose
+#: four pair concurrences lie within 1e-3 of 1/2 but are not W points
+W_GRID_NEAR_MISSES = ((0.5, 0.96875), (0.5, 1.03125), (1.5, 0.34375), (1.5, 1.65625),
+                      (2.5, 0.59375), (2.5, 1.40625), (3.5, 0.71875), (3.5, 1.28125))
 
 # the printed three-family table, rows m = 1..7
 TABLE_CELLS = {
@@ -58,6 +67,16 @@ class TestTransferTimeReduction:
             gap_at_transfer_times(m, 0.5)
         with pytest.raises(ValueError):
             is_lattice_transfer(m, F(1, 2))
+
+    def test_integer_rule_matches_fraction_definition(self):
+        def by_fraction(m, J):
+            mJ = m * J
+            return mJ.denominator == 1 and (mJ.numerator - m - 1) % 2 == 0
+
+        couplings = {F(n, q) for q in range(1, 65) for n in range(-q, 2 * q + 1)}
+        cases = [(m, J) for m in range(1, 65) for J in couplings]
+        assert [is_lattice_transfer(m, J) for m, J in cases] == [
+            by_fraction(m, J) for m, J in cases]
 
     @given(m=st.integers(1, 64), p=st.integers(-256, 256), q=st.integers(1, 64))
     def test_lattice_rule_matches_float_gap(self, m, p, q):
@@ -210,6 +229,12 @@ class TestEventLocation:
             locate_events_2d((0.0, 2 * np.pi), (0.0, 2.0), 32)
 
 
+def _near(n, k, side):
+    """The float n/k, or its neighbour below (side -1) or above (side 1):
+    the floats where a lattice point enters or leaves a window."""
+    return float(np.nextafter(n / k, side * np.inf) if side else n / k)
+
+
 class TestWStateScan:
     def test_injected_w_state(self):
         cand = wstate_candidate_from_state(
@@ -218,51 +243,71 @@ class TestWStateScan:
         assert all(c == pytest.approx(0.5, abs=1e-12) for c in cand.concurrences)
 
     def test_scan_finds_genuine_w_points(self):
-        cands = wstate_scan((0.0, 4 * np.pi), (0.0, 2.0), 32, 1e-3)
-        assert len(cands) == 28
-        hits = {(round(c.t / np.pi, 6), round(c.J, 6)) for c in cands}
-        # the evolved state is a W state (up to local phases) at these points
-        assert (1.0, 0.5) in hits and (0.5, 1.0) in hits
-        exact = [c for c in cands if c.max_deviation_from_half < 1e-9]
-        assert exact
+        cands = wstate_scan((0.0, 4 * np.pi), (0.0, 2.0))
+        # the lattice {(k*pi/2, n/k) : n odd}, ordered by t, then J
+        assert [(c.t, c.J) for c in cands] == [
+            (k * (np.pi / 2), n / k) for k in range(1, 9) for n in range(1, 2 * k, 2)]
+        assert len(cands) == 36
+        assert max(c.max_deviation_from_half for c in cands) <= 1e-14
+        hits = {(c.t / np.pi, c.J) for c in cands}
+        # two points between the nodes of a 32-per-pi grid
+        assert (1.5, 1 / 3) in hits and (2.5, 1 / 5) in hits
+        # and none of that grid's nodes within 1e-3 of 1/2
+        for t_pi, J in W_GRID_NEAR_MISSES:
+            assert all(abs(t_pi - u) > 1e-9 or abs(J - v) > 1e-9 for u, v in hits)
 
-    @pytest.mark.parametrize("scan", [((0.0, 4 * np.pi), (0.0, 2.0), 32, 1e-3),
-                                      ((0.2, 9.0), (0.0, 3.0), 45, 0.2)],
-                             ids=["default", "wide"])
-    def test_blocks_of_rows_match_per_row_calls(self, monkeypatch, scan):
-        def recorded():
-            results = []
-            def spy(psi, pairs):
-                results.append(pair_concurrences(psi, pairs))
-                return results[-1]
-            monkeypatch.setattr(qst_analysis, "pair_concurrences", spy)
-            return results
+    @settings(max_examples=300, deadline=None)
+    @given(lattice=st.sampled_from([TRANSFER_LATTICE, W_LATTICE]),
+           t=st.lists(st.one_of(st.floats(0.0, 20.0),
+                                st.builds(_near, st.integers(0, 13), st.just(2),
+                                          st.integers(-1, 1)).map(lambda x: x * np.pi)),
+                      min_size=2, max_size=2),
+           J=st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                st.builds(_near, st.integers(-27, 27), st.integers(1, 13),
+                                          st.integers(-1, 1))),
+                      min_size=2, max_size=2))
+    def test_enumeration_matches_brute_force(self, lattice, t, J):
+        (t_lo, t_hi), (J_lo, J_hi) = sorted(t), sorted(J)
+        step, shift = lattice
+        expected = [(k, n) for k in range(1, 14) for n in range(-27 * k - 1, 27 * k + 2)
+                    if (n - 1 - shift * k) % 2 == 0
+                    and t_lo <= k * step <= t_hi and J_lo <= n / k <= J_hi]
+        k, n = qst_analysis._lattice(lattice, t_lo, t_hi, J_lo, J_hi)
+        assert k.dtype == n.dtype == np.int64
+        assert list(zip(k.tolist(), n.tolist())) == expected
+        if t_hi > t_lo:
+            assert lattice_count(lattice, (t_lo, t_hi), (J_lo, J_hi)) == len(expected)
 
-        blocked = recorded()
-        cands = wstate_scan(*scan)
-        monkeypatch.setattr(dynamics, "AMPLITUDE_BLOCK", 1)
-        per_row = recorded()
-        assert wstate_scan(*scan) == cands
-        assert len(blocked) < len(per_row) == sum(len(c) for c in blocked)
-        assert np.array_equal(np.concatenate(blocked), np.concatenate(per_row))
+    @pytest.mark.parametrize("lattice, window, point", [
+        (W_LATTICE, (0.0, 3 * (np.pi / 2), 0.0, 1 / 3), (3, 1)),
+        # 7 * (-61/7) rounds to -60.99999999999999, so ceil(k*J) is one high
+        (W_LATTICE, (7 * (np.pi / 2),) * 2 + (-61 / 7,) * 2, (7, -61)),
+        # (11*pi)/pi is 10.999999999999998, so floor(t/step) is one low
+        (TRANSFER_LATTICE, (11 * np.pi,) * 2 + (0.0, 2.0), (11, 22)),
+    ], ids=["J_hi=1/3", "ceil-high", "floor-low"])
+    def test_window_edges_are_the_printed_floats(self, lattice, window, point):
+        """A point whose printed t and J are the window's ends is in it, and
+        out of it one float further in."""
+        t_lo, t_hi, J_lo, J_hi = window
+        narrowed = (t_lo, t_hi, J_lo, np.nextafter(J_hi, -np.inf))
+        for window, inside in ((window, True), (narrowed, False)):
+            k, n = qst_analysis._lattice(lattice, *window)
+            assert (point in zip(k.tolist(), n.tolist())) == inside
 
-    def test_loose_threshold_catches_generic_points(self):
-        cands = wstate_scan((0.0, 2 * np.pi), (0.0, 2.0), 16, 0.5)
-        assert cands
-
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            wstate_scan((0.0, 2 * np.pi), (0.0, 2.0), 16, 0.0)
+    def test_off_lattice_deviation_raises(self, monkeypatch):
+        monkeypatch.setattr(qst_analysis, "W_LATTICE", (np.pi / 3, 0))
+        with pytest.raises(NumericalHealthError, match="W point"):
+            wstate_scan((0.0, 4 * np.pi), (0.0, 2.0))
 
     def test_reversed_j_range_rejected(self):
         # it once scanned only J = 2 and returned no candidates
         with pytest.raises(ValueError, match="J range"):
-            wstate_scan((0.0, 4 * np.pi), (2.0, 0.0), 32, 1e-3)
+            wstate_scan((0.0, 4 * np.pi), (2.0, 0.0))
 
     def test_reversed_t_range_rejected(self):
         # it once scanned only t = 4 pi and t = 0 and returned 8 candidates
         with pytest.raises(ValueError, match="t range"):
-            wstate_scan((4 * np.pi, 0.0), (0.0, 2.0), 32, 1e-3)
+            wstate_scan((4 * np.pi, 0.0), (0.0, 2.0))
 
 
 class TestWDeviation:
