@@ -100,10 +100,9 @@ class SweepConfig:
     geometry: str = "default"
     out: str = ""
     fmt: str = "csv"
-    threshold: float = 1e-3
 
     def __post_init__(self):
-        for name in ("t_min", "t_max", "j_min", "j_max", "d", "threshold"):
+        for name in ("t_min", "t_max", "j_min", "j_max", "d"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_steps < 2 or self.j_steps < 2:
@@ -118,8 +117,6 @@ class SweepConfig:
             raise ConfigError(f"d must be positive, got {self.d}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if not self.threshold > 0:
-            raise ConfigError(f"threshold must be positive, got {self.threshold}")
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.t_steps)
@@ -139,7 +136,6 @@ _SHARED_OPTIONS = {
                   {"metavar": "A:B:N", "help": "coupling grid, in units of D"}),
     "--d": (("d",), {"type": float, "help": "ring coupling D, the unit (default 1)"}),
     "--geometry": (("geometry",), {"help": "default, swapped-control or a file path"}),
-    "--threshold": (("threshold",), {"type": float, "help": "W-scan threshold"}),
     "--format": (("fmt",), {"dest": "fmt", "choices": ("csv", "json")}),
 }
 
@@ -153,7 +149,7 @@ COMMAND_OPTIONS = {
     "events": ("--t-range", "--j-range", "--format"),
     "forbidden": ("--format",),
     "wstate": ("--t-range", "--j-range", "--format"),
-    "report": ("--t-range", "--j-range", "--geometry", "--threshold"),
+    "report": ("--t-range", "--j-range", "--geometry"),
 }
 
 
@@ -171,8 +167,6 @@ def config_from_text(text: str, command: str) -> SweepConfig:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key not in reads:
             raise ConfigError(f"config line {lineno}: {command} does not read {key!r}")
         try:
@@ -285,14 +279,6 @@ def write_json(path: str, payload) -> None:
             fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
-
-
-def _write_table(path: str, fmt: str, header: list[str], rows,
-                 json_payload) -> None:
-    if fmt == "csv":
-        write_csv(path, header, rows)
-    else:
-        write_json(path, json_payload)
 
 
 # ---------------------------------------------------------------------------
@@ -492,34 +478,31 @@ def cmd_events(cfg: SweepConfig, resolution: int) -> dict:
     if resolution < 64:
         raise ConfigError(f"--resolution must be at least 64 points per pi, got {resolution}")
     _check_grid(_scan_points(cfg, resolution), "--t-range", "--j-range", "--resolution")
-    events = locate_events_2d((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max),
-                              resolution)
-    payload = {"events": [_event_dict(e) for e in events], "count": len(events)}
-    header = ["m", "t", "j", "gap_value", "c12", "c34", "confirmed", "snapped"]
-    rows = [[str(e.m), e.t, str(e.J), e.gap_value, e.c12, e.c34,
-             str(e.confirmed), str(e.snapped)] for e in events]
-    _write_table(cfg.out, cfg.fmt, header, rows, payload)
-    return {"count": len(events),
-            "unconfirmed": sum(1 for e in events if not e.confirmed)}
+    events = locate_events_2d((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max), resolution)
+    if cfg.fmt == "csv":
+        write_csv(cfg.out, ["m", "t", "j", "gap_value", "c12", "c34", "confirmed", "snapped"],
+                  ([str(e.m), e.t, str(e.J), e.gap_value, e.c12, e.c34,
+                    str(e.confirmed), str(e.snapped)] for e in events))
+    else:
+        write_json(cfg.out, {"events": [_event_dict(e) for e in events], "count": len(events)})
+    return {"count": len(events), "unconfirmed": sum(not e.confirmed for e in events)}
 
 
 def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
     if t_max_scan < 2.0 * np.pi:
         raise ConfigError(f"--t-max must cover at least 2*pi, got {t_max_scan}")
-    # 256 scan points per pi for each coupling
-    _check_grid(len(j_values) * t_max_scan / np.pi * 256, "--j-values", "--t-max")
+    j_abs = max(abs(J) for J in j_values)
+    # per coupling, t_max/pi + 2 phase offsets and two windows of |J|/2 + 4 lanes
+    _check_grid(len(j_values) * (t_max_scan / np.pi + j_abs + 10.0), "--j-values", "--t-max")
     # the gap's fastest term is cos((|J| + 3)*t)
-    _check_phase((max(abs(J) for J in j_values) + 3.0) * t_max_scan,
-                 "--j-values, --t-max", "(|J| + 3)*t")
+    _check_phase((j_abs + 3.0) * t_max_scan, "--j-values, --t-max", "(|J| + 3)*t")
     results = forbidden_J_scan(j_values, t_max_scan)
-    payload = {"t_max": t_max_scan,
-               "results": [asdict(r) for r in results]}
-    header = ["j", "sup_gap", "t_at_sup", "margin", "forbidden"]
-    rows = [[r.J, r.sup_gap, r.t_at_sup, r.margin, str(r.forbidden)]
-            for r in results]
-    _write_table(cfg.out, cfg.fmt, header, rows, payload)
-    return {"couplings": len(results),
-            "forbidden": sum(1 for r in results if r.forbidden)}
+    if cfg.fmt == "csv":
+        write_csv(cfg.out, ["j", "sup_gap", "t_at_sup", "margin", "forbidden"],
+                  ([r.J, r.sup_gap, r.t_at_sup, r.margin, str(r.forbidden)] for r in results))
+    else:
+        write_json(cfg.out, {"t_max": t_max_scan, "results": [asdict(r) for r in results]})
+    return {"couplings": len(results), "forbidden": sum(r.forbidden for r in results)}
 
 
 def cmd_wstate(cfg: SweepConfig) -> dict:
@@ -530,10 +513,11 @@ def cmd_wstate(cfg: SweepConfig) -> dict:
                  "--t-range, --j-range", "(|J| + 1)*t")
     _check_grid(lattice_count(W_LATTICE, *window), "--t-range", "--j-range")
     cands = wstate_scan(*window)
-    payload = {"candidates": [asdict(c) for c in cands], "count": len(cands)}
-    header = ["t", "j", "c12", "c34", "c13", "c24", "max_deviation_from_half"]
-    rows = [[c.t, c.J, *c.concurrences, c.max_deviation_from_half] for c in cands]
-    _write_table(cfg.out, cfg.fmt, header, rows, payload)
+    if cfg.fmt == "csv":
+        write_csv(cfg.out, ["t", "j", "c12", "c34", "c13", "c24", "max_deviation_from_half"],
+                  ([c.t, c.J, *c.concurrences, c.max_deviation_from_half] for c in cands))
+    else:
+        write_json(cfg.out, {"candidates": [asdict(c) for c in cands], "count": len(cands)})
     return {"count": len(cands)}
 
 
@@ -544,6 +528,8 @@ def cmd_wstate(cfg: SweepConfig) -> dict:
 _ORACLE_J = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
 _CONSERVATION_J = (0.0, 0.5, 1.0, 2.0)
 _PERIODICITY_J = tuple(map(Fraction, ("0", "1", "1/2", "2/3", "7/64", "1/31", "1/101", "1/511")))
+#: The report's W scan lists the grid points whose max |C - 1/2| is below this.
+_WSTATE_THRESHOLD = 1e-3
 
 
 def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
@@ -583,7 +569,7 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
     dev = w_deviation(w_scan)
     wstate_candidates = [{"t": float(ts[i]), "j": float(js[j]),
                           "max_deviation_from_half": float(dev[i, j])}
-                         for i, j in zip(*np.nonzero(dev < cfg.threshold))]
+                         for i, j in zip(*np.nonzero(dev < _WSTATE_THRESHOLD))]
     results["closed_form_comparison"] = {
         "max_abs_diff_c12": d12, "max_abs_diff_c34": d34, "max_abs_diff_c13": d13,
         "max_abs_diff_c12_vs_square": d12_sq, "max_abs_diff_c34_vs_square": d34_sq,
@@ -596,8 +582,7 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
     checks["monogamy_bound"] = monogamy_excess <= 1e-9
     results["monogamy_max_excess"] = monogamy_excess
 
-    results["wstate"] = {"threshold": cfg.threshold,
-                         "candidates": wstate_candidates,
+    results["wstate"] = {"threshold": _WSTATE_THRESHOLD, "candidates": wstate_candidates,
                          "count": len(wstate_candidates)}
     checks["wstate_scan_empty"] = len(wstate_candidates) == 0
 

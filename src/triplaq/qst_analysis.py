@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -357,6 +356,8 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
 
 @dataclass(frozen=True)
 class ForbiddenScanResult:
+    """A coupling's gap supremum on [0, t_max] at the smallest t reaching it."""
+
     J: float
     sup_gap: float
     t_at_sup: float
@@ -364,53 +365,66 @@ class ForbiddenScanResult:
     forbidden: bool
 
 
-def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
-    """Gap supremum on [0, t_max] (256 points per pi, every grid peak near
-    its coupling's leader refined as a lane of one lockstep golden-section
-    pass over all couplings) and the exact forbidden verdict per coupling.
+def _window_lanes(a: float, m: int, lo: float, hi: float) -> np.ndarray:
+    """(lo, hi) rows, ascending, of the window [lo, hi] about m*pi at |J| = a:
+    its ends as lanes of width 0, and each interval where a*t is within pi/2
+    of n*pi, n of the parity of m + 1, so the gap is positive and log-concave."""
+    n = np.arange(math.floor(a * lo / np.pi) - 1, math.ceil(a * hi / np.pi) + 2)
+    n = n[(n - m - 1) % 2 == 0]
+    with np.errstate(divide="ignore", over="ignore"):  # a = 0: n = 0 spans the window
+        lane_lo = np.maximum(lo, (n - 0.5) * np.pi / a)
+        lane_hi = np.minimum(hi, (n + 0.5) * np.pi / a)
+    keep = lane_hi > lane_lo
+    return np.column_stack([np.r_[lo, lane_lo[keep], hi], np.r_[lo, lane_hi[keep], hi]])
 
-    J is forbidden when it is p/q (q <= 512, within 1e-12) with p and q odd:
-    the gap is periodic and fails :func:`is_lattice_transfer` at every m.
-    Other rational J transfer at t = q*pi; irrational J come arbitrarily
-    close to a transfer.
+
+def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
+    """Gap supremum on [0, t_max], at the smallest t of a tie, and the exact
+    forbidden verdict per coupling.
+
+    On t = m*pi + delta, |delta| <= pi/2, the gap is cos(pi*phi_m + |J|*delta)
+    * cos(delta)**3, phi_m the distance from m*|J| to the nearest integer of
+    the parity of m + 1 (exact in integers when J reads as p/q), and the
+    window's maximum does not grow with |phi_m|.  So the first complete
+    window (m = 0 is [0, pi/2]) of least |phi_m| holds the supremum, unless
+    the window holding t_max, clipped there, has a strictly smaller |phi|;
+    their lanes are one lockstep golden-section pass over all couplings.
+
+    J is forbidden when it is p/q (q <= 512, within 1e-12) with p and q odd: the
+    gap is periodic and fails :func:`is_lattice_transfer` at every m.  Other
+    rational J transfer at t = q*pi; irrational J come arbitrarily close to one.
     """
     t_max = float(t_max)
     if not t_max >= 2 * np.pi:
         raise ValueError(f"t_max must cover at least 2*pi, got {t_max}")
-    ts = np.arange(0.0, t_max + 1e-12, np.pi / 256)
-    interior = np.arange(1, len(ts) - 1)
-    js, leaders, seeds = [], [], []
-    for J in J_values:
-        J = float(J)
+    last = round(t_max / np.pi)  # the window that holds t_max
+    m = np.arange(last + 1)
+    js, verdicts, lanes = [], [], []
+    for J in map(float, J_values):
         if not math.isfinite(J):
             raise ValueError(f"coupling must be finite, got {J}")
-        values = concurrence_gap(ts, J)
-        lead = int(np.argmax(values))
-        sup = float(values[lead])
-        # refine every grid maximum close to the leader
-        is_max = (values[interior] >= values[interior - 1]) & \
-                 (values[interior] >= values[interior + 1])
-        near = [int(i) for i in interior[is_max] if values[i] > sup - 0.05]
-        js.append(J)
-        leaders.append((sup, float(ts[lead])))
-        # of equal refined values, the first seed in set order wins
-        seeds.append(list(set(near + [lead])))
-    lane_j = np.repeat(js, [len(s) for s in seeds])
-    lane_seed = np.array([i for s in seeds for i in s], dtype=int)
-    t_ref = _golden_max(lambda x, k: concurrence_gap(x, lane_j[k]),
-                        ts[np.maximum(0, lane_seed - 1)],
-                        ts[np.minimum(len(ts) - 1, lane_seed + 1)])
-    refined = zip(concurrence_gap(t_ref, lane_j).tolist(), t_ref.tolist())
-    results = []
-    for J, (sup, t_sup), s in zip(js, leaders, seeds):
-        for v, t in itertools.islice(refined, len(s)):
-            if v > sup:
-                sup, t_sup = v, t
         p_q = _as_small_fraction(J)
-        results.append(ForbiddenScanResult(
-            J=J, sup_gap=sup, t_at_sup=t_sup, margin=1.0 - sup,
-            forbidden=p_q is not None and p_q.numerator * p_q.denominator % 2 == 1))
-    return results
+        p, q = (abs(J), 1) if p_q is None else (abs(p_q.numerator), p_q.denominator)
+        d = (m * (p % (2 * q)) - q * (m + 1)) % (2 * q)
+        phi = np.minimum(d, 2 * q - d)  # q*|phi_m|
+        best = int(np.argmin(phi[:last]))
+        lanes.append(np.concatenate([
+            _window_lanes(abs(J), w, max(0.0, (w - 0.5) * np.pi), min((w + 0.5) * np.pi, t_max))
+            for w in ((best, last) if phi[last] < phi[best] else (best,))]))
+        js.append(J)
+        verdicts.append(p_q is not None and p_q.numerator * q % 2 == 1)
+    counts = [len(c) for c in lanes]
+    lane_j = np.repeat(js, counts)
+    # a lane's maximum is where -d/dt log(gap) = J*tan(J*t) + 3*tan(t), rising,
+    # is least in magnitude: unlike the gap, it is not flat to rounding there
+    t = _golden_max(lambda x, k: -np.abs(lane_j[k] * np.tan(lane_j[k] * x) + 3.0 * np.tan(x)),
+                    *np.concatenate([np.empty((0, 2)), *lanes]).T)
+    ends = np.cumsum(counts)[:-1]
+    values = np.split(concurrence_gap(t, lane_j), ends)
+    # candidates ascend in t, so argmax takes the smallest t of a tie
+    return [ForbiddenScanResult(J, float(v[k]), float(t_c[k]), 1.0 - float(v[k]), forbidden)
+            for J, forbidden, t_c, v in zip(js, verdicts, np.split(t, ends), values)
+            for k in [int(np.argmax(v))]]
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class TestSweepConfig:
         assert config_from_text(text, "surface") == SweepConfig(
             t_min=0.25, t_max=7.5, t_steps=33, j_min=0.1, j_max=1.9, j_steps=5,
             d=2.0, geometry="default", out="x.csv", fmt="json")
-        assert config_from_text("threshold = 0.5\n", "report") == SweepConfig(threshold=0.5)
+        assert config_from_text("geometry = swapped-control\n", "report") == SweepConfig(
+            geometry="swapped-control")
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -95,8 +96,7 @@ class TestSweepConfig:
         cfg = config_from_text("# comment\nt_steps = 65\n", "surface")
         assert cfg.t_steps == 65
 
-    @pytest.mark.parametrize("field", ["t_min", "t_max", "j_min", "j_max", "d",
-                                       "threshold"])
+    @pytest.mark.parametrize("field", ["t_min", "t_max", "j_min", "j_max", "d"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
@@ -112,16 +112,19 @@ READS = {
     "events": ("--t-range", "--j-range", "--format"),
     "forbidden": ("--format",),
     "wstate": ("--t-range", "--j-range", "--format"),
-    "report": ("--t-range", "--j-range", "--geometry", "--threshold"),
+    "report": ("--t-range", "--j-range", "--geometry"),
 }
-SHARED = ("--t-range", "--j-range", "--d", "--geometry", "--threshold", "--format")
+SHARED = ("--t-range", "--j-range", "--d", "--geometry", "--format")
+#: Options no subcommand reads any more: the report's W-scan threshold is
+#: a constant.
+RETIRED = ("--threshold",)
 NON_FINITE_FLAGS = [("--t-range", "0:inf:5"), ("--j-range", "0:inf:5"),
-                    ("--t-range", "nan:1:5"), ("--d", "inf"), ("--threshold", "nan")]
+                    ("--t-range", "nan:1:5"), ("--d", "inf"), ("--j-range", "nan:1:5")]
 UNREAD_VALUES = {"--t-range": "0:inf:5", "--j-range": "0:inf:5", "--d": "inf",
                  "--geometry": "/no/such/geometry.txt", "--threshold": "nan",
                  "--format": "json"}
 UNREAD = [(command, option) for command, reads in READS.items()
-          for option in SHARED if option not in reads]
+          for option in SHARED + RETIRED if option not in reads]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -139,8 +142,8 @@ def test_non_finite_input_is_exit_1(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
-def test_unread_options_number_twenty_one():
-    assert len(UNREAD) == 21
+def test_unread_options_number_twenty_two():
+    assert len(UNREAD) == 22
 
 
 @pytest.mark.parametrize("command, option", [
@@ -158,7 +161,7 @@ def test_unread_option_is_exit_1(tmp_path, capsys, command, option):
 @pytest.mark.parametrize("command", READS)
 def test_read_options_parse(command):
     values = {**UNREAD_VALUES, "--t-range": "0:1:3", "--j-range": "0:1:3",
-              "--d": "2", "--geometry": "default", "--threshold": "0.1"}
+              "--d": "2", "--geometry": "default"}
     argv = [command, "--config", "c.cfg", "--out", "x"]
     for option in READS[command]:
         argv += [option, values[option]]
@@ -172,6 +175,7 @@ def test_read_options_parse(command):
     ("table1", "j_max = 3.0\n", "j_max"),
     ("events", "geometry = swapped-control\n", "geometry"),
     ("wstate", "threshold = 0.5\n", "threshold"),
+    ("report", "threshold = 0.5\n", "threshold"),
 ])
 def test_unread_config_key_is_exit_1(tmp_path, capsys, command, text, key):
     cfg_path = tmp_path / "sweep.cfg"
@@ -237,9 +241,10 @@ def test_read_config_keys_accepted(tmp_path):
     (["forbidden", "--j-values", "0.5,1e17"], "--j-values"),
     (["forbidden", "--j-values", "16687"], "--t-max"),
     (["table1", "--max-m", "100000000"], "--max-m"),
-    # 256 scan points per pi for each coupling: one more coupling than fits
-    (["forbidden", "--j-values",
-      ",".join(["1"] * (MAX_GRID_POINTS // (256 * 20) + 1))], "--j-values"),
+    # per coupling, t_max/pi + 2 phase offsets and two windows of |J|/2 + 4
+    # lanes: one more coupling than fits
+    (["forbidden", "--t-max", "2e5", "--j-values",
+      ",".join(["1"] * int(MAX_GRID_POINTS // (2e5 / np.pi + 11) + 1))], "--j-values"),
 ])
 def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -928,7 +933,7 @@ class TestReportCommand:
                                 "checks"}
         assert payload["schema_version"] == 2
         assert payload["config_echo"]["t_steps"] == 33
-        assert payload["config_echo"]["threshold"] == 1e-3
+        assert "threshold" not in payload["config_echo"]
         assert payload["results"]["wstate"]["threshold"] == 1e-3
 
     def test_exit_code_reflects_failed_checks(self, report):

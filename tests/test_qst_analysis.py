@@ -191,6 +191,34 @@ class TestForbiddenScan:
         with pytest.raises(ValueError, match="finite"):
             forbidden_J_scan([J], 20 * np.pi)
 
+    @settings(max_examples=150, deadline=None)
+    @given(J=st.one_of(st.floats(-6.0, 6.0),
+                       st.builds(lambda p, q: p / q, st.integers(-30, 30), st.integers(1, 12))),
+           t_max=st.floats(2 * np.pi, 40.0))
+    def test_supremum_beats_a_dense_grid(self, J, t_max):
+        (res,) = forbidden_J_scan([J], t_max)
+        assert res.sup_gap == concurrence_gap(res.t_at_sup, J)
+        assert 0.0 <= res.t_at_sup <= t_max
+        grid = np.linspace(0.0, t_max, 20001)  # holds t_max
+        assert res.sup_gap >= concurrence_gap(grid, J).max() - 1e-12
+
+    def test_supremum_at_the_horizon_end(self):
+        # t_max = 4*pi + 1 is off the old 256-per-pi grid, which peaked at
+        # 0.0059583 one grid step before it
+        t_max = 4 * np.pi + 1
+        (res,) = forbidden_J_scan([-1.045244], t_max)
+        assert res.t_at_sup == t_max
+        assert res.sup_gap == pytest.approx(0.0067803, abs=1e-7)
+
+    def test_ties_go_to_the_smallest_time(self):
+        # J = 1: the gap is -cos(t)**4, 0 at every pi/2 + m*pi; J = 3: 1/4 at
+        # pi/4 and every m*pi -+ pi/4; J = 1/3: |phi_m| = 1/3 at m = 1, 2, 4, ...
+        one, three, third = forbidden_J_scan([1.0, 3.0, 1 / 3], 20 * np.pi)
+        assert (one.sup_gap, one.t_at_sup) == (0.0, np.pi / 2)
+        assert three.sup_gap == pytest.approx(0.25, abs=1e-15)
+        assert three.t_at_sup == pytest.approx(np.pi / 4, abs=1e-9)
+        assert third.t_at_sup < np.pi
+
 
 class TestEventLocation:
     def test_window_through_m3(self):

@@ -1,13 +1,14 @@
 """The lockstep golden-section refinement of ``events`` and ``forbidden``.
 
-Every grid peak is one lane of ``qst_analysis._golden_max``.  The references
-here are the scalar search and the per-peak loops the lanes replaced, kept
-test-local: the lockstep routine must return their x bit for bit, and the
-scans their results exactly.  The events reference also scans the full gap
-surface, where ``locate_events_2d`` scans only the rows near t = m*pi that
-can hold a kept event.  Lanes stop on width alone; the evaluation budgets
-the searches once carried (200 per events peak, 120 per forbidden seed)
-never bound at the widths the scans search.
+Every events grid peak, and every lane of a forbidden window, is one lane of
+``qst_analysis._golden_max``.  The references here are the scalar search
+and the per-peak events loop the lanes replaced, kept test-local: the
+lockstep routine must return their x bit for bit, and the events scan its
+results exactly.  The events reference also scans the full gap surface,
+where ``locate_events_2d`` scans only the rows near t = m*pi that can hold
+a kept event.  Lanes stop on width alone; the evaluation budgets the
+searches once carried (200 per events peak, 120 per forbidden seed) never
+bound at the widths the scans search.
 """
 
 import math
@@ -25,9 +26,7 @@ from triplaq.entanglement import concurrence_gap
 from triplaq.qst_analysis import (
     EVENT_BAND,
     EVENT_KEEP,
-    ForbiddenScanResult,
     QstEvent,
-    _as_small_fraction,
     _golden_max,
     forbidden_J_scan,
     is_lattice_transfer,
@@ -124,33 +123,6 @@ def _scalar_locate_events_2d(t_range, J_range, resolution):
             for e, a, b, k in zip(pending, c12, c34, ok)]
 
 
-def _scalar_forbidden_J_scan(J_values, t_max):
-    """The forbidden scan with one scalar search per seed, in set order."""
-    ts = np.arange(0.0, float(t_max) + 1e-12, np.pi / 256)
-    results = []
-    for J in J_values:
-        J = float(J)
-        values = concurrence_gap(ts, J)
-        sup, t_sup = float(values.max()), float(ts[int(np.argmax(values))])
-        interior = np.arange(1, len(ts) - 1)
-        is_max = (values[interior] >= values[interior - 1]) & \
-                 (values[interior] >= values[interior + 1])
-        seeds = [int(i) for i in interior[is_max] if values[i] > sup - 0.05]
-        seeds.append(int(np.argmax(values)))
-        for i in set(seeds):
-            t_ref, _ = _scalar_golden_max(lambda x: concurrence_gap(x, J),
-                                          ts[max(0, i - 1)],
-                                          ts[min(len(ts) - 1, i + 1)])
-            v = float(concurrence_gap(t_ref, J))
-            if v > sup:
-                sup, t_sup = v, float(t_ref)
-        p_q = _as_small_fraction(J)
-        results.append(ForbiddenScanResult(
-            J=J, sup_gap=sup, t_at_sup=t_sup, margin=1.0 - sup,
-            forbidden=p_q is not None and p_q.numerator * p_q.denominator % 2 == 1))
-    return results
-
-
 # one lane: (lo, signed width, parameter of the line)
 _lanes = st.lists(
     st.tuples(st.floats(-20.0, 20.0),
@@ -189,12 +161,13 @@ class TestLockstepGoldenMax:
     @given(t=st.floats(0.0, 130.0), J=st.floats(-3.0, 3.0))
     def test_old_budgets_never_bound(self, t, J):
         # an events peak makes two t searches at most 2*pi/64 wide and two J
-        # searches at most 2/64 wide, a forbidden seed one t search at most
-        # 2*pi/256 wide: far under the 200 and 120 evaluations once allowed
+        # searches at most 2/64 wide, a forbidden lane one t search at most
+        # one window (pi) wide: far under the 200 and 120 evaluations once
+        # allowed
         n_t = _scalar_golden_max(lambda x: concurrence_gap(x, J), t, t + 2 * np.pi / 64)[1]
         n_j = _scalar_golden_max(lambda x: concurrence_gap(t, x), J, J + 2 / 64)[1]
-        n_f = _scalar_golden_max(lambda x: concurrence_gap(x, J), t, t + 2 * np.pi / 256)[1]
-        assert n_t <= 46 and n_j <= 43 and n_f <= 43
+        n_f = _scalar_golden_max(lambda x: concurrence_gap(x, J), t, t + np.pi)[1]
+        assert n_t <= 46 and n_j <= 43 and n_f <= 53
 
     def test_flat_line_moves_right(self):
         # fc == fd keeps the right interior point, as the scalar branch does
@@ -232,20 +205,19 @@ class TestEventsMatchScalarLoop:
             (1, Fraction(700000)), (2, Fraction(1400001, 2)), (3, Fraction(700000))]
         assert all(e.confirmed for e in events)
 
-    def test_forbidden_equal_reference(self):
-        assert forbidden_J_scan(EIGHT_J, 200.0) == _scalar_forbidden_J_scan(EIGHT_J, 200.0)
-
     def test_forbidden_refines_every_coupling_in_one_pass(self, monkeypatch):
         lanes = []
 
         def spy(f, lo, hi):
-            lanes.append(len(lo))
+            lanes.append((len(lo), float(np.max(np.subtract(hi, lo)))))
             return _golden_max(f, lo, hi)
 
-        monkeypatch.setattr(qst_analysis, "_golden_max", spy)
-        assert forbidden_J_scan(EIGHT_J, 200.0) == _scalar_forbidden_J_scan(EIGHT_J, 200.0)
-        assert len(lanes) == 1 and lanes[0] > len(EIGHT_J)
         assert forbidden_J_scan((), 200.0) == []
+        monkeypatch.setattr(qst_analysis, "_golden_max", spy)
+        assert len(forbidden_J_scan(EIGHT_J, 200.0)) == len(EIGHT_J)
+        # one call for all couplings; no lane is wider than one window
+        ((count, widest),) = lanes
+        assert count > len(EIGHT_J) and widest <= np.pi + 1e-12
 
     def test_few_gap_calls_on_events_wide(self, monkeypatch):
         # one scalar search per peak made 220 760 calls here; the lockstep
