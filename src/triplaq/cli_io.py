@@ -28,7 +28,6 @@ import numpy as np
 from .dynamics import (
     AMPLITUDE_BLOCK,
     TIME_CHUNK,
-    closed_form_batches,
     closed_form_state,
     evolve_numeric,
     hermitian_eigendecompose,
@@ -47,6 +46,7 @@ from .entanglement import (
 )
 from .errors import ConfigError, ContractViolationError, NumericalHealthError, TriplaqError
 from .qst_analysis import (
+    MAX_PHASE,
     TABLE_FAMILIES,
     TRANSFER_LATTICE,
     W_LATTICE,
@@ -58,6 +58,7 @@ from .qst_analysis import (
     locate_events_2d,
     periodicity_report,
     sequence_table,
+    transfer_events,
     verify_transfers,
     w_deviation,
     wstate_candidate_from_state,
@@ -80,12 +81,6 @@ from .spin_core import (
 SCHEMA_VERSION = 2
 #: Largest grid a command may evaluate, checked before anything is allocated.
 MAX_GRID_POINTS = 2 ** 24
-#: Largest phase (|J| + D)*|t| that evolve and surface evaluate, and
-#: (|J| + 3)*t_max that forbidden does.  Over J in {0, +-0.5, +-2, 3, +-1e3,
-#: L - 1} at 4001 samples the numeric route misses the closed form by at
-#: most 3.3e-10 at L = 2**20, 8.0e-10 at 2**21 and 1.3e-9 at 2**22, beyond
-#: the report's 1e-9 oracle bound.
-MAX_PHASE = 2.0 ** 20
 
 
 @dataclass(frozen=True)
@@ -188,10 +183,10 @@ def load_config(path: str, command: str) -> SweepConfig:
     return config_from_text(p.read_text(), command)
 
 
-def _check_grid(points: float, *flags: str) -> None:
-    if not points <= MAX_GRID_POINTS:
+def _check_grid(points: float, *flags: str, limit: int = MAX_GRID_POINTS) -> None:
+    if not points <= limit:
         raise ConfigError(f"{', '.join(flags)}: a grid of {points:.3g} points "
-                          f"exceeds the limit of {MAX_GRID_POINTS}")
+                          f"exceeds the limit of {limit}")
 
 
 def _scan_points(cfg: SweepConfig, resolution: int) -> float:
@@ -209,6 +204,16 @@ def _check_phase(phase: float, flags: str, form: str) -> None:
 def _check_phases(cfg: SweepConfig, j_abs: float, j_flag: str) -> None:
     _check_phase((j_abs + cfg.d) * max(abs(cfg.t_min), abs(cfg.t_max)),
                  f"{j_flag}, --d, --t-range", "(|J| + D)*t")
+
+
+def _check_lattice(cfg: SweepConfig, lattice) -> None:
+    """Bound a listing of ``lattice`` in the window in phase (D is 1: wstate
+    and report take no --d), then in number, before any point is built: a
+    listed point costs about 1 KB of Python objects, so at most 2**21 (2 GB)."""
+    _check_phase((max(abs(cfg.j_min), abs(cfg.j_max)) + 1.0) * cfg.t_max,
+                 "--t-range, --j-range", "(|J| + 1)*t")
+    _check_grid(lattice_count(lattice, (cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max)),
+                "--t-range", "--j-range", limit=MAX_GRID_POINTS // 8)
 
 
 def resolve_geometry(name_or_path: str, J: float):
@@ -506,13 +511,8 @@ def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
 
 
 def cmd_wstate(cfg: SweepConfig) -> dict:
-    window = (cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max)
-    # bounded in phase (D is 1: wstate takes no --d), then in number,
-    # before any point is built
-    _check_phase((max(abs(cfg.j_min), abs(cfg.j_max)) + 1.0) * cfg.t_max,
-                 "--t-range, --j-range", "(|J| + 1)*t")
-    _check_grid(lattice_count(W_LATTICE, *window), "--t-range", "--j-range")
-    cands = wstate_scan(*window)
+    _check_lattice(cfg, W_LATTICE)
+    cands = wstate_scan((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max))
     if cfg.fmt == "csv":
         write_csv(cfg.out, ["t", "j", "c12", "c34", "c13", "c24", "max_deviation_from_half"],
                   ([c.t, c.J, *c.concurrences, c.max_deviation_from_half] for c in cands))
@@ -538,7 +538,7 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
 
     They reduce one pair-major grid of pair concurrences, filled in blocks
     of max(1, AMPLITUDE_BLOCK // js.size) t-rows (7 t-rows, 455 states, on
-    the default grid), each one :func:`closed_form_batches` batch and one
+    the default grid), each one :func:`closed_form_state` call and one
     :func:`pair_concurrences` call; each reduction holds at most a few (t, J)
     temporaries besides it, and the grid is freed on return, before the
     report's other scans run.
@@ -546,11 +546,9 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
     ts, js = cfg.t_grid(), cfg.j_grid()
     c = np.empty((len(ALL_PAIRS), ts.size, js.size))
     rows = max(1, AMPLITUDE_BLOCK // js.size)
-    starts = range(0, ts.size, rows)
-    blocks = closed_form_batches((ts[lo:lo + rows, None], js) for lo in starts)
-    for lo, psi in zip(starts, blocks):
-        c[:, lo:lo + rows] = np.moveaxis(
-            pair_concurrences(psi.reshape(-1, js.size, 16), ALL_PAIRS), -1, 0)
+    for lo in range(0, ts.size, rows):
+        psi = closed_form_state(ts[lo:lo + rows, None], js)
+        c[:, lo:lo + rows] = np.moveaxis(pair_concurrences(psi, ALL_PAIRS), -1, 0)
     conc = dict(zip(ALL_PAIRS, c))
     w12, w34, w13, w24 = w_scan = [conc[pair] for pair in SCAN_PAIRS]
     tt = ts[:, None]
@@ -590,8 +588,8 @@ def _grid_sweep(cfg: SweepConfig, results: dict, checks: dict) -> None:
 def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     results: dict = {}
     checks: dict = {}
-    _check_grid(max(cfg.t_steps * cfg.j_steps, _scan_points(cfg, 64)),
-                "--t-range", "--j-range")
+    _check_grid(cfg.t_steps * cfg.j_steps, "--t-range", "--j-range")
+    _check_lattice(cfg, TRANSFER_LATTICE)
     # every Hamiltonian the report diagonalizes, in one stack: the
     # conservation check's and the oracle's, committed and swapped.  The
     # solver gives each matrix exactly the rotations it gets alone, and a
@@ -654,8 +652,8 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     checks["forbidden_couplings_certified"] = (
         all(r.forbidden for r in forb) and pinned == 0)
 
-    # Event scan over the configured window.
-    events = locate_events_2d((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max), 64)
+    # The transfer lattice of the configured window, half-open in t.
+    events = transfer_events((cfg.t_min, cfg.t_max), (cfg.j_min, cfg.j_max))
     results["events"] = [_event_dict(e) for e in events]
     checks["all_events_confirmed"] = all(e.confirmed for e in events)
 

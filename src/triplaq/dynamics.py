@@ -1,10 +1,10 @@
 """Time evolution of the Bell-pair initial state, by two independent routes.
 
-Route one evaluates the closed-form single-excitation amplitudes (on a
-grid, in blocks: :func:`closed_form_batches`); route two diagonalizes a
-stack of Hamiltonians (cyclic Jacobi, bit-identical when swept one total-S^z
-block at a time) and applies the spectral propagator, to the full 16x16 H
-or, as ``surface`` does, to its 4x4 single-excitation block.
+Route one evaluates the closed-form single-excitation amplitudes; route
+two diagonalizes a stack of Hamiltonians (cyclic Jacobi, bit-identical when
+swept one total-S^z block at a time) and applies the spectral propagator,
+to the full 16x16 H or, as ``surface`` does, to its 4x4 single-excitation
+block.
 :func:`oracle_equivalence_report` certifies that both routes agree on a J
 stack's (E, V) pair, which is what pins down the committed bond geometry.
 Times and couplings are in units of the ring coupling D (see
@@ -238,39 +238,10 @@ def phase_aligned_distance(psi: np.ndarray, reference: np.ndarray):
 #: keeps each batch small (128 x 16 complex states, 32 KiB) on any grid.
 TIME_CHUNK = 128
 
-#: Closed-form points evaluated per call.  A point's 4 amplitudes take 64 B
-#: against 256 B for its embedded state, so this block is as large as one
-#: TIME_CHUNK batch of states (32 KiB).
+#: Closed-form points a grid scan evaluates per block.  A point's 4
+#: amplitudes take 64 B against 256 B for its embedded state, so this block
+#: is as large as one TIME_CHUNK batch of states (32 KiB).
 AMPLITUDE_BLOCK = 4 * TIME_CHUNK
-
-
-def _embedded_block(block):
-    t, J = (np.concatenate(points) for points in zip(*block))
-    ends = np.cumsum([t_batch.size for t_batch, _ in block])[:-1]
-    for batch in np.split(amplitudes_closed_form(t, J), ends):
-        yield embed_single_excitation(batch)
-
-
-def closed_form_batches(batches):
-    """Closed-form states of each (t, J) batch in turn: for a batch of n
-    broadcast points, one (n, 16) array, bit for bit ``closed_form_state(t,
-    J)`` flattened.
-
-    Consecutive batches share one :func:`amplitudes_closed_form` call of at
-    most AMPLITUDE_BLOCK points (a larger batch gets a call of its own), and
-    each batch is embedded on its own, so no state outgrows its batch.
-    """
-    block, size = [], 0
-    for t, J in batches:
-        t, J = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=float),
-                                                       np.asarray(J, dtype=float)))
-        if block and size + t.size > AMPLITUDE_BLOCK:
-            yield from _embedded_block(block)
-            block, size = [], 0
-        block.append((t, J))
-        size += t.size
-    if block:
-        yield from _embedded_block(block)
 
 
 @dataclass(frozen=True)
@@ -293,9 +264,9 @@ def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
     A wrong bond geometry shows up as an O(1) deviation; ties go to the
     first J, then the first t.  Propagation runs one J and at most
     TIME_CHUNK times at a time, so every state temporary stays at 32 KiB
-    (the closed form runs in blocks of :func:`closed_form_batches`); larger
-    ones took fresh pages from the kernel on every call, at a cost that
-    follows the host's memory load.
+    (the closed form is one amplitude call per J, 64 B per time, embedded
+    per chunk); larger ones took fresh pages from the kernel on every call,
+    at a cost that follows the host's memory load.
     """
     J_values = [float(J) for J in J_values]
     ts = np.asarray(list(t_values), dtype=float)
@@ -306,14 +277,15 @@ def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
         raise ValueError(f"expected eigenvalues of {len(J_values)} Hamiltonians, "
                          f"got shape {E.shape}")
     psi0 = initial_bell_state()
-    batches = [(j, ts[lo:lo + TIME_CHUNK])
-               for j in range(len(J_values)) for lo in range(0, ts.size, TIME_CHUNK)]
-    references = closed_form_batches((chunk, J_values[j]) for j, chunk in batches)
     worst = (-1.0, 0.0, 0.0)
-    for (j, chunk), reference in zip(batches, references):
-        dev = phase_aligned_distance(evolve_numeric((E[j], V[j]), psi0, chunk), reference)
-        k = int(np.argmax(dev))
-        if dev[k] > worst[0]:
-            worst = (float(dev[k]), float(chunk[k]), J_values[j])
+    for j, J in enumerate(J_values):
+        amplitudes = amplitudes_closed_form(ts, J)
+        for lo in range(0, ts.size, TIME_CHUNK):
+            chunk = ts[lo:lo + TIME_CHUNK]
+            reference = embed_single_excitation(amplitudes[lo:lo + TIME_CHUNK])
+            dev = phase_aligned_distance(evolve_numeric((E[j], V[j]), psi0, chunk), reference)
+            k = int(np.argmax(dev))
+            if dev[k] > worst[0]:
+                worst = (float(dev[k]), float(chunk[k]), J)
     return OracleReport(max_deviation=worst[0], worst_t=worst[1],
                         worst_J=worst[2], points=len(J_values) * ts.size)

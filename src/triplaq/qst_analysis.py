@@ -37,6 +37,12 @@ GOLDEN_XTOL = 1e-10
 SMALL_FRACTION_MAX_DENOMINATOR = 512
 #: Wootters tolerance of a complete transfer: c12 <= TOL and c34 >= 1 - TOL.
 TRANSFER_TOL = 1e-8
+#: Largest phase a scan evaluates: (|J| + D)*|t| in evolve and surface,
+#: (|J| + 1)*t_max in wstate and report, (|J| + 3)*t_max in forbidden.  Over
+#: J in {0, +-0.5, +-2, 3, +-1e3, L - 1} at 4001 samples the numeric route
+#: misses the closed form by at most 3.3e-10 at L = 2**20, 8.0e-10 at 2**21
+#: and 1.3e-9 at 2**22, beyond the report's 1e-9 oracle bound.
+MAX_PHASE = 2.0 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +258,20 @@ def _scan_window(t_range, J_range) -> tuple[float, float, float, float]:
     return t_lo, t_hi, J_lo, J_hi
 
 
+def transfer_events(t_range, J_range) -> list[QstEvent]:
+    """The complete transfers of a window, half-open in t: the transfer
+    lattice points (m*pi, n/m) with t_lo <= m*pi < t_hi and J_lo <= n/m <=
+    J_hi, by m, then n, all verified by one :func:`verify_transfers` call,
+    whose verdict each event's ``confirmed`` is."""
+    k, n = _lattice(TRANSFER_LATTICE, *_scan_window(t_range, J_range))
+    keep = k * TRANSFER_LATTICE[0] < float(t_range[1])
+    k, n = k[keep], n[keep]
+    t, J = k * TRANSFER_LATTICE[0], n / k
+    values = (t, concurrence_gap(t, J), *verify_transfers(t, J))
+    return [QstEvent(m, t_m, Fraction(p, m), *rest) for m, p, t_m, *rest
+            in zip(k.tolist(), n.tolist(), *(v.tolist() for v in values))]
+
+
 def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
     """Scan the gap surface for complete-transfer events.
 
@@ -393,16 +413,23 @@ def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
     J is forbidden when it is p/q (q <= 512, within 1e-12) with p and q odd: the
     gap is periodic and fails :func:`is_lattice_transfer` at every m.  Other
     rational J transfer at t = q*pi; irrational J come arbitrarily close to one.
+    A phase (|J| + 3)*t_max of the gap's fastest term beyond MAX_PHASE raises
+    ValueError before any lane is built (a window holds about |J|/2 lanes).
     """
     t_max = float(t_max)
     if not t_max >= 2 * np.pi:
         raise ValueError(f"t_max must cover at least 2*pi, got {t_max}")
-    last = round(t_max / np.pi)  # the window that holds t_max
-    m = np.arange(last + 1)
-    js, verdicts, lanes = [], [], []
-    for J in map(float, J_values):
+    js = [float(J) for J in J_values]
+    for J in js:
         if not math.isfinite(J):
             raise ValueError(f"coupling must be finite, got {J}")
+        if not (abs(J) + 3.0) * t_max <= MAX_PHASE:
+            raise ValueError(f"coupling {J}: phases (|J| + 3)*t up to "
+                             f"{(abs(J) + 3.0) * t_max:.3g} exceed the limit of {MAX_PHASE:.0f}")
+    last = round(t_max / np.pi)  # the window that holds t_max
+    m = np.arange(last + 1)
+    verdicts, lanes = [], []
+    for J in js:
         p_q = _as_small_fraction(J)
         p, q = (abs(J), 1) if p_q is None else (abs(p_q.numerator), p_q.denominator)
         d = (m * (p % (2 * q)) - q * (m + 1)) % (2 * q)
@@ -411,7 +438,6 @@ def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
         lanes.append(np.concatenate([
             _window_lanes(abs(J), w, max(0.0, (w - 0.5) * np.pi), min((w + 0.5) * np.pi, t_max))
             for w in ((best, last) if phi[last] < phi[best] else (best,))]))
-        js.append(J)
         verdicts.append(p_q is not None and p_q.numerator * q % 2 == 1)
     counts = [len(c) for c in lanes]
     lane_j = np.repeat(js, counts)

@@ -1030,25 +1030,58 @@ def test_report_exact_candidates_lie_on_the_w_lattice(tmp_path):
     assert results["monogamy_max_excess"] == 0.0
 
 
-@pytest.mark.parametrize("argv, unbuilt", [
-    # 1.8e10 points, beyond MAX_GRID_POINTS
-    (["--t-range", "0:600000:2", "--j-range", "0:0.5:2"], ("_lattice",)),
-    (["--t-range", "0:2000000:2"], ("_lattice", "_lattice_rows")),
-], ids=["count", "phase"])
+@pytest.mark.parametrize("argv, count", [
+    ([], 8),
+    (["--t-range", "0:37.69911184307752:129"], 72),            # [0, 12*pi)
+    (["--t-range", "3:20:33", "--j-range=0.25:1.5:9"], 14),    # n/m = 1/4 and 3/2 on the edges
+    ([f"--t-range={np.pi!r}:{6 * np.pi!r}:9", "--j-range=0.25:1.5:9"], 10),
+], ids=["default", "12pi", "narrow", "pi-edges"])
+def test_report_events_are_the_window_transfer_lattice(tmp_path, monkeypatch, argv, count):
+    """The report's events are the transfer lattice {(m*pi, n/m) : n of the
+    parity of m + 1} of its window, half-open in t, every one confirmed,
+    and no event search runs."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("the report searched for events")
+
+    monkeypatch.setattr(cli_io, "locate_events_2d", no_search)
+    out = tmp_path / "report.json"
+    assert main(["report", *argv, "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    cfg = payload["config_echo"]
+    lattice = [(m, m * np.pi, str(Fraction(n, m)))
+               for m in range(1, math.ceil(cfg["t_max"] / np.pi) + 1)
+               for n in range(math.floor(cfg["j_min"] * m) - 1, math.ceil(cfg["j_max"] * m) + 2)
+               if (n - m - 1) % 2 == 0 and cfg["t_min"] <= m * np.pi < cfg["t_max"]
+               and cfg["j_min"] <= n / m <= cfg["j_max"]]
+    events = payload["results"]["events"]
+    assert len(events) == count
+    assert [(e["m"], e["t"], e["j"]) for e in events] == lattice
+    assert all(e["confirmed"] and e["snapped"] for e in events)
+    assert payload["checks"]["all_events_confirmed"] is True
+
+
+@pytest.mark.parametrize("command, argv, unbuilt", [
+    # 1.8e10 W points (4.6e9 transfers), beyond the listing limit
+    ("wstate", ["--t-range", "0:600000:2", "--j-range", "0:0.5:2"], ("_lattice",)),
+    ("wstate", ["--t-range", "0:2000000:2"], ("_lattice", "_lattice_rows")),
+    ("report", ["--t-range", "0:600000:2", "--j-range", "0:0.5:2"], ("_lattice",)),
+    ("report", ["--t-range", "0:2000000:2"], ("_lattice", "_lattice_rows")),
+], ids=["count", "phase", "report-count", "report-phase"])
 def test_wstate_window_is_bounded_before_any_point(tmp_path, capsys, monkeypatch,
-                                                    argv, unbuilt):
+                                                    command, argv, unbuilt):
     """The phase bound comes before the point count, and the count before
-    any point."""
+    any point, for wstate's W points and the report's transfers."""
     def no_points(*args, **kwargs):
-        raise AssertionError("W points were enumerated before the window was bounded")
+        raise AssertionError("lattice points were enumerated before the window was bounded")
 
     for name in unbuilt:
         monkeypatch.setattr(qst_analysis, name, no_points)
-    out = tmp_path / "w.csv"
-    assert main(["wstate", *argv, "--out", str(out)]) == 1
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --t-range, --j-range: ") and err.count("\n") == 1
-    assert not out.exists()
+    # only the report writes a document, its error document
+    assert out.exists() == (command == "report")
 
 
 def _recorded_pair_concurrences(monkeypatch, module):

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triplaq import dynamics
 from triplaq.cli_io import SweepConfig, cmd_evolve
 from triplaq.dynamics import (
-    AMPLITUDE_BLOCK,
     HERMITIAN_TOL,
     _require_hermitian,
     amplitudes_closed_form,
-    closed_form_batches,
     closed_form_state,
     evolve_numeric,
     hermitian_eigendecompose,
@@ -122,35 +119,6 @@ class TestClosedForm:
         np.testing.assert_allclose(np.abs(amplitudes_closed_form(ts, 0.5)),
                                    np.abs(amplitudes_closed_form(ts + 8 * np.pi, 0.5)),
                                    atol=1e-10)
-
-
-class TestClosedFormBatches:
-    def test_each_batch_equals_closed_form_state(self):
-        ts, js = np.linspace(0.0, 9.0, 11), np.linspace(-1.0, 2.0, 65)
-        batches = [*((t, js) for t in ts), (ts, 0.7), (ts[:3], js[:3]), (1.5, 0.25)]
-        states = list(closed_form_batches(batches))
-        assert len(states) == len(batches)
-        for (t, J), psi in zip(batches, states):
-            want = closed_form_state(t, J).reshape(-1, 16)
-            assert np.array_equal(psi.view(np.uint8), want.view(np.uint8))
-
-    def test_blocks_hold_whole_batches(self, monkeypatch):
-        sizes = []
-
-        def counted(t, J):
-            sizes.append(np.size(t))
-            return amplitudes_closed_form(t, J)
-
-        monkeypatch.setattr(dynamics, "amplitudes_closed_form", counted)
-        # the report grid's rows: 7 rows of 65 couplings fill a block
-        js = np.linspace(0.0, 2.0, 65)
-        rows = list(closed_form_batches((t, js) for t in np.linspace(0.0, 4 * np.pi, 129)))
-        assert [psi.shape for psi in rows] == [(65, 16)] * 129
-        assert sizes == [7 * 65] * 18 + [3 * 65]
-        # a batch larger than a block is evaluated alone
-        sizes.clear()
-        list(closed_form_batches([(0.5, 0.1), (np.zeros(AMPLITUDE_BLOCK + 1), 0.5), (0.0, 0.5)]))
-        assert sizes == [1, AMPLITUDE_BLOCK + 1, 1]
 
 
 class TestJacobiEigensolver:

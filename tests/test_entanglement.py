@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from triplaq.dynamics import (
     amplitudes_closed_form,
-    closed_form_batches,
     closed_form_state,
     evolve_numeric,
     hermitian_eigendecompose,
@@ -366,7 +365,7 @@ class TestPairConcurrences:
         # one block of the report's sweep: 7 t-rows of 65 couplings, 455
         # states; M is built only on its one structural entry per pair
         ts, js = np.linspace(0.0, 4 * np.pi, 129), np.linspace(0.0, 2.0, 65)
-        psi = next(closed_form_batches([(ts[:7, None], js)]))
+        psi = closed_form_state(ts[:7, None], js).reshape(-1, 16)
         assert psi.shape == (455, 16)
         tracemalloc.start()
         try:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from triplaq.qst_analysis import (
     W_LATTICE,
     lattice_count,
     sequence_table,
+    transfer_events,
     verify_transfers,
     w_deviation,
     wstate_candidate_from_state,
@@ -210,6 +212,17 @@ class TestForbiddenScan:
         assert res.t_at_sup == t_max
         assert res.sup_gap == pytest.approx(0.0067803, abs=1e-7)
 
+    def test_phase_bound_precedes_any_lane(self):
+        # a window at |J| = 1e9 would hold about 5e8 lanes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"coupling 1000000000\.0: phases"):
+                forbidden_J_scan([1e9], 2 * np.pi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_ties_go_to_the_smallest_time(self):
         # J = 1: the gap is -cos(t)**4, 0 at every pi/2 + m*pi; J = 3: 1/4 at
         # pi/4 and every m*pi -+ pi/4; J = 1/3: |phi_m| = 1/3 at m = 1, 2, 4, ...
@@ -255,6 +268,28 @@ class TestEventLocation:
     def test_coarse_resolution_rejected(self):
         with pytest.raises(ValueError):
             locate_events_2d((0.0, 2 * np.pi), (0.0, 2.0), 32)
+
+
+class TestTransferEvents:
+    def test_default_window_equals_the_search(self):
+        window = (0.0, 4 * np.pi), (0.0, 2.0)
+        events = transfer_events(*window)
+        assert len(events) == 8 and events == locate_events_2d(*window, 64)
+
+    def test_verified_in_one_batched_call(self, monkeypatch):
+        calls = []
+
+        def spy(t, J):
+            calls.append(np.shape(t))
+            return verify_transfers(t, J)
+
+        monkeypatch.setattr(qst_analysis, "verify_transfers", spy)
+        assert len(transfer_events((0.0, 40 * np.pi), (0.0, 2.0))) == 800
+        assert calls == [(800,)]
+
+    def test_empty_window(self):
+        assert transfer_events((0.0, np.pi), (0.0, 2.0)) == []
+        assert transfer_events((0.0, 6 * np.pi), (1.0, 1.0)) == []
 
 
 def _near(n, k, side):
