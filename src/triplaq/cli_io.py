@@ -442,10 +442,12 @@ def _table1_cells(max_m: int):
 def cmd_table1(cfg: SweepConfig, max_m: int) -> dict:
     """The fractional-coupling table with per-cell verification status.
     CSV rows are written as their blocks are verified; the JSON payload
-    holds the whole table."""
+    holds the whole table, about 600 B a cell, so it takes the listing cap
+    of :func:`_check_lattice`."""
     if max_m < 1:
         raise ConfigError(f"max_m must be at least 1, got {max_m}")
-    _check_grid(len(TABLE_FAMILIES) * max_m, "--max-m")
+    _check_grid(len(TABLE_FAMILIES) * max_m, "--max-m",
+                limit=MAX_GRID_POINTS if cfg.fmt == "csv" else MAX_GRID_POINTS // 8)
     # every row m has a shared transfer-time cell, and each entry one more
     summary = {"populated_cells": max_m, "all_verified": True}
 

@@ -414,7 +414,8 @@ def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
     gap is periodic and fails :func:`is_lattice_transfer` at every m.  Other
     rational J transfer at t = q*pi; irrational J come arbitrarily close to one.
     A phase (|J| + 3)*t_max of the gap's fastest term beyond MAX_PHASE raises
-    ValueError before any lane is built (a window holds about |J|/2 lanes).
+    ValueError before any lane is built (a window holds about |J|/2 lanes),
+    and so does 3*t_max, also when J_values is empty.
     """
     t_max = float(t_max)
     if not t_max >= 2 * np.pi:
@@ -426,6 +427,9 @@ def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
         if not (abs(J) + 3.0) * t_max <= MAX_PHASE:
             raise ValueError(f"coupling {J}: phases (|J| + 3)*t up to "
                              f"{(abs(J) + 3.0) * t_max:.3g} exceed the limit of {MAX_PHASE:.0f}")
+    if not 3.0 * t_max <= MAX_PHASE:  # the bound at J = 0, for an empty list
+        raise ValueError(f"phases 3*t up to {3.0 * t_max:.3g} exceed the limit of "
+                         f"{MAX_PHASE:.0f}")
     last = round(t_max / np.pi)  # the window that holds t_max
     m = np.arange(last + 1)
     verdicts, lanes = [], []
@@ -509,53 +513,36 @@ def wstate_scan(t_range, J_range) -> list[WStateCandidate]:
 # Oscillation periods
 # ---------------------------------------------------------------------------
 
+#: name: (closed form, terms); a term (kind, a, b, c) is c/32 * kind((a*J + b)*t),
+#: and constant terms are left out.
 _SIGNALS = {
-    "C12": closed_form_c12,
-    "C34": closed_form_c34,
-    "C13": closed_form_c13,
-    "GAP": concurrence_gap,
+    "C12": (closed_form_c12, (("cos", 1, -3, 2), ("cos", 2, -2, 2), ("cos", 1, 1, 6),
+                              ("cos", 1, -1, 6), ("cos", 2, 2, 2), ("cos", 1, 3, 2),
+                              ("cos", 0, 2, 4), ("cos", 0, 4, 1))),
+    "C34": (closed_form_c34, (("cos", 1, -3, -2), ("cos", 2, -2, 2), ("cos", 1, 1, -6),
+                              ("cos", 1, -1, -6), ("cos", 2, 2, 2), ("cos", 1, 3, -2),
+                              ("cos", 0, 2, 4), ("cos", 0, 4, 1))),
+    "C13": (closed_form_c13, (("sin", 2, 2, -2), ("sin", -2, 2, -2), ("sin", 0, 2, -4),
+                              ("cos", 0, 4, -1))),
 }
+#: concurrence_gap is closed_form_c34 - closed_form_c12: C34's terms and C12's
+#: negated, of which _frequencies cancels the pairs the two share.
+_SIGNALS["GAP"] = (concurrence_gap, _SIGNALS["C34"][1] + tuple(
+    (kind, a, b, -c) for kind, a, b, c in _SIGNALS["C12"][1]))
 
 
-def _signal_terms(name: str, J: Fraction):
-    """(kind, frequency, coefficient) terms of one closed-form signal."""
-    one16 = Fraction(1, 16)
-    three16 = Fraction(3, 16)
-    if name == "C12":
-        return [("cos", J - 3, one16), ("cos", 2 * (J - 1), one16),
-                ("cos", J + 1, three16), ("cos", J - 1, three16),
-                ("cos", 2 * (J + 1), one16), ("cos", J + 3, one16),
-                ("cos", Fraction(2), Fraction(1, 8)),
-                ("cos", Fraction(4), Fraction(1, 32))]
-    if name == "C34":
-        return [("cos", J - 3, -one16), ("cos", 2 * (J - 1), one16),
-                ("cos", J + 1, -three16), ("cos", J - 1, -three16),
-                ("cos", 2 * (J + 1), one16), ("cos", J + 3, -one16),
-                ("cos", Fraction(2), Fraction(1, 8)),
-                ("cos", Fraction(4), Fraction(1, 32))]
-    if name == "C13":
-        return [("sin", 2 * (J + 1), -one16), ("sin", 2 * (1 - J), -one16),
-                ("sin", Fraction(2), -Fraction(1, 8)),
-                ("cos", Fraction(4), -Fraction(1, 32))]
-    if name == "GAP":
-        return [("cos", J - 3, -Fraction(1, 8)), ("cos", J + 1, -Fraction(3, 8)),
-                ("cos", J - 1, -Fraction(3, 8)), ("cos", J + 3, -Fraction(1, 8))]
-    raise ValueError(f"unknown signal {name!r}")
-
-
-def _frequencies(name: str, J: Fraction) -> tuple[Fraction, Fraction]:
-    """(gcd, largest) of the positive frequencies of a signal's table at
-    exact J whose combined coefficients do not cancel; the gcd of rationals
-    p_i/q_i (reduced) is gcd(p_i)/lcm(q_i).  No table ever cancels fully."""
+def _frequencies(terms, p: int, q: int) -> tuple[Fraction, Fraction]:
+    """(gcd, largest) of the positive frequencies f/q, f = a*p + b*q, of a
+    term table at J = p/q (q > 0) whose combined coefficients do not cancel.
+    No table ever cancels fully."""
     combined = collections.Counter()
-    for kind, freq, coeff in _signal_terms(name, J):
+    for kind, a, b, c in terms:
         # a zero frequency is a constant (cos) or vanishing (sin) term; cos
         # is even in the frequency and sin odd
-        if freq != 0:
-            combined[kind, abs(freq)] += -coeff if freq < 0 and kind == "sin" else coeff
-    freqs = [freq for (kind, freq), coeff in combined.items() if coeff != 0]
-    return (Fraction(math.gcd(*(f.numerator for f in freqs)),
-                     math.lcm(*(f.denominator for f in freqs))), max(freqs))
+        if f := a * p + b * q:
+            combined[kind, abs(f)] += -c if f < 0 and kind == "sin" else c
+    freqs = [f for (kind, f), c in combined.items() if c != 0]
+    return Fraction(math.gcd(*freqs), q), Fraction(max(freqs), q)
 
 
 def _as_small_fraction(J) -> Fraction | None:
@@ -614,8 +601,8 @@ def periodicity_report(J) -> list[SignalPeriod]:
     revival = Fraction(math.gcd(p - q, p + q, 2 * q), q)
     revival_period = float(2.0 * math.pi / revival)
     out = []
-    for name, signal in _SIGNALS.items():
-        g, largest = _frequencies(name, J_frac)
+    for name, (signal, terms) in _SIGNALS.items():
+        g, largest = _frequencies(terms, p, q)
         T = float(2.0 * math.pi / g)
         base = signal(PERIOD_SAMPLES, p / q)
         repeat = float(np.abs(signal(PERIOD_SAMPLES + T, p / q) - base).max())

@@ -831,14 +831,17 @@ class TestTable1Command:
         assert main(["table1", "--max-m", "0",
                      "--out", str(tmp_path / "t.json")]) == 1
 
+    @pytest.mark.parametrize("fmt, limit", [("csv", MAX_GRID_POINTS),
+                                            ("json", MAX_GRID_POINTS // 8)],
+                             ids=["csv", "json"])
     def test_oversized_table_rejected_before_it_is_built(self, tmp_path, capsys,
-                                                         monkeypatch):
+                                                         monkeypatch, fmt, limit):
         def no_table(max_m):
             raise AssertionError("the table was built before its size was checked")
 
         monkeypatch.setattr(cli_io, "sequence_table", no_table)
-        out = tmp_path / "t.csv"
-        assert main(["table1", "--max-m", str(MAX_GRID_POINTS // 3 + 1),
+        out = tmp_path / f"t.{fmt}"
+        assert main(["table1", "--max-m", str(limit // 3 + 1), "--format", fmt,
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: --max-m")
         assert not out.exists()
@@ -976,21 +979,30 @@ class TestReportCommand:
         payload = json.loads(out.read_text())
         assert "error" in payload and "geom.txt" in payload["error"]["message"]
 
-    @pytest.mark.parametrize("corrupt, failing", [
+    @pytest.mark.parametrize("name, corrupt, failing", [
         # without its sin(2t) term, C13's table claims half the period
         # where the gcd of its other frequencies is twice as large, and the
         # signal does not repeat after it
-        (lambda terms: terms[:2] + terms[3:], ("1", "1/31", "1/101", "1/511")),
+        ("C13", lambda terms: terms[:2] + terms[3:],
+         {(J, "C13") for J in ("1", "1/31", "1/101", "1/511")}),
         # sin(2t) read as sin(t): wherever the t term sets the gcd, the
         # claimed period is twice the signal's, which repeats after half of it
-        (lambda terms: terms[:2] + [("sin", Fraction(1), terms[2][2])] + terms[3:],
-         ("0", "1", "2/3", "1/31", "1/101", "1/511")),
-    ], ids=["dropped-term", "halved-frequency"])
+        ("C13", lambda terms: terms[:2] + (("sin", 0, 1, terms[2][3]),) + terms[3:],
+         {(J, "C13") for J in ("0", "1", "2/3", "1/31", "1/101", "1/511")}),
+        # cos(t)cos(Jt) expanded to cos(Jt) instead of cos((J + 1)t): GAP
+        # inherits the wrong frequency, and both claim twice the period
+        # wherever J sets the gcd
+        ("C12", lambda terms: terms[:2] + (("cos", 1, 0, 6),) + terms[3:],
+         {(J, s) for J in ("1", "1/31", "1/101", "1/511") for s in ("C12", "GAP")}),
+    ], ids=["dropped-term", "halved-frequency", "c12-into-gap"])
     def test_corrupted_table_fails_periodicity(self, tmp_path, monkeypatch,
-                                               corrupt, failing):
-        terms = qst_analysis._signal_terms
-        monkeypatch.setattr(qst_analysis, "_signal_terms", lambda name, J: (
-            corrupt(terms(name, J)) if name == "C13" else terms(name, J)))
+                                               name, corrupt, failing):
+        signals = qst_analysis._SIGNALS
+        closed_form, terms = signals[name]
+        monkeypatch.setitem(signals, name, (closed_form, corrupt(terms)))
+        # GAP's terms are made from C34's and C12's once, at import
+        monkeypatch.setitem(signals, "GAP", (signals["GAP"][0], signals["C34"][1] + tuple(
+            (kind, a, b, -c) for kind, a, b, c in signals["C12"][1])))
         out = tmp_path / "report.json"
         assert main(["report", "--t-range", "0:3:5", "--j-range", "0:2:3",
                      "--out", str(out)]) == 2
@@ -998,8 +1010,7 @@ class TestReportCommand:
         assert payload["checks"]["periodicity_consistent"] is False
         assert {(J, entry["signal"])
                 for J, entries in payload["results"]["periodicity"].items()
-                for entry in entries if not entry["verified"]} == {
-            (J, "C13") for J in failing}
+                for entry in entries if not entry["verified"]} == failing
 
     @pytest.mark.parametrize("argv, message", [
         (["--geometry", "/missing/geom.txt"], "geom.txt"),

@@ -223,6 +223,20 @@ class TestForbiddenScan:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("t_max", [1e7, 1e300])
+    def test_phase_bound_of_an_empty_list(self, t_max):
+        # the J = 0 bound: np.arange(round(t_max/pi) + 1) would take 25 MB
+        # at 1e7, and numpy rejects its size at 1e300
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"phases 3\*t up to .* exceed the limit"):
+                forbidden_J_scan([], t_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert forbidden_J_scan([], 2 * np.pi) == []
+
     def test_ties_go_to_the_smallest_time(self):
         # J = 1: the gap is -cos(t)**4, 0 at every pi/2 + m*pi; J = 3: 1/4 at
         # pi/4 and every m*pi -+ pi/4; J = 1/3: |phi_m| = 1/3 at m = 1, 2, 4, ...
@@ -463,8 +477,13 @@ class TestPeriodicity:
            t=st.floats(0.0, 8.0 * np.pi), J=small_fractions())
     def test_terms_reproduce_signal(self, name, t, J):
         # the tables omit constant terms, so compare s(t) - s(0)
-        table = sum(float(c) * (np.cos(float(f) * t) - 1.0 if kind == "cos"
-                                else np.sin(float(f) * t))
-                    for kind, f, c in qst_analysis._signal_terms(name, J))
-        signal = qst_analysis._SIGNALS[name]
+        signal, terms = qst_analysis._SIGNALS[name]
+        table = sum(c / 32 * (np.cos(float(a * J + b) * t) - 1.0 if kind == "cos"
+                              else np.sin(float(a * J + b) * t))
+                    for kind, a, b, c in terms)
         assert abs(table - (signal(t, float(J)) - signal(0.0, float(J)))) <= 1e-14
+
+    def test_gap_terms_are_c34_minus_c12(self):
+        signals = qst_analysis._SIGNALS
+        assert signals["GAP"] == (concurrence_gap, signals["C34"][1] + tuple(
+            (kind, a, b, -c) for kind, a, b, c in signals["C12"][1]))
