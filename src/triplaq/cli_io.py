@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from .dynamics import (
     evolve_numeric,
     hermitian_eigendecompose,
     oracle_equivalence_report,
-    phase_aligned_distance,
+    route_chunks,
 )
 from .entanglement import (
     ALL_PAIRS,
@@ -71,14 +71,12 @@ from .spin_core import (
     default_plaquette,
     embed_single_excitation,
     initial_bell_state,
-    norm_error,
     parse_geometry_text,
-    sector_leak,
     single_excitation_block,
     swapped_control_plaquette,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 #: Largest grid a command may evaluate, checked before anything is allocated.
 MAX_GRID_POINTS = 2 ** 24
 
@@ -120,8 +118,6 @@ class SweepConfig:
         return np.linspace(self.j_min, self.j_max, self.j_steps)
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(SweepConfig)}
-
 #: The options that set SweepConfig fields: the fields each one sets, and its
 #: parser arguments.  ``--out`` sets ``out``, which every subcommand reads.
 _SHARED_OPTIONS = {
@@ -134,9 +130,7 @@ _SHARED_OPTIONS = {
     "--format": (("fmt",), {"dest": "fmt", "choices": ("csv", "json")}),
 }
 
-#: The shared options, and so the SweepConfig fields, each subcommand reads.
-#: It builds each subcommand's parser, and a config file may set only the
-#: fields its subcommand reads.
+#: The shared options each subcommand reads, from which its parser is built.
 COMMAND_OPTIONS = {
     "evolve": ("--t-range", "--d", "--geometry", "--format"),
     "surface": ("--t-range", "--j-range", "--d", "--geometry", "--format"),
@@ -147,12 +141,16 @@ COMMAND_OPTIONS = {
     "report": ("--t-range", "--j-range", "--geometry"),
 }
 
+#: The SweepConfig fields each subcommand reads: ``out`` and those its shared
+#: options set.  A config file may set only these; the report echoes them.
+_FIELDS_READ = {command: ("out", *(name for option in options
+                                   for name in _SHARED_OPTIONS[option][0]))
+                for command, options in COMMAND_OPTIONS.items()}
+
 
 def config_from_text(text: str, command: str) -> SweepConfig:
     """Parse flat ``key = value`` lines; a key for a field that ``command``
     does not read is an error."""
-    reads = {"out", *(name for option in COMMAND_OPTIONS[command]
-                      for name in _SHARED_OPTIONS[option][0])}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -162,7 +160,7 @@ def config_from_text(text: str, command: str) -> SweepConfig:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in reads:
+        if key not in _FIELDS_READ[command]:
             raise ConfigError(f"config line {lineno}: {command} does not read {key!r}")
         try:
             if key in ("t_steps", "j_steps"):
@@ -306,27 +304,19 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
     _check_phases(cfg, abs(J), "--j")
     geom = resolve_geometry(cfg.geometry, J / cfg.d)
     with _hamiltonian_flags("--j, --d"):
-        decomp = hermitian_eigendecompose(build_hamiltonian(geom))
-    psi0 = initial_bell_state()
+        decomp = hermitian_eigendecompose(build_hamiltonian(geom)[None])
     ts = cfg.t_grid()
     table = np.empty((ts.size, len(_EVOLVE_HEADER)))
-    worst_dev = worst_norm = worst_leak = 0.0
-    for lo in range(0, ts.size, TIME_CHUNK):
-        t = ts[lo:lo + TIME_CHUNK]
-        t_d = cfg.d * t
-        psi_c = closed_form_state(t_d, J / cfg.d)
-        psi_n = evolve_numeric(decomp, psi0, t_d)
-        dev = phase_aligned_distance(psi_n, psi_c)
-        nerr, leak = norm_error(psi_n), sector_leak(psi_n)
-        worst_dev = max(worst_dev, float(dev.max()))
-        worst_norm = max(worst_norm, float(nerr.max()))
-        worst_leak = max(worst_leak, float(leak.max()))
-        amps = psi_c[:, SINGLE_EXCITATION_INDICES]
+    table[:, 0] = ts
+    chunks = route_chunks(decomp, (J / cfg.d,), cfg.d * ts)
+    for lo, (_, _, amps, dev, nerr, leak) in zip(range(0, ts.size, TIME_CHUNK), chunks):
         re, im = amps.real, amps.imag
         # np.hypot rounds like Python's abs() of a complex; np.abs can be 1 ulp off
-        table[lo:lo + t.size] = np.column_stack(
-            [t, np.stack([re, im], axis=-1).reshape(-1, 8),
-             np.hypot(re, im), nerr, leak, dev])
+        table[lo:lo + dev.size, 1:] = np.column_stack(
+            [np.stack([re, im], axis=-1).reshape(-1, 8), np.hypot(re, im), nerr, leak, dev])
+    nerr, leak, dev = table[:, 13:].max(axis=0).tolist()
+    summary = {"rows": ts.size, "max_numeric_deviation": dev, "max_norm_error": nerr,
+               "max_sector_leak": leak}
     if cfg.fmt == "csv":
         # one block of Python floats at a time, never the whole table as lists
         write_csv(cfg.out, _EVOLVE_HEADER,
@@ -337,8 +327,7 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
                    "D": cfg.d, "geometry": cfg.geometry}
         del table       # the lists hold every value; free the array first
         write_json(cfg.out, payload)
-    return {"rows": ts.size, "max_numeric_deviation": worst_dev,
-            "max_norm_error": worst_norm, "max_sector_leak": worst_leak}
+    return summary
 
 
 #: Columns of each signal: a pair names its Wootters concurrence, two pairs
@@ -528,7 +517,6 @@ def cmd_wstate(cfg: SweepConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 _ORACLE_J = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
-_CONSERVATION_J = (0.0, 0.5, 1.0, 2.0)
 _PERIODICITY_J = tuple(map(Fraction, ("0", "1", "1/2", "2/3", "7/64", "1/31", "1/101", "1/511")))
 #: The report's W scan lists the grid points whose max |C - 1/2| is below this.
 _WSTATE_THRESHOLD = 1e-3
@@ -592,30 +580,31 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     checks: dict = {}
     _check_grid(cfg.t_steps * cfg.j_steps, "--t-range", "--j-range")
     _check_lattice(cfg, TRANSFER_LATTICE)
-    # every Hamiltonian the report diagonalizes, in one stack: the
-    # conservation check's and the oracle's, committed and swapped.  The
-    # solver gives each matrix exactly the rotations it gets alone, and a
-    # bad --geometry fails here, before any scan runs
+    # the oracle's Hamiltonians at --geometry and the swapped control's, in
+    # one stack: each gets exactly the rotations it gets alone, and a bad
+    # --geometry fails here, before any scan runs
     geom = resolve_geometry(cfg.geometry, 0.0)
     with _hamiltonian_flags("--geometry"):
-        stacks = (build_hamiltonians(geom, _CONSERVATION_J),
-                  build_hamiltonians(default_plaquette(0.0), _ORACLE_J),
-                  build_hamiltonians(swapped_control_plaquette(0.0), _ORACLE_J))
-        E, V = hermitian_eigendecompose(np.concatenate(stacks))
-    ends = np.cumsum([len(stack) for stack in stacks])[:-1]
-    conservation, committed, swapped = zip(np.split(E, ends), np.split(V, ends))
+        E, V = hermitian_eigendecompose(np.concatenate(
+            [build_hamiltonians(g, _ORACLE_J) for g in (geom, swapped_control_plaquette(0.0))]))
+    n = len(_ORACLE_J)
 
-    # Route equivalence, committed geometry vs swapped negative control.
+    # Route equivalence at --geometry vs the swapped negative control, and
+    # conservation along the oracle's numeric trajectories.
     t_fine = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
     t_coarse = np.arange(0.0, 2.0 * np.pi + 1e-12, np.pi / 16.0)
-    oracle = oracle_equivalence_report(committed, _ORACLE_J, t_fine)
-    control = oracle_equivalence_report(swapped, _ORACLE_J, t_coarse)
+    oracle = oracle_equivalence_report((E[:n], V[:n]), _ORACLE_J, t_fine)
+    control = oracle_equivalence_report((E[n:], V[n:]), _ORACLE_J, t_coarse)
     results["oracle"] = {
         "max_deviation": oracle.max_deviation, "worst_t": oracle.worst_t,
         "worst_j": oracle.worst_J, "points": oracle.points,
         "control_max_deviation": control.max_deviation}
     checks["oracle_equivalence"] = oracle.max_deviation < 1e-9
     checks["negative_control_detects_swap"] = control.max_deviation > 1e-2
+    results["conservation"] = {"max_norm_error": oracle.max_norm_error,
+                               "max_sector_leak": oracle.max_sector_leak}
+    checks["norm_sector_conservation"] = (oracle.max_norm_error < 1e-10
+                                          and oracle.max_sector_leak < 1e-12)
 
     _grid_sweep(cfg, results, checks)
     injected = wstate_candidate_from_state(
@@ -659,16 +648,6 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     results["events"] = [_event_dict(e) for e in events]
     checks["all_events_confirmed"] = all(e.confirmed for e in events)
 
-    # Conservation along numeric trajectories: 128 times, so one
-    # propagation batch of TIME_CHUNK for the whole stack of couplings
-    psi = evolve_numeric(conservation, initial_bell_state(),
-                         np.arange(0.0, 4.0 * np.pi, np.pi / 32.0))
-    worst_norm = float(norm_error(psi).max())
-    worst_leak = float(sector_leak(psi).max())
-    results["conservation"] = {"max_norm_error": worst_norm,
-                               "max_sector_leak": worst_leak}
-    checks["norm_sector_conservation"] = worst_norm < 1e-10 and worst_leak < 1e-12
-
     # Exact revival and signal periods, each checked by repetition
     periods = {str(J): periodicity_report(J) for J in _PERIODICITY_J}
     results["periodicity"] = {J: [asdict(s) for s in p] for J, p in periods.items()}
@@ -683,18 +662,16 @@ def cmd_report(cfg: SweepConfig) -> tuple[dict, int]:
     Configuration problems produce a structured error document and exit
     code 1; any failed check yields exit code 2.
     """
+    echo = {name: getattr(cfg, name) for name in _FIELDS_READ["report"]}
     try:
         results, checks = _report_results(cfg)
     except (ConfigError, TriplaqError) as exc:
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "config_echo": asdict(cfg),
+        payload = {"schema_version": SCHEMA_VERSION, "config_echo": echo,
                    "error": {"type": type(exc).__name__, "message": str(exc)}}
         write_json(cfg.out, payload)
         return payload, 1 if isinstance(exc, ConfigError) else 2
-    payload = {"schema_version": SCHEMA_VERSION,
-               "config_echo": asdict(cfg),
-               "results": results,
-               "checks": checks}
+    payload = {"schema_version": SCHEMA_VERSION, "config_echo": echo,
+               "results": results, "checks": checks}
     write_json(cfg.out, payload)
     return payload, 0 if all(checks.values()) else 2
 
@@ -776,7 +753,7 @@ def _config_from_args(args) -> SweepConfig:
             continue
         if dest in ("t_range", "j_range"):
             overrides.update(zip(_SHARED_OPTIONS[f"--{dest[0]}-range"][0], _parse_range(value)))
-        elif dest in _CONFIG_TYPES:
+        elif dest in _FIELDS_READ[args.command]:
             overrides[dest] = value
     return replace(cfg, **overrides)
 

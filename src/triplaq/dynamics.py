@@ -4,9 +4,9 @@ Route one evaluates the closed-form single-excitation amplitudes; route
 two diagonalizes a stack of Hamiltonians (cyclic Jacobi, bit-identical when
 swept one total-S^z block at a time) and applies the spectral propagator,
 to the full 16x16 H or, as ``surface`` does, to its 4x4 single-excitation
-block.
-:func:`oracle_equivalence_report` certifies that both routes agree on a J
-stack's (E, V) pair, which is what pins down the committed bond geometry.
+block.  :func:`route_chunks` runs both side by side on a J stack's (E, V)
+pair; :func:`oracle_equivalence_report` reduces it to the worst point,
+which is what pins down the bond geometry, and ``evolve`` writes it out.
 Times and couplings are in units of the ring coupling D (see
 :mod:`triplaq.spin_core`).
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NumericalHealthError
-from .spin_core import _blocks, embed_single_excitation, initial_bell_state
+from .spin_core import _blocks, embed_single_excitation, initial_bell_state, norm_error, sector_leak
 
 
 def amplitudes_closed_form(t, J) -> np.ndarray:
@@ -238,38 +238,27 @@ def phase_aligned_distance(psi: np.ndarray, reference: np.ndarray):
 #: keeps each batch small (128 x 16 complex states, 32 KiB) on any grid.
 TIME_CHUNK = 128
 
-#: Closed-form points a grid scan evaluates per block.  A point's 4
-#: amplitudes take 64 B against 256 B for its embedded state, so this block
-#: is as large as one TIME_CHUNK batch of states (32 KiB).
+#: Closed-form points a grid scan, or route_chunks per J, evaluates per call.
+#: A point's 4 amplitudes take 64 B against 256 B for its embedded state, so
+#: this block is as large as one TIME_CHUNK batch of states (32 KiB).
 AMPLITUDE_BLOCK = 4 * TIME_CHUNK
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Worst-case disagreement between the numeric and closed-form routes."""
-
-    max_deviation: float
-    worst_t: float
-    worst_J: float
-    points: int
-
-
-def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
-    """Sweep both evolution routes over a (J, t) grid and report the worst point.
+def route_chunks(decomp, J_values, t_values):
+    """Both evolution routes over a (J, t) grid, one J and at most
+    TIME_CHUNK times at a time.
 
     ``decomp`` is the (E, V) pair of the Hamiltonians at ``J_values``,
     stacked in that order, as :func:`hermitian_eigendecompose` returns it.
-    The deviation per point is the phase-quotiented distance between the
-    numerically propagated state and the embedded closed-form amplitudes.
-    A wrong bond geometry shows up as an O(1) deviation; ties go to the
-    first J, then the first t.  Propagation runs one J and at most
-    TIME_CHUNK times at a time, so every state temporary stays at 32 KiB
-    (the closed form is one amplitude call per J, 64 B per time, embedded
-    per chunk); larger ones took fresh pages from the kernel on every call,
-    at a cost that follows the host's memory load.
+    The closed form is one amplitude call per AMPLITUDE_BLOCK times, so no
+    array grows with the grid (20 001 times of amplitudes are 1.3 MB).  Each
+    chunk yields ``(J, t, amplitudes, deviation, norm_error, sector_leak)``:
+    the chunk's times and closed-form amplitudes (..., 4), and per time the
+    phase-quotiented distance of the numerically propagated state to the
+    embedded amplitudes, and that state's norm error and sector leak.
     """
     J_values = [float(J) for J in J_values]
-    ts = np.asarray(list(t_values), dtype=float)
+    ts = np.asarray(t_values, dtype=float)
     if not J_values or not ts.size:
         raise ValueError("J and t grids must be nonempty")
     E, V = decomp
@@ -277,15 +266,48 @@ def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
         raise ValueError(f"expected eigenvalues of {len(J_values)} Hamiltonians, "
                          f"got shape {E.shape}")
     psi0 = initial_bell_state()
-    worst = (-1.0, 0.0, 0.0)
     for j, J in enumerate(J_values):
-        amplitudes = amplitudes_closed_form(ts, J)
-        for lo in range(0, ts.size, TIME_CHUNK):
-            chunk = ts[lo:lo + TIME_CHUNK]
-            reference = embed_single_excitation(amplitudes[lo:lo + TIME_CHUNK])
-            dev = phase_aligned_distance(evolve_numeric((E[j], V[j]), psi0, chunk), reference)
-            k = int(np.argmax(dev))
-            if dev[k] > worst[0]:
-                worst = (float(dev[k]), float(chunk[k]), J)
-    return OracleReport(max_deviation=worst[0], worst_t=worst[1],
-                        worst_J=worst[2], points=len(J_values) * ts.size)
+        for lo in range(0, ts.size, AMPLITUDE_BLOCK):
+            block = ts[lo:lo + AMPLITUDE_BLOCK]
+            amplitudes = amplitudes_closed_form(block, J)
+            for k in range(0, block.size, TIME_CHUNK):
+                t, amps = block[k:k + TIME_CHUNK], amplitudes[k:k + TIME_CHUNK]
+                psi = evolve_numeric((E[j], V[j]), psi0, t)
+                yield (J, t, amps, phase_aligned_distance(psi, embed_single_excitation(amps)),
+                       norm_error(psi), sector_leak(psi))
+
+
+@dataclass(frozen=True)
+class OracleReport:
+    """Worst-case disagreement between the numeric and closed-form routes,
+    and the numeric route's worst norm error and sector leak."""
+
+    max_deviation: float
+    worst_t: float
+    worst_J: float
+    points: int
+    max_norm_error: float
+    max_sector_leak: float
+
+
+def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
+    """Sweep both evolution routes over a (J, t) grid and report the worst point.
+
+    ``decomp`` stacks the (E, V) pairs of the Hamiltonians at ``J_values``
+    (see :func:`route_chunks`, whose chunks this reduces).  The deviation per
+    point is the phase-quotiented distance between the numerically
+    propagated state and the embedded closed-form amplitudes.  A wrong bond
+    geometry shows up as an O(1) deviation; ties go to the first J, then the
+    first t.
+    """
+    J_values, ts = list(J_values), np.asarray(list(t_values), dtype=float)
+    worst, worst_norm, worst_leak = (-1.0, 0.0, 0.0), 0.0, 0.0
+    for J, t, _, dev, nerr, leak in route_chunks(decomp, J_values, ts):
+        k = int(np.argmax(dev))
+        if dev[k] > worst[0]:
+            worst = (float(dev[k]), float(t[k]), J)
+        worst_norm = max(worst_norm, float(nerr.max()))
+        worst_leak = max(worst_leak, float(leak.max()))
+    return OracleReport(max_deviation=worst[0], worst_t=worst[1], worst_J=worst[2],
+                        points=len(J_values) * ts.size,
+                        max_norm_error=worst_norm, max_sector_leak=worst_leak)

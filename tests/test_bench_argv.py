@@ -1,20 +1,24 @@
-"""Every benchmark workload's command line must parse: an option the CLI
-stops reading then fails here, not only in a benchmark run.  The workload
-file ``bench/workloads.py`` is loaded by path and never changed."""
+"""Every benchmark workload's command line must parse, and its smoke run must
+pass the benchmark's own output checks: an option the CLI stops reading, or
+an output the benchmark would refuse as incorrect, then fails here, not only
+in a benchmark run.  ``bench/workloads.py`` and ``bench/checks.py`` are
+loaded by path and never changed."""
 
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from triplaq.cli_io import _config_from_args, build_parser
+from triplaq.cli_io import _config_from_args, build_parser, main
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # its dataclasses resolve their annotations through sys.modules
     sys.modules[spec.name] = module
@@ -22,7 +26,8 @@ def _workloads():
     return module
 
 
-_module = _workloads()
+_module = _load("workloads")
+_checks = _load("checks")
 
 
 @pytest.mark.parametrize("smoke", [False, True], ids=["seed0", "smoke"])
@@ -33,3 +38,14 @@ def test_workload_argv_parses(name, smoke):
     cfg = _config_from_args(args)
     assert args.command == workload.argv[0]
     assert cfg.out == "out.bench"
+
+
+@pytest.mark.parametrize("name", _module.NAMES)
+def test_smoke_output_passes_the_benchmark_checks(tmp_path, name):
+    workload = _module.build(name, smoke=True)
+    out = tmp_path / f"out.{workload.out_ext}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(workload.command(out))
+    outcome = _checks.check(workload, code, out, _checks.load_reference())
+    assert outcome.errors == []
+    assert outcome.failed == 0

@@ -345,15 +345,15 @@ class TestNoPerCouplingLoops:
         calls = self._spy(monkeypatch)
         main(["report", "--geometry", _geometry_arg(tmp_path, geometry), *SMALL_REPORT_GRID,
               "--out", str(tmp_path / "r.json")])
-        # the conservation check's 4 Hamiltonians, the oracle's 8 committed
-        # and 8 swapped ones
-        assert calls == [(20, 16, 16)]
+        # the oracle's 8 Hamiltonians at --geometry and the control's 8
+        # swapped ones; the conservation check reads the oracle's pass
+        assert calls == [(16, 16, 16)]
 
 
 class TestReportDecomposition:
-    """The report's one stack holds three J stacks.  The solver sweeps the
-    union of their blocks, yet gives each matrix exactly the rotations of
-    its own stack."""
+    """The report's one stack holds two J stacks: the oracle's at --geometry
+    and the swapped control's.  The solver sweeps the union of their blocks,
+    yet gives each matrix exactly the rotations of its own stack."""
 
     @staticmethod
     def _bits(a):
@@ -373,8 +373,7 @@ class TestReportDecomposition:
               "--out", str(tmp_path / "r.json")])
         [(H, (E, V))] = seen
         oracle_j = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
-        stacks = (build_hamiltonians(resolve_geometry(name, 0.0), (0.0, 0.5, 1.0, 2.0)),
-                  build_hamiltonians(default_plaquette(0.0), oracle_j),
+        stacks = (build_hamiltonians(resolve_geometry(name, 0.0), oracle_j),
                   build_hamiltonians(swapped_control_plaquette(0.0), oracle_j))
         assert np.array_equal(H, np.concatenate(stacks))
         lo = 0
@@ -934,9 +933,11 @@ class TestReportCommand:
         _, payload, _ = report
         assert set(payload) == {"schema_version", "config_echo", "results",
                                 "checks"}
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert payload["config_echo"]["t_steps"] == 33
-        assert "threshold" not in payload["config_echo"]
+        # only the fields a report config file may set
+        assert set(payload["config_echo"]) == {"out", "t_min", "t_max", "t_steps", "j_min",
+                                               "j_max", "j_steps", "geometry"}
         assert payload["results"]["wstate"]["threshold"] == 1e-3
 
     def test_exit_code_reflects_failed_checks(self, report):
@@ -1025,6 +1026,43 @@ class TestReportCommand:
         out = tmp_path / "report.json"
         assert main(["report", *argv, "--out", str(out)]) == 1
         assert message in json.loads(out.read_text())["error"]["message"]
+
+
+@pytest.mark.parametrize("geometry, failing", [
+    ("default", {"closed_form_c12_c34_match_wootters", "wstate_scan_empty"}),
+    ("swapped-control", {"closed_form_c12_c34_match_wootters", "oracle_equivalence",
+                         "wstate_scan_empty"}),
+])
+def test_report_oracle_and_conservation_run_at_the_geometry(tmp_path, geometry, failing):
+    """--geometry reaches the route-equivalence oracle, and the conservation
+    check reads the oracle's own numeric trajectories: 8 J x 1025 t."""
+    out = tmp_path / "report.json"
+    assert main(["report", "--geometry", geometry, *SMALL_REPORT_GRID,
+                 "--out", str(out)]) == 2
+    payload = json.loads(out.read_text())
+    assert {k for k, ok in payload["checks"].items() if not ok} == failing
+    js = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
+    ts = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
+    assert payload["results"]["oracle"]["points"] == len(js) * ts.size == 8 * 1025
+    psi = evolve_numeric(hermitian_eigendecompose(
+        build_hamiltonians(resolve_geometry(geometry, 0.0), js)), initial_bell_state(), ts)
+    assert payload["results"]["conservation"] == {
+        "max_norm_error": float(norm_error(psi).max()),
+        "max_sector_leak": float(sector_leak(psi).max())}
+
+
+def test_report_config_echo_replays(tmp_path):
+    """The report echoes only the fields its config file may set, so its
+    echo written as ``key = value`` lines reproduces the document."""
+    first, second, config = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "report.cfg"
+    assert main(["report", "--geometry", "swapped-control", *SMALL_REPORT_GRID,
+                 "--out", str(first)]) == 2
+    payload = json.loads(first.read_text())
+    config.write_text("".join(f"{key} = {value}\n" for key, value in
+                              payload["config_echo"].items() if key != "out"))
+    assert main(["report", "--config", str(config), "--out", str(second)]) == 2
+    assert json.loads(second.read_text()) == {
+        **payload, "config_echo": {**payload["config_echo"], "out": str(second)}}
 
 
 def test_report_exact_candidates_lie_on_the_w_lattice(tmp_path):

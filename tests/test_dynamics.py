@@ -15,6 +15,7 @@ from triplaq.dynamics import (
     hermitian_eigendecompose,
     oracle_equivalence_report,
     phase_aligned_distance,
+    route_chunks,
 )
 from triplaq.errors import ContractViolationError, NormalizationError, NumericalHealthError
 from triplaq.spin_core import (
@@ -249,13 +250,12 @@ class TestStackedJacobi:
 
 class TestHermitianCheck:
     """The input check every decomposition runs, on the report's merged
-    stack: the conservation check's 4 Hamiltonians and the oracle's 8 + 8."""
+    stack: the oracle's 8 Hamiltonians and the swapped control's 8."""
 
     @staticmethod
     def _report_stack():
         js = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
-        return np.concatenate((build_hamiltonians(default_plaquette(0.0), (0.0, 0.5, 1.0, 2.0)),
-                               build_hamiltonians(default_plaquette(0.0), js),
+        return np.concatenate((build_hamiltonians(default_plaquette(0.0), js),
                                build_hamiltonians(swapped_control_plaquette(0.0), js)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), 1e-11])
@@ -486,6 +486,27 @@ class TestGridEngine:
 
 def _stack_dec(js, factory=default_plaquette):
     return hermitian_eigendecompose(build_hamiltonians(factory(0.0), js))
+
+
+class TestRouteChunks:
+    def test_chunks_equal_each_route_run_alone(self):
+        """One J at a time, 128 times a chunk, in grid order; each value
+        bit for bit what the two routes give on that chunk alone, across
+        the 512-time closed-form block."""
+        js = [0.0, 0.5, 2.0]
+        ts = np.arange(0.0, 9 * np.pi, np.pi / 64)
+        E, V = _stack_dec(js)
+        chunks = list(route_chunks((E, V), js, ts))
+        assert [(J, t.size) for J, t, *_ in chunks] == [
+            (J, n) for J in js for n in (128, 128, 128, 128, 64)]
+        for (J, t, amps, dev, nerr, leak), (j, lo) in zip(
+                chunks, [(j, lo) for j in range(3) for lo in range(0, ts.size, 128)]):
+            assert J == js[j] and np.array_equal(t, ts[lo:lo + 128])
+            psi = evolve_numeric((E[j], V[j]), initial_bell_state(), t)
+            assert np.array_equal(amps, amplitudes_closed_form(t, J))
+            assert np.array_equal(dev, phase_aligned_distance(psi, closed_form_state(t, J)))
+            assert np.array_equal(nerr, norm_error(psi))
+            assert np.array_equal(leak, sector_leak(psi))
 
 
 class TestOracle:
