@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +65,7 @@ from .qst_analysis import (
 )
 from .spin_core import (
     SINGLE_EXCITATION_INDICES,
+    _validated_replace,
     build_hamiltonian,
     build_hamiltonians,
     default_plaquette,
@@ -81,8 +81,7 @@ SCHEMA_VERSION = 3
 MAX_GRID_POINTS = 2 ** 24
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class _Sweep(NamedTuple):
     t_min: float = 0.0
     t_max: float = 4.0 * np.pi
     t_steps: int = 129
@@ -94,7 +93,13 @@ class SweepConfig:
     out: str = ""
     fmt: str = "csv"
 
-    def __post_init__(self):
+
+class SweepConfig(_Sweep):
+    __slots__ = ()
+    _replace = _validated_replace
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("t_min", "t_max", "j_min", "j_max", "d"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -110,6 +115,7 @@ class SweepConfig:
             raise ConfigError(f"d must be positive, got {self.d}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        return self
 
     def t_grid(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.t_steps)
@@ -276,6 +282,8 @@ def _json_default(obj):
 
 
 def write_json(path: str, payload) -> None:
+    import json  # here, not at module level: no CSV command needs it
+
     try:
         with open(path, "w", newline="\n") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
@@ -497,7 +505,7 @@ def cmd_forbidden(cfg: SweepConfig, j_values, t_max_scan: float) -> dict:
         write_csv(cfg.out, ["j", "sup_gap", "t_at_sup", "margin", "forbidden"],
                   ([r.J, r.sup_gap, r.t_at_sup, r.margin, str(r.forbidden)] for r in results))
     else:
-        write_json(cfg.out, {"t_max": t_max_scan, "results": [asdict(r) for r in results]})
+        write_json(cfg.out, {"t_max": t_max_scan, "results": [r._asdict() for r in results]})
     return {"couplings": len(results), "forbidden": sum(r.forbidden for r in results)}
 
 
@@ -508,7 +516,7 @@ def cmd_wstate(cfg: SweepConfig) -> dict:
         write_csv(cfg.out, ["t", "j", "c12", "c34", "c13", "c24", "max_deviation_from_half"],
                   ([c.t, c.J, *c.concurrences, c.max_deviation_from_half] for c in cands))
     else:
-        write_json(cfg.out, {"candidates": [asdict(c) for c in cands], "count": len(cands)})
+        write_json(cfg.out, {"candidates": [c._asdict() for c in cands], "count": len(cands)})
     return {"count": len(cands)}
 
 
@@ -650,7 +658,7 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
 
     # Exact revival and signal periods, each checked by repetition
     periods = {str(J): periodicity_report(J) for J in _PERIODICITY_J}
-    results["periodicity"] = {J: [asdict(s) for s in p] for J, p in periods.items()}
+    results["periodicity"] = {J: [s._asdict() for s in p] for J, p in periods.items()}
     checks["periodicity_consistent"] = all(s.verified for p in periods.values() for s in p)
 
     return results, checks
@@ -755,7 +763,7 @@ def _config_from_args(args) -> SweepConfig:
             overrides.update(zip(_SHARED_OPTIONS[f"--{dest[0]}-range"][0], _parse_range(value)))
         elif dest in _FIELDS_READ[args.command]:
             overrides[dest] = value
-    return replace(cfg, **overrides)
+    return cfg._replace(**overrides)
 
 
 def main(argv=None) -> int:
@@ -764,7 +772,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if not cfg.out:
             ext = "json" if (cfg.fmt == "json" or args.command == "report") else "csv"
-            cfg = replace(cfg, out=f"{args.command}.{ext}")
+            cfg = cfg._replace(out=f"{args.command}.{ext}")
         if args.command == "evolve":
             summary = cmd_evolve(cfg, args.j)
         elif args.command == "surface":

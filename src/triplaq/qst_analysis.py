@@ -13,8 +13,8 @@ import collections
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +128,7 @@ def verify_transfers(t, J) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c12, c34, (c12 <= TRANSFER_TOL) & (c34 >= 1.0 - TRANSFER_TOL)
 
 
-@dataclass(frozen=True)
-class SequenceEntry:
+class SequenceEntry(NamedTuple):
     """One populated cell pair of the fractional-coupling table.
 
     ``family`` is the odd integer k in the generating law (1 -+ k/m); the
@@ -209,8 +208,7 @@ def _golden_max(f, lo, hi):
     return x
 
 
-@dataclass(frozen=True)
-class QstEvent:
+class QstEvent(NamedTuple):
     """A located complete-transfer event.
 
     ``snapped`` (``m`` set) if it snapped onto the rational lattice, where
@@ -374,8 +372,7 @@ def locate_events_2d(t_range, J_range, resolution: int = 64) -> list[QstEvent]:
             for (m, t, J, gap_ok), g, a, b, k in zip(pending, gap, c12, c34, ok)]
 
 
-@dataclass(frozen=True)
-class ForbiddenScanResult:
+class ForbiddenScanResult(NamedTuple):
     """A coupling's gap supremum on [0, t_max] at the smallest t reaching it."""
 
     J: float
@@ -461,8 +458,7 @@ def forbidden_J_scan(J_values, t_max: float) -> list[ForbiddenScanResult]:
 # W points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WStateCandidate:
+class WStateCandidate(NamedTuple):
     """A point where all four tracked pair concurrences sit at 1/2."""
 
     t: float
@@ -559,8 +555,7 @@ def _as_small_fraction(J) -> Fraction | None:
 PERIOD_SAMPLES = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
 
-@dataclass(frozen=True)
-class SignalPeriod:
+class SignalPeriod(NamedTuple):
     """A closed-form signal's exact period T at one coupling and the checks
     that make T its fundamental period: ``multiple``, the state's revival
     period over T, is an integer in exact arithmetic (else None); the

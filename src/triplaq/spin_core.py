@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,20 @@ class BondKind(enum.Enum):
     HEISENBERG_ISO = "heisenberg_iso"  # undirected, isotropic exchange
 
 
-@dataclass(frozen=True)
-class BondSpec:
+def _validated_replace(self, **changes):
+    """``_replace`` through the class's ``__new__``: namedtuple's own
+    rebuilds the record with ``_make`` and so skips its validation."""
+    return type(self)(**{**self._asdict(), **changes})
+
+
+class _Bond(NamedTuple):
+    kind: BondKind
+    from_site: int
+    to_site: int
+    strength: float = 1.0
+
+
+class BondSpec(_Bond):
     """One coupling between two sites.
 
     ``strength`` is a dimensionless multiplier: the coupling is ``strength``
@@ -71,12 +83,11 @@ class BondSpec:
     ``to_site`` flips the sign of the contribution.
     """
 
-    kind: BondKind
-    from_site: int
-    to_site: int
-    strength: float = 1.0
+    __slots__ = ()
+    _replace = _validated_replace
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for s in (self.from_site, self.to_site):
             if not (1 <= s <= N_SITES):
                 raise ValueError(f"site index {s} outside 1..{N_SITES}")
@@ -84,14 +95,19 @@ class BondSpec:
             raise ValueError("bond endpoints must differ")
         if not math.isfinite(self.strength):
             raise ValueError(f"bond strength must be finite, got {self.strength}")
+        return self
 
     @property
     def unordered_pair(self) -> tuple[int, int]:
         return tuple(sorted((self.from_site, self.to_site)))
 
 
-@dataclass(frozen=True)
-class PlaquetteGeometry:
+class _Plaquette(NamedTuple):
+    bonds: tuple[BondSpec, ...]
+    J: float = 0.0
+
+
+class PlaquetteGeometry(_Plaquette):
     """Bond list plus the isotropic coupling J, in units of the ring coupling D.
 
     DM_Z bonds couple with their ``strength`` and HEISENBERG_ISO bonds with
@@ -101,23 +117,24 @@ class PlaquetteGeometry:
     command line.
     """
 
-    bonds: tuple[BondSpec, ...]
-    J: float = 0.0
+    __slots__ = ()
+    _replace = _validated_replace
     #: The unit, a constant; kept because the Hamiltonian observer of
     #: bench/tracer.py reads ``geom.J`` and ``geom.D``.
     D = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "bonds", tuple(self.bonds))
-        if not self.bonds:
+    def __new__(cls, bonds, J=0.0):
+        bonds = tuple(bonds)
+        if not bonds:
             raise ConfigError("geometry has an empty bond list")
         seen = set()
-        for b in self.bonds:
+        for b in bonds:
             key = (b.kind, b.unordered_pair)
             if key in seen:
                 raise ConfigError(
                     f"duplicate {b.kind.value} bond on sites {b.unordered_pair}")
             seen.add(key)
+        return super().__new__(cls, bonds, J)
 
 
 _RING = ((1, 2), (2, 3), (3, 4), (4, 1))

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +43,14 @@ from triplaq.entanglement import (
     state_concurrence,
 )
 from triplaq.errors import ConfigError
-from triplaq.qst_analysis import is_lattice_transfer, verify_transfers, wstate_scan
+from triplaq.qst_analysis import (
+    ForbiddenScanResult,
+    SignalPeriod,
+    WStateCandidate,
+    is_lattice_transfer,
+    verify_transfers,
+    wstate_scan,
+)
 from triplaq.spin_core import (
     SINGLE_EXCITATION_INDICES,
     build_hamiltonian,
@@ -69,6 +75,12 @@ class TestSweepConfig:
     def test_single_step_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(t_steps=1)
+
+    def test_replace_validates(self):
+        # the CLI's overrides go through _replace, which must run __new__'s checks
+        assert SweepConfig()._replace(t_steps=3).t_steps == 3
+        with pytest.raises(ConfigError, match="at least 2"):
+            SweepConfig()._replace(t_steps=1)
 
     def test_reversed_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -642,7 +654,7 @@ def _block_route_states(geom, ts, js):
     propagates the Bell pair's four amplitudes."""
     psi0 = initial_bell_state()[list(SINGLE_EXCITATION_INDICES)]
     per_j = [evolve_numeric(hermitian_eigendecompose(single_excitation_block(
-        build_hamiltonian(replace(geom, J=float(J))))), psi0, ts) for J in js]
+        build_hamiltonian(geom._replace(J=float(J))))), psi0, ts) for J in js]
     return embed_single_excitation(np.stack(per_j, axis=1))
 
 
@@ -928,6 +940,25 @@ def report(tmp_path_factory):
     return code, json.loads(out.read_text()), out
 
 
+def test_json_records_are_objects_keyed_by_their_fields(tmp_path, report):
+    # json writes a named tuple as an array, so a record written without
+    # _asdict() would change the document silently
+    def written(command, key):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--format", "json", "--out", str(out)]) == 0
+        return json.loads(out.read_text())[key]
+
+    documents = [(written("forbidden", "results"), ForbiddenScanResult),
+                 (written("wstate", "candidates"), WStateCandidate),
+                 *((p, SignalPeriod) for p in report[1]["results"]["periodicity"].values())]
+    assert len(documents) == 2 + len(cli_io._PERIODICITY_J)
+    for records, record_type in documents:
+        assert records
+        for record in records:
+            assert isinstance(record, dict)
+            assert sorted(record) == sorted(record_type._fields)
+
+
 class TestReportCommand:
     def test_schema(self, report):
         _, payload, _ = report
@@ -1164,15 +1195,29 @@ def test_grid_sweep_scores_blocks_of_rows(monkeypatch):
     assert (row_results, row_checks) == (results, checks)
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*argv):
+    """A fresh interpreter that imports this checkout's triplaq."""
     src = os.path.dirname(os.path.dirname(triplaq.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run([sys.executable, "-m", "triplaq", "--help"], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _run_python("-m", "triplaq", "--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage: triplaq")
     assert "report" in done.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_json():
+    # start-up is paid on every command: records are named tuples, and json
+    # is imported by write_json, so importing the CLI loads neither module
+    done = _run_python("-c", "import sys, triplaq.cli_io; "
+                             "print(sorted({'dataclasses', 'json'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_usage_error_is_exit_1(tmp_path):

@@ -503,6 +503,10 @@ class TestRouteChunks:
                 chunks, [(j, lo) for j in range(3) for lo in range(0, ts.size, 128)]):
             assert J == js[j] and np.array_equal(t, ts[lo:lo + 128])
             psi = evolve_numeric((E[j], V[j]), initial_bell_state(), t)
+            same, norms = evolve_numeric((E[j], V[j]), initial_bell_state(), t,
+                                         return_norms=True)
+            assert np.array_equal(same, psi)
+            assert np.array_equal(norms, np.linalg.norm(psi, axis=-1))
             assert np.array_equal(amps, amplitudes_closed_form(t, J))
             assert np.array_equal(dev, phase_aligned_distance(psi, closed_form_state(t, J)))
             assert np.array_equal(nerr, norm_error(psi))

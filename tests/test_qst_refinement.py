@@ -13,7 +13,6 @@ bound at the widths the scans search.
 
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -119,7 +118,7 @@ def _scalar_locate_events_2d(t_range, J_range, resolution):
     pending = sorted(events.values(), key=lambda e: (e.t, float(e.J)))
     c12, c34, ok = verify_transfers(np.array([e.t for e in pending]),
                                     np.array([float(e.J) for e in pending]))
-    return [replace(e, c12=float(a), c34=float(b), confirmed=e.confirmed and bool(k))
+    return [e._replace(c12=float(a), c34=float(b), confirmed=e.confirmed and bool(k))
             for e, a, b, k in zip(pending, c12, c34, ok)]
 
 

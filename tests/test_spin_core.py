@@ -72,6 +72,16 @@ class TestGeometry:
         with pytest.raises(ConfigError):
             PlaquetteGeometry(())
 
+    def test_replace_validates(self):
+        # namedtuple's own _replace rebuilds through _make, skipping __new__
+        geom = default_plaquette(J=0.0)
+        assert geom._replace(J=0.5) == default_plaquette(J=0.5)
+        with pytest.raises(ConfigError, match="empty bond list"):
+            geom._replace(bonds=())
+        bond = geom.bonds[0]
+        with pytest.raises(ValueError, match="endpoints must differ"):
+            bond._replace(to_site=bond.from_site)
+
     def test_duplicate_bond_rejected(self):
         bonds = (BondSpec(BondKind.DM_Z, 1, 2), BondSpec(BondKind.DM_Z, 2, 1))
         with pytest.raises(ConfigError, match="duplicate"):
