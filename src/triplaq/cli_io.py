@@ -1,8 +1,8 @@
 """Command-line front end: sweeps, reports, and file output.
 
-Subcommands: evolve, surface, table1, events, forbidden, wstate, report.
-Every result is in units of the ring coupling D; ``evolve`` and ``surface``
-take ``--d`` and evaluate at (D*t, J/D), writing the t and J they were given.
+The subcommands are declared once, in :data:`COMMANDS`.  Every result is in
+units of the ring coupling D; ``evolve`` and ``surface`` take ``--d`` and
+evaluate at (D*t, J/D), writing the t and J they were given.
 CSV output is comma-separated with a header row, LF line endings and
 17-significant-digit floats, so downstream equality checks are exact;
 repeated runs with the same configuration are byte-identical.
@@ -11,8 +11,6 @@ Exit codes: 0 all checks pass, 1 usage or configuration error,
 2 numerical-health or certification failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import itertools
 import math
@@ -20,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -136,23 +134,6 @@ _SHARED_OPTIONS = {
     "--format": (("fmt",), {"dest": "fmt", "choices": ("csv", "json")}),
 }
 
-#: The shared options each subcommand reads, from which its parser is built.
-COMMAND_OPTIONS = {
-    "evolve": ("--t-range", "--d", "--geometry", "--format"),
-    "surface": ("--t-range", "--j-range", "--d", "--geometry", "--format"),
-    "table1": ("--format",),
-    "events": ("--t-range", "--j-range", "--format"),
-    "forbidden": ("--format",),
-    "wstate": ("--t-range", "--j-range", "--format"),
-    "report": ("--t-range", "--j-range", "--geometry"),
-}
-
-#: The SweepConfig fields each subcommand reads: ``out`` and those its shared
-#: options set.  A config file may set only these; the report echoes them.
-_FIELDS_READ = {command: ("out", *(name for option in options
-                                   for name in _SHARED_OPTIONS[option][0]))
-                for command, options in COMMAND_OPTIONS.items()}
-
 
 def config_from_text(text: str, command: str) -> SweepConfig:
     """Parse flat ``key = value`` lines; a key for a field that ``command``
@@ -168,23 +149,12 @@ def config_from_text(text: str, command: str) -> SweepConfig:
         key, value = key.strip(), value.strip()
         if key not in _FIELDS_READ[command]:
             raise ConfigError(f"config line {lineno}: {command} does not read {key!r}")
+        kind = type(_Sweep._field_defaults[key])
         try:
-            if key in ("t_steps", "j_steps"):
-                values[key] = int(value)
-            elif key in ("geometry", "out", "fmt"):
-                values[key] = value.strip("'\"")
-            else:
-                values[key] = float(value)
+            values[key] = value.strip("'\"") if kind is str else kind(value)
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: {exc}") from None
     return SweepConfig(**values)
-
-
-def load_config(path: str, command: str) -> SweepConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return config_from_text(p.read_text(), command)
 
 
 def _check_grid(points: float, *flags: str, limit: int = MAX_GRID_POINTS) -> None:
@@ -350,18 +320,19 @@ _SIGNAL_COLUMNS = {
 KNOWN_SIGNALS = tuple(_SIGNAL_COLUMNS)
 
 
-def cmd_surface(cfg: SweepConfig, signals) -> dict:
+def cmd_surface(cfg: SweepConfig, signals: str) -> dict:
     """Signal surfaces on the (t, J) grid, rows ordered t-major.
 
-    For each requested signal both the Wootters column and the closed-form
-    column are emitted when both exist, so the discrepancy between them can
-    be plotted externally.  Every point is evaluated at (D*t, J/D); the rows
-    carry the t and J given.  Each closed form is one array over the grid;
-    each pair's Wootters concurrence is one quartic-route call per t-row.
+    For each signal of the comma list ``signals``, in any case, both the
+    Wootters column and the closed-form column are emitted when both exist,
+    so the discrepancy between them can be plotted externally.  Every point
+    is evaluated at (D*t, J/D); the rows carry the t and J given.  Each
+    closed form is one array over the grid; each pair's Wootters
+    concurrence is one quartic-route call per t-row.
     Any other geometry evolves the Bell pair in its 4x4 single-excitation
     blocks H_DM + J*H_iso: one stack over J, one decomposition.
     """
-    signals = list(signals)
+    signals = [s.strip().upper() for s in signals.split(",") if s.strip()]
     if not signals:
         raise ConfigError("at least one signal is required")
     unknown = [s for s in signals if s not in KNOWN_SIGNALS]
@@ -670,18 +641,17 @@ def cmd_report(cfg: SweepConfig) -> tuple[dict, int]:
     Configuration problems produce a structured error document and exit
     code 1; any failed check yields exit code 2.
     """
-    echo = {name: getattr(cfg, name) for name in _FIELDS_READ["report"]}
+    payload = {"schema_version": SCHEMA_VERSION,
+               "config_echo": {name: getattr(cfg, name) for name in _FIELDS_READ["report"]}}
     try:
-        results, checks = _report_results(cfg)
-    except (ConfigError, TriplaqError) as exc:
-        payload = {"schema_version": SCHEMA_VERSION, "config_echo": echo,
-                   "error": {"type": type(exc).__name__, "message": str(exc)}}
-        write_json(cfg.out, payload)
-        return payload, 1 if isinstance(exc, ConfigError) else 2
-    payload = {"schema_version": SCHEMA_VERSION, "config_echo": echo,
-               "results": results, "checks": checks}
+        payload["results"], payload["checks"] = _report_results(cfg)
+    except TriplaqError as exc:
+        payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        code = 1 if isinstance(exc, ConfigError) else 2
+    else:
+        code = 0 if all(payload["checks"].values()) else 2
     write_json(cfg.out, payload)
-    return payload, 0 if all(checks.values()) else 2
+    return payload, code
 
 
 # ---------------------------------------------------------------------------
@@ -720,41 +690,78 @@ def _finite_floats(text: str) -> list[float]:
     return values
 
 
+class _Command(NamedTuple):
+    help: str
+    shared: tuple       # the _SHARED_OPTIONS it reads, in --help order
+    own: dict           # its own options: flag -> add_argument keywords
+    run: Callable       # (cfg, args) -> what its cmd_* function returns
+
+
+#: Every subcommand: its help line, the shared options it reads, its own
+#: options and the call it makes.  Each call looks its cmd_* function up
+#: when it runs, so a wrapper bound to that name is the one called.
+COMMANDS = {
+    "evolve": _Command("trajectory at fixed J", ("--t-range", "--d", "--geometry", "--format"),
+                       {"--j": {"type": _finite_float, "default": 0.5,
+                                "help": "coupling (default 0.5)"}},
+                       lambda cfg, args: cmd_evolve(cfg, args.j)),
+    "surface": _Command("signal surfaces over (t, J)",
+                        ("--t-range", "--j-range", "--d", "--geometry", "--format"),
+                        {"--signals": {"default": ",".join(KNOWN_SIGNALS),
+                                       "help": f"comma list from {','.join(KNOWN_SIGNALS)}"}},
+                        lambda cfg, args: cmd_surface(cfg, args.signals)),
+    "table1": _Command("fractional coupling table", ("--format",),
+                       {"--max-m": {"type": int, "default": 7}},
+                       lambda cfg, args: cmd_table1(cfg, args.max_m)),
+    "events": _Command("locate complete-transfer events", ("--t-range", "--j-range", "--format"),
+                       {"--resolution": {"type": int, "default": 64,
+                                         "help": "grid points per pi (>= 64)"}},
+                       lambda cfg, args: cmd_events(cfg, args.resolution)),
+    "forbidden": _Command("certify forbidden couplings", ("--format",),
+                          {"--j-values": {"type": _finite_floats, "default": "1,3",
+                                          "help": "comma list of couplings"},
+                           "--t-max": {"dest": "t_max_scan", "type": _finite_float,
+                                       "default": 20.0 * np.pi, "help": "scan horizon"}},
+                          lambda cfg, args: cmd_forbidden(cfg, args.j_values, args.t_max_scan)),
+    "wstate": _Command("list the exact W points", ("--t-range", "--j-range", "--format"), {},
+                       lambda cfg, args: cmd_wstate(cfg)),
+    "report": _Command("consolidated certification report",
+                       ("--t-range", "--j-range", "--geometry"), {},
+                       lambda cfg, args: cmd_report(cfg)),
+}
+
+#: The shared options each subcommand reads.
+COMMAND_OPTIONS = {name: command.shared for name, command in COMMANDS.items()}
+
+#: The SweepConfig fields each subcommand reads: ``out`` and those its shared
+#: options set.  A config file may set only these; the report echoes them.
+_FIELDS_READ = {name: ("out", *(field for option in options
+                                for field in _SHARED_OPTIONS[option][0]))
+                for name, options in COMMAND_OPTIONS.items()}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="triplaq",
                      description="Four-site plaquette dynamics and "
                                  "entanglement-transfer analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", help="output file path")
-        for option in COMMAND_OPTIONS[name]:
+        for option in command.shared:
             p.add_argument(option, **_SHARED_OPTIONS[option][1])
-        return p
-
-    command("evolve", "trajectory at fixed J").add_argument(
-        "--j", type=_finite_float, default=0.5, help="coupling (default 0.5)")
-    command("surface", "signal surfaces over (t, J)").add_argument(
-        "--signals", default=",".join(KNOWN_SIGNALS),
-        help=f"comma list from {','.join(KNOWN_SIGNALS)}")
-    command("table1", "fractional coupling table").add_argument(
-        "--max-m", type=int, default=7)
-    command("events", "locate complete-transfer events").add_argument(
-        "--resolution", type=int, default=64, help="grid points per pi (>= 64)")
-    p = command("forbidden", "certify forbidden couplings")
-    p.add_argument("--j-values", type=_finite_floats, default="1,3",
-                   help="comma list of couplings")
-    p.add_argument("--t-max", dest="t_max_scan", type=_finite_float,
-                   default=20.0 * np.pi, help="scan horizon")
-    command("wstate", "list the exact W points")
-    command("report", "consolidated certification report")
+        for option, kwargs in command.own.items():
+            p.add_argument(option, **kwargs)
     return parser
 
 
 def _config_from_args(args) -> SweepConfig:
-    cfg = load_config(args.config, args.command) if args.config else SweepConfig()
+    cfg = SweepConfig()
+    if args.config:
+        if not Path(args.config).is_file():
+            raise ConfigError(f"config file not found: {args.config}")
+        cfg = config_from_text(Path(args.config).read_text(), args.command)
     overrides = {}
     for dest, value in vars(args).items():
         if value is None:
@@ -773,21 +780,9 @@ def main(argv=None) -> int:
         if not cfg.out:
             ext = "json" if (cfg.fmt == "json" or args.command == "report") else "csv"
             cfg = cfg._replace(out=f"{args.command}.{ext}")
-        if args.command == "evolve":
-            summary = cmd_evolve(cfg, args.j)
-        elif args.command == "surface":
-            signals = [s.strip().upper() for s in args.signals.split(",") if s.strip()]
-            summary = cmd_surface(cfg, signals)
-        elif args.command == "table1":
-            summary = cmd_table1(cfg, args.max_m)
-        elif args.command == "events":
-            summary = cmd_events(cfg, args.resolution)
-        elif args.command == "forbidden":
-            summary = cmd_forbidden(cfg, args.j_values, args.t_max_scan)
-        elif args.command == "wstate":
-            summary = cmd_wstate(cfg)
-        else:
-            payload, code = cmd_report(cfg)
+        result = COMMANDS[args.command].run(cfg, args)
+        if args.command == "report":
+            payload, code = result
             if "checks" in payload:
                 n_fail = sum(1 for ok in payload["checks"].values() if not ok)
                 verdict = "all checks pass" if code == 0 else f"{n_fail} failed checks"
@@ -796,7 +791,7 @@ def main(argv=None) -> int:
                 print(f"error: {payload['error']['message']}", file=sys.stderr)
             print(f"wrote {cfg.out} ({verdict})")
             return code
-        print(f"wrote {cfg.out} " + " ".join(f"{k}={v}" for k, v in summary.items()))
+        print(f"wrote {cfg.out} " + " ".join(f"{k}={v}" for k, v in result.items()))
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

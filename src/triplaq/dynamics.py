@@ -11,8 +11,6 @@ Times and couplings are in units of the ring coupling D (see
 :mod:`triplaq.spin_core`).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

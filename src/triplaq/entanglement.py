@@ -13,8 +13,6 @@ evaluate fixed trigonometric reference expressions for the (1,2), (3,4) and
 Wootters route is always the source of truth.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .errors import ContractViolationError, NumericalHealthError

@@ -7,8 +7,6 @@ admissible couplings exact rationals; everything here is organized around
 that reduction and verified independently through the Wootters route.
 """
 
-from __future__ import annotations
-
 import collections
 import functools
 import math

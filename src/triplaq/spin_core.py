@@ -21,8 +21,6 @@ contributes +i/2 to <i-excited|H|j-excited>.  Energies are in units of the
 ring coupling D, so D itself is 1 and J is the ratio J/D.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from functools import lru_cache
@@ -176,11 +174,6 @@ def spin_operator_at(site: int, axis: str) -> np.ndarray:
     for k in range(1, N_SITES):
         out = np.kron(out, ops[k])
     return out
-
-
-def total_sz() -> np.ndarray:
-    """Total magnetization operator, conserved by every geometry built here."""
-    return sum(spin_operator_at(s, "z") for s in range(1, N_SITES + 1))
 
 
 @lru_cache(maxsize=None)
