@@ -199,7 +199,16 @@ def resolve_geometry(name_or_path: str, J: float):
     p = Path(name_or_path)
     if not p.is_file():
         raise ConfigError(f"geometry file not found: {name_or_path}")
-    return parse_geometry_text(p.read_text(), J=J)
+    return parse_geometry_text(_read_text(p, "geometry"), J=J)
+
+
+def _read_text(path: Path, what: str) -> str:
+    """The text of an input file; one that cannot be read or is not UTF-8
+    is a configuration error naming it."""
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
 
 
 @contextmanager
@@ -219,14 +228,26 @@ def _hamiltonian_flags(flags: str):
 # ---------------------------------------------------------------------------
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Stream ``rows`` (any iterable of sequences) under ``header``.
+    """Write ``rows`` under ``header``: a 2-D float array, or any iterable of
+    sequences, which is streamed.
 
-    Every row is formatted by one ``%`` template built from the first row:
-    ``%s`` where it holds a str, ``%.17g`` elsewhere.  A str in a number
-    column, or a row of another length, raises TypeError.
+    The first row is formatted by a ``%`` template built from it: ``%s``
+    where it holds a str, ``%.17g`` elsewhere.  The rows after it are
+    formatted TIME_CHUNK at a time, by one ``%`` of the template repeated
+    over the block's values: an array's block flattened by
+    ``ravel().tolist()``, other rows taken by ``itertools.islice`` with each
+    row's length checked first.  A str in a number column, or a row of
+    another length, raises TypeError; the blocks before its own are written.
     """
-    rows = iter(rows)
-    first = next(rows, None)
+    if isinstance(rows, np.ndarray):
+        first = rows[0].tolist() if len(rows) else None
+        blocks = ((len(block), block.ravel().tolist())
+                  for block in (rows[lo:lo + TIME_CHUNK]
+                                for lo in range(1, len(rows), TIME_CHUNK)))
+    else:
+        rows = iter(rows)
+        first = next(rows, None)
+        blocks = () if first is None else _row_blocks(rows, len(first))
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -235,9 +256,21 @@ def write_csv(path: str, header: list[str], rows) -> None:
             template = ",".join("%s" if isinstance(v, str) else "%.17g"
                                 for v in first) + "\n"
             fh.write(template % tuple(first))
-            fh.writelines(template % tuple(row) for row in rows)
+            for count, values in blocks:
+                fh.write((template * count) % tuple(values))
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
+def _row_blocks(rows, width: int):
+    """(count, values) of each block of at most TIME_CHUNK rows of the
+    iterator ``rows``, its rows' values in one flat list.  Every row must
+    have ``width`` values, so that no row's values can shift into the next."""
+    while block := list(itertools.islice(rows, TIME_CHUNK)):
+        for row in block:
+            if len(row) != width:
+                raise TypeError(f"CSV row has {len(row)} values, expected {width}: {row!r}")
+        yield len(block), [v for row in block for v in row]
 
 
 def _json_default(obj):
@@ -288,18 +321,16 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
     table[:, 0] = ts
     chunks = route_chunks(decomp, (J / cfg.d,), cfg.d * ts)
     for lo, (_, _, amps, dev, nerr, leak) in zip(range(0, ts.size, TIME_CHUNK), chunks):
-        re, im = amps.real, amps.imag
+        sl = slice(lo, lo + dev.size)
+        table[sl, 1:9] = amps.view(float)       # re, im of each amplitude in turn
         # np.hypot rounds like Python's abs() of a complex; np.abs can be 1 ulp off
-        table[lo:lo + dev.size, 1:] = np.column_stack(
-            [np.stack([re, im], axis=-1).reshape(-1, 8), np.hypot(re, im), nerr, leak, dev])
+        np.hypot(amps.real, amps.imag, out=table[sl, 9:13])
+        table[sl, 13], table[sl, 14], table[sl, 15] = nerr, leak, dev
     nerr, leak, dev = table[:, 13:].max(axis=0).tolist()
     summary = {"rows": ts.size, "max_numeric_deviation": dev, "max_norm_error": nerr,
                "max_sector_leak": leak}
     if cfg.fmt == "csv":
-        # one block of Python floats at a time, never the whole table as lists
-        write_csv(cfg.out, _EVOLVE_HEADER,
-                  (row for lo in range(0, ts.size, TIME_CHUNK)
-                   for row in table[lo:lo + TIME_CHUNK].tolist()))
+        write_csv(cfg.out, _EVOLVE_HEADER, table)
     else:
         payload = {"columns": _EVOLVE_HEADER, "rows": table.tolist(), "J": J,
                    "D": cfg.d, "geometry": cfg.geometry}
@@ -372,8 +403,7 @@ def cmd_surface(cfg: SweepConfig, signals: str) -> dict:
                          else conc[source[0]])
     table = table.reshape(-1, len(header))
     if cfg.fmt == "csv":
-        write_csv(cfg.out, header, (row for lo in range(0, len(table), TIME_CHUNK)
-                                    for row in table[lo:lo + TIME_CHUNK].tolist()))
+        write_csv(cfg.out, header, table)
     else:
         write_json(cfg.out, {"columns": header, "rows": table.tolist(), "signals": ordered,
                              "D": cfg.d, "geometry": cfg.geometry})
@@ -761,7 +791,7 @@ def _config_from_args(args) -> SweepConfig:
     if args.config:
         if not Path(args.config).is_file():
             raise ConfigError(f"config file not found: {args.config}")
-        cfg = config_from_text(Path(args.config).read_text(), args.command)
+        cfg = config_from_text(_read_text(Path(args.config), "config"), args.command)
     overrides = {}
     for dest, value in vars(args).items():
         if value is None:

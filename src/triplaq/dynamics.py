@@ -1,12 +1,13 @@
 """Time evolution of the Bell-pair initial state, by two independent routes.
 
 Route one evaluates the closed-form single-excitation amplitudes; route
-two diagonalizes a stack of Hamiltonians (cyclic Jacobi, bit-identical when
-swept one total-S^z block at a time) and applies the spectral propagator,
-to the full 16x16 H or, as ``surface`` does, to its 4x4 single-excitation
-block.  :func:`route_chunks` runs both side by side on a J stack's (E, V)
-pair; :func:`oracle_equivalence_report` reduces it to the worst point,
-which is what pins down the bond geometry, and ``evolve`` writes it out.
+two diagonalizes a stack of Hamiltonians (cyclic Jacobi over every total-S^z
+block of the stack at once, bit-identical to per-matrix calls) and applies
+the spectral propagator, to the full 16x16 H or, as ``surface`` does, to its
+4x4 single-excitation block.  :func:`route_chunks` runs both side by side
+on a J stack's (E, V) pair; :func:`oracle_equivalence_report` reduces it to
+the worst point, which is what pins down the bond geometry, and ``evolve``
+writes it out.
 Times and couplings are in units of the ring coupling D (see
 :mod:`triplaq.spin_core`).
 """
@@ -140,24 +141,35 @@ def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shape (..., n), and shape (..., n, n), column k belonging to value k.
 
     Each block of :func:`_blocks` (the plaquette's total S^z sectors, sizes
-    1, 4, 6, 4, 1) is swept as its own stack, pairs in row-major order, so
-    the output is deterministic (degenerate eigenspaces included).  Blocks
-    touch disjoint entries, so each matrix gets exactly the rotations of a
-    sweep over its full rows, and those it would get alone: the result
-    equals per-matrix calls bit for bit.  Convergence, per matrix:
-    off-diagonal Frobenius norm below 1e-13 of the matrix's own scale,
-    within 100 sweeps.  Raises ContractViolationError for a non-finite or
-    non-Hermitian input and for a Frobenius norm that overflows.
+    1, 4, 6, 4, 1) is copied into the leading corner of a zero slot as large
+    as the largest block, and every slot of every matrix is one stack, so a
+    sweep is one :func:`_jacobi_sweep` call, pairs in row-major order and the
+    output deterministic (degenerate eigenspaces included).  A padded pair
+    is zero and never rotates, and a slot's pairs in row-major order are its
+    block's own, so each matrix gets exactly the rotations of a sweep over
+    its full rows, and those it would get alone: the result equals
+    per-matrix calls bit for bit.  Convergence, per matrix: off-diagonal
+    Frobenius norm, summed over its blocks' entries, below 1e-13 of the
+    matrix's own scale, within 100 sweeps.  Raises ContractViolationError
+    for a non-finite or non-Hermitian input and for a Frobenius norm that
+    overflows.
     """
     H = _require_hermitian(H)
     lead, n = H.shape[:-2], H.shape[-1]
     H = H.reshape(-1, n, n)
     m = H.shape[0]
-    # per block: its indices, a copy of its entries, its transposed
-    # eigenvector matrices (see _rotate), its off-diagonal flat positions
-    blocks = [(idx, H[np.arange(m)[:, None, None], idx[:, None], idx],
-               np.tile(np.eye(idx.size, dtype=complex), (m, 1, 1)),
-               np.flatnonzero(~np.eye(idx.size, dtype=bool))) for idx in _blocks(H)]
+    blocks = _blocks(H)
+    size = max(idx.size for idx in blocks)
+    # slot (b, i) holds block b of matrix i, and its transposed eigenvector
+    # matrix (see _rotate); A and Vt are views of all slots as one stack
+    slots = np.zeros((len(blocks), m, size, size), dtype=complex)
+    for slot, idx in zip(slots, blocks):
+        slot[:, :idx.size, :idx.size] = H[:, idx[:, None], idx]
+    vts = np.tile(np.eye(size, dtype=complex), (len(blocks), m, 1, 1))
+    A, Vt = slots.reshape(-1, size, size), vts.reshape(-1, size, size)
+    # each block's off-diagonal flat positions in its slot, in row-major order
+    off_pos = [np.flatnonzero(np.pad(~np.eye(idx.size, dtype=bool), (0, size - idx.size)))
+               for idx in blocks]
     flat = H.reshape(m, -1)     # np.vecdot makes no temporary of its size
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(1.0, np.sqrt(np.vecdot(flat, flat).real))
@@ -167,25 +179,23 @@ def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # rotating on denormal-range values would overflow the phase division
     skip_below = 1e-13 * scale / (10.0 * n * n)
     for _ in range(100):
-        off = [np.take(A.reshape(m, -1), pos, axis=1) for _, A, _, pos in blocks]
+        off = [np.take(slot.reshape(m, -1), pos, axis=1) for slot, pos in zip(slots, off_pos)]
         live = np.sqrt(sum(np.vecdot(x, x).real for x in off)) > 1e-13 * scale
         if not live.any():
             break
         # a converged matrix skips every pair, so it never rotates again
-        skip = np.where(live, skip_below, np.inf)
-        for _, A, Vt, _ in blocks:
-            _jacobi_sweep(A, Vt, skip)
+        _jacobi_sweep(A, Vt, np.tile(np.where(live, skip_below, np.inf), len(blocks)))
     evals = np.empty((m, n))
-    for idx, A, _, _ in blocks:
-        evals[:, idx] = np.diagonal(A, axis1=-2, axis2=-1).real
+    for idx, slot in zip(blocks, slots):
+        evals[:, idx] = np.diagonal(slot, axis1=-2, axis2=-1)[:, :idx.size].real
     order = np.argsort(evals, axis=-1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=-1)
     # the rows of each Vt, put at their eigenvalues' ranks: each eigenvector
     # matrix column-major, as V[:, order] lays out one matrix, so that
     # propagation runs the same BLAS calls for a stack
     rank, vecs = np.argsort(order, axis=-1), np.zeros_like(H)
-    for idx, _, Vt, _ in blocks:
-        vecs[np.arange(m)[:, None, None], rank[:, idx, None], idx] = Vt
+    for idx, vt in zip(blocks, vts):
+        vecs[np.arange(m)[:, None, None], rank[:, idx, None], idx] = vt[:, :idx.size, :idx.size]
     return evals.reshape(lead + (n,)), vecs.swapaxes(-1, -2).reshape(lead + (n, n))
 
 

@@ -413,6 +413,23 @@ class TestGeometryResolution:
         geom = resolve_geometry(str(path), 0.5)
         assert len(geom.bonds) == 6 and geom.J == 0.5
 
+    @pytest.mark.parametrize("flag", ["--config", "--geometry"])
+    @pytest.mark.parametrize("fault", ["not-utf8", "unreadable"])
+    def test_unreadable_file_is_one_error_line(self, tmp_path, capsys, monkeypatch, flag, fault):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"t_min = 0\n\xff\n" if flag == "--config" else b"dm_z 1 2 1\n\xff\n")
+        if fault == "unreadable":
+            def denied(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+            monkeypatch.setattr(cli_io.Path, "read_text", denied)
+        code = main(["evolve", flag, str(path), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert ("utf-8" if fault == "not-utf8" else "Permission denied") in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_malformed_file_reports_line_through_cli(self, tmp_path, capsys):
         path = tmp_path / "geom.txt"
         path.write_text("dm_z 1 2 1.0\nbroken record here\n")
@@ -465,6 +482,48 @@ class TestWriteCsv:
         with pytest.raises(TypeError):
             write_csv(str(out), ["m", "t"], [["1", 0.5], ["2", "0.75"]])
         assert out.read_bytes() == b"m,t\n1,0.5\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(_NUMBERS, min_size=3, max_size=3), min_size=1, max_size=8),
+           st.sampled_from([0, 1, 2, TIME_CHUNK, TIME_CHUNK + 1, 2 * TIME_CHUNK + 1]))
+    def test_array_and_rows_match_per_value_formatting(self, tmp_path_factory, cycle, n):
+        # special values (+-0, subnormals, +-inf, nan) anywhere in the blocks
+        rows = [cycle[k % len(cycle)] for k in range(n)]
+        header = ["a", "b", "c"]
+        expected = _per_value_csv(header, rows)
+        out = tmp_path_factory.getbasetemp() / "numbers.csv"
+        write_csv(str(out), header, np.array(rows, dtype=float).reshape(n, 3))
+        assert out.read_bytes() == expected
+        write_csv(str(out), header, (row for row in rows))
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("n", [0, 1, TIME_CHUNK, TIME_CHUNK + 1, 2 * TIME_CHUNK + 1])
+    def test_block_boundaries(self, tmp_path, n):
+        table = np.arange(2.0 * n).reshape(n, 2) / 7.0
+        out = tmp_path / "table.csv"
+        write_csv(str(out), ["x", "y"], table)
+        assert out.read_bytes() == _per_value_csv(["x", "y"], table.tolist())
+        rows = [["m", *row] for row in table.tolist()]
+        write_csv(str(out), ["k", "x", "y"], iter(rows))
+        assert out.read_bytes() == _per_value_csv(["k", "x", "y"], rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0], [2.0, 3.0]],
+        # a short row then a long one hold two rows' values between them
+        [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0], [7.0, 8.0]],
+    ], ids=["long", "short-then-long"])
+    def test_row_of_another_length_raises(self, tmp_path, rows):
+        out = tmp_path / "bad.csv"
+        with pytest.raises(TypeError, match="values, expected"):
+            write_csv(str(out), ["a", "b"][:len(rows[0])], rows)
+        assert out.read_bytes().count(b"\n") == 2     # the header and the first row
+
+    def test_blocks_before_a_bad_row_are_written(self, tmp_path):
+        rows = [[float(k)] for k in range(1 + TIME_CHUNK)] + [[1.0, 2.0]]
+        out = tmp_path / "bad.csv"
+        with pytest.raises(TypeError):
+            write_csv(str(out), ["x"], rows)
+        assert out.read_bytes() == _per_value_csv(["x"], rows[:-1])
 
 
 def _rebuilt_json(payload) -> bytes:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from triplaq import dynamics
 from triplaq.cli_io import SweepConfig, cmd_evolve
 from triplaq.dynamics import (
     HERMITIAN_TOL,
@@ -29,6 +30,7 @@ from triplaq.spin_core import (
     embed_single_excitation,
     initial_bell_state,
     norm_error,
+    parse_geometry_text,
     sector_leak,
     single_excitation_block,
     swapped_control_plaquette,
@@ -316,6 +318,49 @@ class TestSzBlocks:
         w, v = hermitian_eigendecompose(stack[1])
         np.testing.assert_allclose(w, np.linalg.eigvalsh(stack[1]), atol=1e-12)
         assert np.abs(stack[1] @ v - v * w).max() < 1e-12
+
+
+class TestOneSweepCallPerSweep:
+    """Every block of every matrix sits in a zero-padded slot of one stack,
+    so each sweep is one _jacobi_sweep call over all of them."""
+
+    @staticmethod
+    def _mixed_stack():
+        # the one-bond geometry alone splits into blocks of sizes 1 and 2;
+        # the stack's union pattern is the S^z sectors, sizes 1, 4, 6, 4, 1
+        one_bond = parse_geometry_text("dm_z 1 2 1\n", J=0.0)
+        return np.concatenate((build_hamiltonians(default_plaquette(0.0), (0.0, 0.5, 2.0)),
+                               build_hamiltonians(swapped_control_plaquette(0.0), (0.0, 1.5)),
+                               build_hamiltonians(one_bond, (0.0,))))
+
+    @staticmethod
+    def _sweep_shapes(monkeypatch, H):
+        """The stack shape of each _jacobi_sweep call that decomposing H makes."""
+        shapes, sweep = [], dynamics._jacobi_sweep
+        monkeypatch.setattr(dynamics, "_jacobi_sweep",
+                            lambda A, Vt, skip: (shapes.append(A.shape), sweep(A, Vt, skip)))
+        try:
+            return hermitian_eigendecompose(H), shapes
+        finally:
+            monkeypatch.setattr(dynamics, "_jacobi_sweep", sweep)
+
+    def test_one_call_per_sweep_equals_per_matrix_calls(self, monkeypatch):
+        stack = self._mixed_stack()
+        assert [b.size for b in _blocks(stack)] == [1, 4, 6, 4, 1]
+        assert sorted(b.size for b in _blocks(stack[-1:])) == [1] * 8 + [2] * 4
+        (w, v), shapes = self._sweep_shapes(monkeypatch, stack)
+        assert 3 <= len(shapes) <= 10
+        assert set(shapes) == {(5 * len(stack), 6, 6)}
+        sweeps = []
+        for k, h in enumerate(stack):
+            (w1, v1), own = self._sweep_shapes(monkeypatch, h)
+            sizes = [b.size for b in _blocks(h[None])]
+            assert set(own) == {(len(sizes), max(sizes), max(sizes))}, k
+            assert np.array_equal(w[k], w1), k
+            assert np.array_equal(v[k], v1), k
+            sweeps.append(len(own))
+        # the stack sweeps until its slowest matrix has converged
+        assert len(shapes) == max(sweeps)
 
 
 @st.composite
