@@ -319,9 +319,9 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
     ts = cfg.t_grid()
     table = np.empty((ts.size, len(_EVOLVE_HEADER)))
     table[:, 0] = ts
-    chunks = route_chunks(decomp, (J / cfg.d,), cfg.d * ts)
-    for lo, (_, _, amps, dev, nerr, leak) in zip(range(0, ts.size, TIME_CHUNK), chunks):
-        sl = slice(lo, lo + dev.size)
+    lo = 0
+    for _, _, amps, dev, nerr, leak in route_chunks(decomp, (J / cfg.d,), cfg.d * ts):
+        sl, lo = slice(lo, lo + dev.size), lo + dev.size
         table[sl, 1:9] = amps.view(float)       # re, im of each amplitude in turn
         # np.hypot rounds like Python's abs() of a complex; np.abs can be 1 ulp off
         np.hypot(amps.real, amps.imag, out=table[sl, 9:13])

@@ -5,7 +5,8 @@ two diagonalizes a stack of Hamiltonians (cyclic Jacobi over every total-S^z
 block of the stack at once, bit-identical to per-matrix calls) and applies
 the spectral propagator, to the full 16x16 H or, as ``surface`` does, to its
 4x4 single-excitation block.  :func:`route_chunks` runs both side by side
-on a J stack's (E, V) pair; :func:`oracle_equivalence_report` reduces it to
+on a J stack's (E, V) pair, propagating on the eigenvectors of the 16x16 H
+that the Bell pair occupies; :func:`oracle_equivalence_report` reduces it to
 the worst point, which is what pins down the bond geometry, and ``evolve``
 writes it out.
 Times and couplings are in units of the ring coupling D (see
@@ -201,7 +202,9 @@ def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def evolve_numeric(decomp, psi0: np.ndarray, t, *, return_norms: bool = False):
     """Spectral propagation psi(t) = V exp(-i E t) V+ psi0 of a diagonalized
-    H, given as the (E, V) pair that ``np.linalg.eigh`` returns.
+    H, given as the (E, V) pair that ``np.linalg.eigh`` returns, or as a
+    rectangular pair: k eigenvalues, shape (..., k), and their eigenvectors,
+    shape (..., n, k), which must span psi0 (see :func:`route_chunks`).
 
     ``psi0`` has H's dimension n: 16, or 4 for a single-excitation block.
     ``t`` is a scalar, giving one n-vector, or a vector of times, giving
@@ -218,7 +221,7 @@ def evolve_numeric(decomp, psi0: np.ndarray, t, *, return_norms: bool = False):
     phases = np.exp(-1j * (t.reshape(-1, 1) * E[..., None, :]))
     coef = (psi0.conj() @ V).conj()     # V+ psi0 without a conjugated copy of V
     psi_t = np.matmul(phases * coef[..., None, :], V.swapaxes(-1, -2))
-    psi_t = psi_t.reshape(E.shape[:-1] + t.shape + E.shape[-1:])
+    psi_t = psi_t.reshape(E.shape[:-1] + t.shape + V.shape[-2:-1])
     norms = np.linalg.norm(psi_t, axis=-1)
     drift = np.abs(norms - float(np.linalg.norm(psi0)))
     if not np.all(drift <= 1e-8):
@@ -261,7 +264,14 @@ def route_chunks(decomp, J_values, t_values):
 
     ``decomp`` is the (E, V) pair of the Hamiltonians at ``J_values``,
     stacked in that order, as :func:`hermitian_eigendecompose` returns it.
-    The closed form is one amplitude call per AMPLITUDE_BLOCK times, so no
+    Once per call it is reduced to the eigenvectors the Bell pair occupies:
+    with block-wise eigenvectors, the 4 of its single-excitation sector (3
+    at J = 1, padded to the stack's largest count by a column it does not
+    occupy), so each chunk takes 4 phases per time and an (nt, 4) @ (4, 16)
+    product; a stack with no S^z structure keeps all 16 columns.  The
+    columns dropped add only exact zeros to the full product, so the states
+    differ from the full pair's by rounding alone (see tests/test_dynamics.py
+    for where they are bit-identical).  The closed form is one amplitude call per AMPLITUDE_BLOCK times, so no
     array grows with the grid (20 001 times of amplitudes are 1.3 MB).  Each
     chunk yields ``(J, t, amplitudes, deviation, norm_error, sector_leak)``:
     the chunk's times and closed-form amplitudes (..., 4), and per time the
@@ -277,6 +287,16 @@ def route_chunks(decomp, J_values, t_values):
         raise ValueError(f"expected eigenvalues of {len(J_values)} Hamiltonians, "
                          f"got shape {E.shape}")
     psi0 = initial_bell_state()
+    # each matrix's eigenvectors psi0 occupies (V+ psi0 nonzero), ascending,
+    # as many as the matrix with most: a column with a zero coefficient
+    # propagates exact zeros, so a matrix with fewer is padded harmlessly.
+    # Gathered as rows of V's transpose, each reduced V stays column-major,
+    # as hermitian_eigendecompose lays it out.
+    zero = (psi0.conj() @ V) == 0
+    k = E.shape[-1] - int(zero.sum(axis=-1).min())
+    keep = np.argsort(zero, axis=-1, kind="stable")[:, :k]
+    E = np.take_along_axis(E, keep, axis=-1)
+    V = np.take_along_axis(V.swapaxes(-1, -2), keep[..., None], axis=-2).swapaxes(-1, -2)
     for j, J in enumerate(J_values):
         for lo in range(0, ts.size, AMPLITUDE_BLOCK):
             block = ts[lo:lo + AMPLITUDE_BLOCK]

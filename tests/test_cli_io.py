@@ -593,8 +593,12 @@ class TestWriteJson:
 class TestEvolveCommand:
     @staticmethod
     def _list_rows(J, ts):
-        """evolve's rows built as Python lists, one chunk of times at a time."""
-        decomp = hermitian_eigendecompose(build_hamiltonian(default_plaquette(J)))
+        """evolve's rows built as Python lists, one chunk of times at a time,
+        propagated on the eigenvectors the Bell pair occupies, as evolve does:
+        a one-row chunk's rounding depends on how many there are."""
+        E, V = hermitian_eigendecompose(build_hamiltonian(default_plaquette(J)))
+        keep = np.flatnonzero(initial_bell_state() @ V)
+        decomp = E[keep], V[:, keep]
         rows = []
         for lo in range(0, ts.size, TIME_CHUNK):
             t = ts[lo:lo + TIME_CHUNK]

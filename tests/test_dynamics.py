@@ -558,6 +558,79 @@ class TestRouteChunks:
             assert np.array_equal(leak, sector_leak(psi))
 
 
+#: The report oracle's couplings and times: per J, 8 chunks of 128 times and
+#: one of a single time.
+REPORT_J = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
+REPORT_T = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
+
+
+def _propagations(monkeypatch, decomp, js, ts):
+    """(pair, t, states) of each evolve_numeric call of one route_chunks pass."""
+    calls, original = [], dynamics.evolve_numeric
+
+    def spy(pair, psi0, t, **kwargs):
+        out = original(pair, psi0, t, **kwargs)
+        calls.append((pair, t, out[0] if kwargs.get("return_norms") else out))
+        return out
+
+    monkeypatch.setattr(dynamics, "evolve_numeric", spy)
+    for _ in route_chunks(decomp, js, ts):
+        pass
+    return calls
+
+
+class TestOccupiedColumns:
+    """route_chunks propagates on the eigenvectors the Bell pair occupies."""
+
+    @pytest.mark.parametrize("text, exact", [
+        ("default", True),
+        ("dm_z 1 2 1\n", True),
+        ("swapped-control", False),
+        ("dm_z 1 2 1\ndm_z 2 3 1\ndm_z 3 4 1\ndm_z 4 1 1\ndm_z 1 3 0.5\n", False),
+    ], ids=["default", "one-dm-bond", "swapped-control", "dm-only"])
+    def test_states_match_the_full_pair(self, monkeypatch, text, exact):
+        """Bit for bit on chunks of two or more times where the geometry
+        allows it; elsewhere, one-time chunks included, to 5e-16 per
+        amplitude, about the rounding of one product term."""
+        geom = {"default": default_plaquette(0.0),
+                "swapped-control": swapped_control_plaquette(0.0)}.get(text)
+        E, V = hermitian_eigendecompose(
+            build_hamiltonians(geom or parse_geometry_text(text), REPORT_J))
+        calls = _propagations(monkeypatch, (E, V), REPORT_J, REPORT_T)
+        assert [t.size for _, t, _ in calls] == ([128] * 8 + [1]) * len(REPORT_J)
+        for n, (_, t, psi) in enumerate(calls):
+            full = evolve_numeric((E[n // 9], V[n // 9]), initial_bell_state(), t)
+            if exact and t.size >= 2:
+                assert np.array_equal(psi, full)
+            else:
+                assert np.abs(psi - full).max() <= 5e-16
+
+    def test_padding_column_is_unoccupied(self, monkeypatch):
+        # psi0 is real, so V+ psi0 vanishes exactly where psi0 V does
+        psi0 = initial_bell_state()
+        js = [1.0, 0.5]
+        E, V = hermitian_eigendecompose(build_hamiltonians(default_plaquette(0.0), js))
+        assert [np.count_nonzero(psi0 @ v) for v in V] == [3, 4]
+        pairs = [pair for pair, _, _ in _propagations(monkeypatch, (E, V), js, [0.0, 1.0])]
+        assert [v.shape for _, v in pairs] == [(16, 4), (16, 4)]
+        # J = 1 keeps its 3 occupied columns and one whose coefficient is 0
+        assert [np.count_nonzero(psi0 @ v) for _, v in pairs] == [3, 4]
+        for (e, v), e_full, v_full in zip(pairs, E, V):
+            # every occupied column kept, in ascending order, padding last
+            occupied, kept = psi0 @ v_full != 0, psi0 @ v != 0
+            assert np.array_equal(kept, np.arange(4) < kept.sum())
+            assert np.array_equal(e[kept], e_full[occupied])
+            assert np.array_equal(v[:, kept], v_full[:, occupied])
+
+    def test_stack_without_sz_structure_keeps_every_column(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(2, 16, 16)) + 1j * rng.normal(size=(2, 16, 16))
+        E, V = hermitian_eigendecompose(A + A.conj().swapaxes(-1, -2))
+        calls = _propagations(monkeypatch, (E, V), [0.0, 0.5], [0.0, 1.0])
+        for j, ((e, v), _, _) in enumerate(calls):
+            assert np.array_equal(e, E[j]) and np.array_equal(v, V[j])
+
+
 class TestOracle:
     def test_trivial_grid(self):
         rep = oracle_equivalence_report(_stack_dec([0.0]), [0.0], [0.0])
