@@ -582,20 +582,20 @@ def _propagations(monkeypatch, decomp, js, ts):
 class TestOccupiedColumns:
     """route_chunks propagates on the eigenvectors the Bell pair occupies."""
 
-    @pytest.mark.parametrize("text, exact", [
-        ("default", True),
-        ("dm_z 1 2 1\n", True),
-        ("swapped-control", False),
-        ("dm_z 1 2 1\ndm_z 2 3 1\ndm_z 3 4 1\ndm_z 4 1 1\ndm_z 1 3 0.5\n", False),
+    @pytest.mark.parametrize("geom, exact", [
+        (default_plaquette(0.0), True),
+        (parse_geometry_text("dm_z 1 2 1\n"), True),
+        (swapped_control_plaquette(0.0), False),
+        (parse_geometry_text("dm_z 1 2 1\ndm_z 2 3 1\ndm_z 3 4 1\ndm_z 4 1 1\n"
+                             "dm_z 1 3 0.5\n"), False),
     ], ids=["default", "one-dm-bond", "swapped-control", "dm-only"])
-    def test_states_match_the_full_pair(self, monkeypatch, text, exact):
-        """Bit for bit on chunks of two or more times where the geometry
-        allows it; elsewhere, one-time chunks included, to 5e-16 per
-        amplitude, about the rounding of one product term."""
-        geom = {"default": default_plaquette(0.0),
-                "swapped-control": swapped_control_plaquette(0.0)}.get(text)
-        E, V = hermitian_eigendecompose(
-            build_hamiltonians(geom or parse_geometry_text(text), REPORT_J))
+    def test_states_match_the_full_pair(self, monkeypatch, geom, exact):
+        """Bit for bit on chunks of two or more times for the default and
+        one-dm-bond geometries; elsewhere to 5e-16 per amplitude.  A one-time
+        chunk is a matrix-vector product whose rounding depends on the
+        column count, and bit equality on the others rests on how BLAS
+        groups the full pair's 16 products, 12 of them zero."""
+        E, V = hermitian_eigendecompose(build_hamiltonians(geom, REPORT_J))
         calls = _propagations(monkeypatch, (E, V), REPORT_J, REPORT_T)
         assert [t.size for _, t, _ in calls] == ([128] * 8 + [1]) * len(REPORT_J)
         for n, (_, t, psi) in enumerate(calls):
