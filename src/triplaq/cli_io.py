@@ -175,9 +175,20 @@ def _check_phase(phase: float, flags: str, form: str) -> None:
                           f"exceed the limit of {MAX_PHASE:.0f}")
 
 
-def _check_phases(cfg: SweepConfig, j_abs: float, j_flag: str) -> None:
-    _check_phase((j_abs + cfg.d) * max(abs(cfg.t_min), abs(cfg.t_max)),
-                 f"{j_flag}, --d, --t-range", "(|J| + D)*t")
+def _strength_scale(geom) -> float:
+    """max(1, max |strength|) over ``geom``'s bonds: energies, and so phases,
+    grow with the bond strengths, and a builtin geometry's are 1."""
+    return max(1.0, *(abs(b.strength) for b in geom.bonds))
+
+
+def _check_phases(cfg: SweepConfig, j_abs: float, j_flag: str, geom) -> None:
+    """Bound the phases (|J| + D)*t of ``geom``'s sweep, scaled by its
+    :func:`_strength_scale`, which --geometry names when it exceeds 1."""
+    scale = _strength_scale(geom)
+    flags, form = f"{j_flag}, --d, --t-range", "(|J| + D)*t"
+    if scale > 1.0:
+        flags, form = f"{flags}, --geometry", f"{form}*max|strength|"
+    _check_phase(scale * (j_abs + cfg.d) * max(abs(cfg.t_min), abs(cfg.t_max)), flags, form)
 
 
 def _check_lattice(cfg: SweepConfig, lattice) -> None:
@@ -312,8 +323,8 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
     """Closed-form trajectory at fixed J with the numeric-route deviation,
     evaluated at (D*t, J/D); the rows carry the t given."""
     _check_grid(cfg.t_steps, "--t-range")
-    _check_phases(cfg, abs(J), "--j")
     geom = resolve_geometry(cfg.geometry, J / cfg.d)
+    _check_phases(cfg, abs(J), "--j", geom)
     with _hamiltonian_flags("--j, --d"):
         decomp = hermitian_eigendecompose(build_hamiltonian(geom)[None])
     ts = cfg.t_grid()
@@ -373,13 +384,13 @@ def cmd_surface(cfg: SweepConfig, signals: str) -> dict:
     ordered = [s for s in KNOWN_SIGNALS if s in signals]
     columns = [col for s in ordered for col in _SIGNAL_COLUMNS[s]]
     header = ["t", "j"] + [name for name, _ in columns]
-    _check_phases(cfg, max(abs(cfg.j_min), abs(cfg.j_max)), "--j-range")
+    geom = resolve_geometry(cfg.geometry, 0.0)
+    _check_phases(cfg, max(abs(cfg.j_min), abs(cfg.j_max)), "--j-range", geom)
     ts, js = cfg.t_grid(), cfg.j_grid()
     ts_d, js_d = cfg.d * ts, js / cfg.d
     if cfg.geometry == "default":
         states = closed_form_state(ts_d[:, None], js_d)
     else:
-        geom = resolve_geometry(cfg.geometry, 0.0)
         with _hamiltonian_flags("--j-range, --d"):
             h_dm, h_one = map(single_excitation_block, build_hamiltonians(geom, (0.0, 1.0)))
             decomp = hermitian_eigendecompose(h_dm + js_d[:, None, None] * (h_one - h_dm))
@@ -593,6 +604,9 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
     # one stack: each gets exactly the rotations it gets alone, and a bad
     # --geometry fails here, before any scan runs
     geom = resolve_geometry(cfg.geometry, 0.0)
+    t_fine = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
+    _check_phase(_strength_scale(geom) * (max(_ORACLE_J) + 1.0) * t_fine[-1], "--geometry",
+                 "(|J| + 1)*t*max|strength|")
     with _hamiltonian_flags("--geometry"):
         E, V = hermitian_eigendecompose(np.concatenate(
             [build_hamiltonians(g, _ORACLE_J) for g in (geom, swapped_control_plaquette(0.0))]))
@@ -600,7 +614,6 @@ def _report_results(cfg: SweepConfig) -> tuple[dict, dict]:
 
     # Route equivalence at --geometry vs the swapped negative control, and
     # conservation along the oracle's numeric trajectories.
-    t_fine = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
     t_coarse = np.arange(0.0, 2.0 * np.pi + 1e-12, np.pi / 16.0)
     oracle = oracle_equivalence_report((E[:n], V[:n]), _ORACLE_J, t_fine)
     control = oracle_equivalence_report((E[n:], V[n:]), _ORACLE_J, t_coarse)

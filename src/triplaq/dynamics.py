@@ -6,9 +6,11 @@ block of the stack at once, bit-identical to per-matrix calls) and applies
 the spectral propagator, to the full 16x16 H or, as ``surface`` does, to its
 4x4 single-excitation block.  :func:`route_chunks` runs both side by side
 on a J stack's (E, V) pair, propagating on the eigenvectors of the 16x16 H
-that the Bell pair occupies; :func:`oracle_equivalence_report` reduces it to
-the worst point, which is what pins down the bond geometry, and ``evolve``
-writes it out.
+that the Bell pair occupies, and scores each numeric state by the distance
+of its four single-excitation amplitudes to the closed form's, with its
+off-sector amplitude measured apart, as its sector leak;
+:func:`oracle_equivalence_report` reduces it to the worst point, which is
+what pins down the bond geometry, and ``evolve`` writes it out.
 Times and couplings are in units of the ring coupling D (see
 :mod:`triplaq.spin_core`).
 """
@@ -18,7 +20,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, NumericalHealthError
-from .spin_core import _blocks, embed_single_excitation, initial_bell_state, sector_leak
+from .spin_core import (
+    SINGLE_EXCITATION_INDICES,
+    _blocks,
+    embed_single_excitation,
+    initial_bell_state,
+    sector_leak,
+)
 
 
 def amplitudes_closed_form(t, J) -> np.ndarray:
@@ -231,7 +239,8 @@ def evolve_numeric(decomp, psi0: np.ndarray, t, *, return_norms: bool = False):
 
 def phase_aligned_distance(psi: np.ndarray, reference: np.ndarray):
     """2-norm distance after quotienting out one global phase, per state of
-    broadcast (..., 16) stacks.
+    broadcast (..., n) stacks of any component count n: 16-component states,
+    or the 4 amplitudes of the single-excitation sector.
 
     The phase is fixed from the largest-magnitude component of each
     ``reference`` row, and left at 1 where that component of either state
@@ -276,8 +285,11 @@ def route_chunks(decomp, J_values, t_values):
     array grows with the grid (20 001 times of amplitudes are 1.3 MB).  Each
     chunk yields ``(J, t, amplitudes, deviation, norm_error, sector_leak)``:
     the chunk's times and closed-form amplitudes (..., 4), and per time the
-    phase-quotiented distance of the numerically propagated state to the
-    embedded amplitudes, and that state's norm error and sector leak.
+    phase-quotiented distance of the numerically propagated state's four
+    single-excitation amplitudes to them (the sector distance), and that
+    state's norm error and sector leak.  The off-sector amplitudes, zero in
+    the closed form, enter the leak only: the distance of the whole
+    16-component state would be sqrt(deviation**2 + |off-sector part|**2).
     """
     J_values = [float(J) for J in J_values]
     ts = np.asarray(t_values, dtype=float)
@@ -306,7 +318,8 @@ def route_chunks(decomp, J_values, t_values):
                 t, amps = block[k:k + TIME_CHUNK], amplitudes[k:k + TIME_CHUNK]
                 psi, norms = evolve_numeric((E[j], V[j]), psi0, t, return_norms=True)
                 # |norm - 1| is norm_error(psi), from the norms the drift check took
-                yield (J, t, amps, phase_aligned_distance(psi, embed_single_excitation(amps)),
+                yield (J, t, amps,
+                       phase_aligned_distance(psi[..., SINGLE_EXCITATION_INDICES], amps),
                        np.abs(norms - 1.0), sector_leak(psi))
 
 
@@ -327,10 +340,11 @@ def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
 
     ``decomp`` stacks the (E, V) pairs of the Hamiltonians at ``J_values``
     (see :func:`route_chunks`, whose chunks this reduces).  The deviation per
-    point is the phase-quotiented distance between the numerically
-    propagated state and the embedded closed-form amplitudes.  A wrong bond
-    geometry shows up as an O(1) deviation; ties go to the first J, then the
-    first t.
+    point is the sector distance: the phase-quotiented distance between the
+    numerically propagated state's four single-excitation amplitudes and the
+    closed-form ones.  Amplitude outside that sector is measured separately,
+    by the worst sector leak.  A wrong bond geometry shows up as an O(1)
+    deviation; ties go to the first J, then the first t.
     """
     J_values, ts = list(J_values), np.asarray(list(t_values), dtype=float)
     worst, worst_norm, worst_leak = (-1.0, 0.0, 0.0), 0.0, 0.0

@@ -310,6 +310,51 @@ def _geometry_arg(tmp_path, name) -> str:
 SMALL_REPORT_GRID = ["--t-range", f"0:{FOUR_PI}:9", "--j-range", "0:2:5"]
 
 
+def _scaled_default_geometry(tmp_path, strength) -> str:
+    """A geometry file of the default bonds, every one at ``strength``."""
+    path = tmp_path / f"scaled-{strength}.txt"
+    path.write_text("".join(f"{b.kind.value} {b.from_site} {b.to_site} {strength}\n"
+                            for b in default_plaquette(0.0).bonds))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["evolve", "--t-range", "0:1000:5"], "--j, --d, --t-range, --geometry"),
+    (["surface", "--signals", "GAP"], "--j-range, --d, --t-range, --geometry"),
+    (["report"], "--geometry"),
+], ids=["evolve", "surface", "report"])
+def test_phase_bound_scales_with_bond_strength(tmp_path, capsys, argv, flags):
+    """Energies grow with the bond strengths, and so does the phase bound:
+    the default bonds at strength 1e6 reach phases near 1e9 on evolve's
+    grid, 4e7 on surface's and 8e7 on the report oracle's."""
+    out = tmp_path / "out"
+    code = main([*argv, "--geometry", _scaled_default_geometry(tmp_path, 1e6),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {flags}: phases ") and err.count("\n") == 1
+    assert "*max|strength| up to" in err
+    # only the report writes a document, its error document
+    assert out.exists() == (argv[0] == "report")
+
+
+def test_weak_bonds_keep_the_unit_phase_bound(tmp_path, capsys):
+    """Strengths below 1 do not loosen the bound: a file of strength 0.5
+    runs, and is bounded exactly as the builtin geometries are."""
+    geometry, out = _scaled_default_geometry(tmp_path, 0.5), tmp_path / "out"
+    assert main(["evolve", "--geometry", geometry, "--out", str(out)]) == 0
+    assert main(["surface", "--geometry", geometry, "--signals", "GAP", "--t-range", "0:3:5",
+                 "--j-range", "0:2:5", "--out", str(out)]) == 0
+    assert main(["report", "--geometry", geometry, *SMALL_REPORT_GRID, "--out", str(out)]) == 2
+    assert "error" not in json.loads(out.read_text())
+    argv = ["evolve", "--geometry", geometry, "--j", "1048575", "--out", str(out)]
+    assert main([*argv, "--t-range", "0:1:3"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--t-range", "0:1.000001:3"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: --j, --d, --t-range: phases (|J| + D)*t up to ")
+
+
 class TestNoPerCouplingLoops:
     """The spectral route diagonalizes stacks of Hamiltonians, not one per J."""
 
@@ -609,7 +654,8 @@ class TestEvolveCommand:
             rows += np.column_stack([t, np.stack([re, im], axis=-1).reshape(-1, 8),
                                      np.hypot(re, im), norm_error(psi_n),
                                      sector_leak(psi_n),
-                                     phase_aligned_distance(psi_n, psi_c)]).tolist()
+                                     phase_aligned_distance(psi_n[:, SINGLE_EXCITATION_INDICES],
+                                                            amps)]).tolist()
         return rows
 
     @pytest.mark.parametrize("steps", [TIME_CHUNK + 1, 1001])

@@ -20,6 +20,7 @@ from triplaq.dynamics import (
 )
 from triplaq.errors import ContractViolationError, NormalizationError, NumericalHealthError
 from triplaq.spin_core import (
+    SINGLE_EXCITATION_INDICES,
     BondKind,
     BondSpec,
     PlaquetteGeometry,
@@ -553,9 +554,36 @@ class TestRouteChunks:
             assert np.array_equal(same, psi)
             assert np.array_equal(norms, np.linalg.norm(psi, axis=-1))
             assert np.array_equal(amps, amplitudes_closed_form(t, J))
-            assert np.array_equal(dev, phase_aligned_distance(psi, closed_form_state(t, J)))
+            assert np.array_equal(dev, phase_aligned_distance(psi[..., SINGLE_EXCITATION_INDICES],
+                                                              amplitudes_closed_form(t, J)))
             assert np.array_equal(nerr, norm_error(psi))
             assert np.array_equal(leak, sector_leak(psi))
+
+    def test_deviation_and_leak_are_separate_measures(self, monkeypatch):
+        """The deviation is the sector distance and the leak the off-sector
+        amplitude: their squares add up to the 16-component distance.  A
+        Givens rotation of an occupied column into an unoccupied one from
+        another S^z sector keeps V unitary but lets the state leak."""
+        js = [0.0, 0.5, 1.0]
+        ts = np.arange(1, 201) * (np.pi / 64)
+        psi0 = initial_bell_state()
+        off = [i for i in range(16) if i not in SINGLE_EXCITATION_INDICES]
+        E, V = _stack_dec(js)
+        rotated = V.copy()
+        c, s = np.cos(0.3), np.sin(0.3)
+        for v in rotated:
+            occupied = psi0 @ v != 0
+            a = np.flatnonzero(occupied)[0]
+            b = np.flatnonzero(~occupied & (np.abs(v[off]).max(axis=0) > 0))[0]
+            v[:, [a, b]] = v[:, [a, b]] @ np.array([[c, -s], [s, c]])
+        for stack, leaks in ((V, False), (rotated, True)):
+            calls, chunks = _propagations(monkeypatch, (E, stack), js, ts)
+            assert len(calls) == len(chunks) == 2 * len(js)
+            for (_, _, psi), (_, _, amps, dev, _, leak) in zip(calls, chunks):
+                whole = phase_aligned_distance(psi, embed_single_excitation(amps))
+                off_sq = np.linalg.norm(psi[:, off], axis=-1) ** 2
+                assert np.abs(dev ** 2 + off_sq - whole ** 2).max() <= 1e-15
+                assert (leak > 0).all() if leaks else (leak == 0).all()
 
 
 #: The report oracle's couplings and times: per J, 8 chunks of 128 times and
@@ -565,7 +593,8 @@ REPORT_T = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
 
 
 def _propagations(monkeypatch, decomp, js, ts):
-    """(pair, t, states) of each evolve_numeric call of one route_chunks pass."""
+    """(pair, t, states) of each evolve_numeric call of one route_chunks pass,
+    and the chunks the pass yields."""
     calls, original = [], dynamics.evolve_numeric
 
     def spy(pair, psi0, t, **kwargs):
@@ -574,9 +603,8 @@ def _propagations(monkeypatch, decomp, js, ts):
         return out
 
     monkeypatch.setattr(dynamics, "evolve_numeric", spy)
-    for _ in route_chunks(decomp, js, ts):
-        pass
-    return calls
+    chunks = list(route_chunks(decomp, js, ts))
+    return calls, chunks
 
 
 class TestOccupiedColumns:
@@ -596,7 +624,7 @@ class TestOccupiedColumns:
         column count, and bit equality on the others rests on how BLAS
         groups the full pair's 16 products, 12 of them zero."""
         E, V = hermitian_eigendecompose(build_hamiltonians(geom, REPORT_J))
-        calls = _propagations(monkeypatch, (E, V), REPORT_J, REPORT_T)
+        calls, _ = _propagations(monkeypatch, (E, V), REPORT_J, REPORT_T)
         assert [t.size for _, t, _ in calls] == ([128] * 8 + [1]) * len(REPORT_J)
         for n, (_, t, psi) in enumerate(calls):
             full = evolve_numeric((E[n // 9], V[n // 9]), initial_bell_state(), t)
@@ -611,7 +639,7 @@ class TestOccupiedColumns:
         js = [1.0, 0.5]
         E, V = hermitian_eigendecompose(build_hamiltonians(default_plaquette(0.0), js))
         assert [np.count_nonzero(psi0 @ v) for v in V] == [3, 4]
-        pairs = [pair for pair, _, _ in _propagations(monkeypatch, (E, V), js, [0.0, 1.0])]
+        pairs = [pair for pair, _, _ in _propagations(monkeypatch, (E, V), js, [0.0, 1.0])[0]]
         assert [v.shape for _, v in pairs] == [(16, 4), (16, 4)]
         # J = 1 keeps its 3 occupied columns and one whose coefficient is 0
         assert [np.count_nonzero(psi0 @ v) for _, v in pairs] == [3, 4]
@@ -626,7 +654,7 @@ class TestOccupiedColumns:
         rng = np.random.default_rng(5)
         A = rng.normal(size=(2, 16, 16)) + 1j * rng.normal(size=(2, 16, 16))
         E, V = hermitian_eigendecompose(A + A.conj().swapaxes(-1, -2))
-        calls = _propagations(monkeypatch, (E, V), [0.0, 0.5], [0.0, 1.0])
+        calls, _ = _propagations(monkeypatch, (E, V), [0.0, 0.5], [0.0, 1.0])
         for j, ((e, v), _, _) in enumerate(calls):
             assert np.array_equal(e, E[j]) and np.array_equal(v, V[j])
 
@@ -674,8 +702,9 @@ class TestOracle:
             decomp = hermitian_eigendecompose(build_hamiltonian(factory(J)))
             for lo in range(0, ts.size, 128):
                 chunk = ts[lo:lo + 128]
-                dev = phase_aligned_distance(evolve_numeric(decomp, initial_bell_state(), chunk),
-                                             closed_form_state(chunk, J))
+                psi = evolve_numeric(decomp, initial_bell_state(), chunk)
+                dev = phase_aligned_distance(psi[..., SINGLE_EXCITATION_INDICES],
+                                             amplitudes_closed_form(chunk, J))
                 k = int(np.argmax(dev))
                 if dev[k] > worst[0]:
                     worst = (float(dev[k]), float(chunk[k]), J)
@@ -698,16 +727,22 @@ class TestOracle:
         assert peak < 400_000
 
 
+#: One normalized state as 16 components and as its 4 sector amplitudes:
+#: phase_aligned_distance takes rows of any length.
+ALIGNMENT_ROWS = (closed_form_state(1.1, 0.4), amplitudes_closed_form(1.1, 0.4))
+
+
 def test_phase_alignment_ignores_global_phase():
-    psi = closed_form_state(1.1, 0.4)
-    assert phase_aligned_distance(np.exp(0.7j) * psi, psi) < 1e-15
+    for psi in ALIGNMENT_ROWS:
+        assert phase_aligned_distance(np.exp(0.7j) * psi, psi) < 1e-15
 
 
 def test_phase_alignment_skipped_at_zero_pivot():
-    psi = closed_form_state(1.1, 0.4)
-    assert phase_aligned_distance(np.zeros(16), psi) == pytest.approx(1.0, abs=1e-15)
-    assert phase_aligned_distance(psi, np.zeros(16)) == pytest.approx(1.0, abs=1e-15)
-    # the fallback is decided row by row in a stack
-    rows = phase_aligned_distance(np.stack([np.zeros(16), np.exp(0.7j) * psi]), psi)
-    assert rows.shape == (2,)
-    assert rows[0] == pytest.approx(1.0, abs=1e-15) and rows[1] < 1e-15
+    for psi in ALIGNMENT_ROWS:
+        zero = np.zeros(psi.size)
+        assert phase_aligned_distance(zero, psi) == pytest.approx(1.0, abs=1e-15)
+        assert phase_aligned_distance(psi, zero) == pytest.approx(1.0, abs=1e-15)
+        # the fallback is decided row by row in a stack
+        rows = phase_aligned_distance(np.stack([zero, np.exp(0.7j) * psi]), psi)
+        assert rows.shape == (2,)
+        assert rows[0] == pytest.approx(1.0, abs=1e-15) and rows[1] < 1e-15
