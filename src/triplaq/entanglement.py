@@ -8,9 +8,9 @@ built and solved one connected block at a time of the pattern the
 amplitudes allow, so that the single-excitation states the scans score
 build one entry per matrix and need no SVD.  The closed forms
 evaluate fixed trigonometric reference expressions for the (1,2), (3,4) and
-(1,3) pair signals; the validation sweep shows the first two track the
-*square* of the Wootters value and the third matches neither, so the
-Wootters route is always the source of truth.
+(1,3) pair signals: the first two are exactly the *squared* Wootters values
+4|a_m|^2|a_n|^2, the third is 4|a_1|^2|a_3|^2 + cos(2Jt)/8 - sin(2t)/4 and
+no concurrence, so the Wootters route is always the source of truth.
 """
 
 import numpy as np
@@ -244,7 +244,7 @@ def pair_concurrences(psi: np.ndarray, pairs=ALL_PAIRS) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def closed_form_c12(t, J):
-    """Reference expression for the (1,2) pair signal (tracks Wootters^2)."""
+    """Reference expression for the (1,2) pair signal: Wootters^2 exactly."""
     return (2.0 * np.cos(t * (J - 3)) + 2.0 * np.cos(2 * t * (J - 1))
             + 12.0 * np.cos(t) * np.cos(t * J) + 2.0 * np.cos(2 * t * (J + 1))
             + 2.0 * np.cos(t * (J + 3)) + 4.0 * np.cos(2 * t)
@@ -252,7 +252,7 @@ def closed_form_c12(t, J):
 
 
 def closed_form_c34(t, J):
-    """Reference expression for the (3,4) pair signal (tracks Wootters^2)."""
+    """Reference expression for the (3,4) pair signal: Wootters^2 exactly."""
     return (-2.0 * np.cos(t * (J - 3)) + 2.0 * np.cos(2 * t * (J - 1))
             - 12.0 * np.cos(t) * np.cos(t * J) + 2.0 * np.cos(2 * t * (J + 1))
             - 2.0 * np.cos(t * (J + 3)) + 4.0 * np.cos(2 * t)
@@ -262,9 +262,9 @@ def closed_form_c34(t, J):
 def closed_form_c13(t, J):
     """Reference expression for the (1,3) pair signal.
 
-    Known-bad: it evaluates to 0.125 at t = 0 where the pair is separable,
-    and it can go negative.  Kept verbatim so the discrepancy can be
-    quantified; never use it as a concurrence.
+    Known-bad: exactly the squared Wootters value 4|a_1|^2|a_3|^2 plus
+    cos(2Jt)/8 - sin(2t)/4, so 0.125 at t = 0 where the pair is separable,
+    and negative elsewhere.  Kept verbatim; never use it as a concurrence.
     """
     return (-2.0 * np.sin(2 * t * (J + 1)) - 2.0 * np.sin(2 * t * (1 - J))
             - 4.0 * np.sin(2 * t) - np.cos(4 * t) + 5.0) / 32.0

@@ -7,7 +7,6 @@ admissible couplings exact rationals; everything here is organized around
 that reduction and verified independently through the Wootters route.
 """
 
-import collections
 import functools
 import math
 from collections.abc import Iterator
@@ -19,9 +18,6 @@ import numpy as np
 from .dynamics import TIME_CHUNK, closed_form_state
 from .entanglement import (
     SCAN_PAIRS,
-    closed_form_c12,
-    closed_form_c13,
-    closed_form_c34,
     concurrence_gap,
     pair_concurrences,
 )
@@ -504,39 +500,71 @@ def wstate_scan(t_range, J_range) -> list[WStateCandidate]:
 
 
 # ---------------------------------------------------------------------------
-# Oscillation periods
+# Oscillation periods, in exact trigonometric polynomials
 # ---------------------------------------------------------------------------
 
-#: name: (closed form, terms); a term (kind, a, b, c) is c/32 * kind((a*J + b)*t),
-#: and constant terms are left out.
-_SIGNALS = {
-    "C12": (closed_form_c12, (("cos", 1, -3, 2), ("cos", 2, -2, 2), ("cos", 1, 1, 6),
-                              ("cos", 1, -1, 6), ("cos", 2, 2, 2), ("cos", 1, 3, 2),
-                              ("cos", 0, 2, 4), ("cos", 0, 4, 1))),
-    "C34": (closed_form_c34, (("cos", 1, -3, -2), ("cos", 2, -2, 2), ("cos", 1, 1, -6),
-                              ("cos", 1, -1, -6), ("cos", 2, 2, 2), ("cos", 1, 3, -2),
-                              ("cos", 0, 2, 4), ("cos", 0, 4, 1))),
-    "C13": (closed_form_c13, (("sin", 2, 2, -2), ("sin", -2, 2, -2), ("sin", 0, 2, -4),
-                              ("cos", 0, 4, -1))),
-}
-#: concurrence_gap is closed_form_c34 - closed_form_c12: C34's terms and C12's
-#: negated, of which _frequencies cancels the pairs the two share.
-_SIGNALS["GAP"] = (concurrence_gap, _SIGNALS["C34"][1] + tuple(
-    (kind, a, b, -c) for kind, a, b, c in _SIGNALS["C12"][1]))
+def _trig(terms) -> dict:
+    """The sum of the ((kind, (a, b)), c) pairs ``terms``, each the term
+    c*kind((a*J + b)*t/2) of integer a and b, as the dict {(kind, (a, b)):
+    c}: every (a, b) lexicographically at least (0, 0) (cos is even, sin
+    odd), no sin(0), and like terms summed to nonzero Fraction coefficients."""
+    out: dict = {}
+    for (kind, f), c in terms:
+        if f < (0, 0):
+            f, c = (-f[0], -f[1]), (c if kind == "cos" else -c)
+        if kind == "cos" or f != (0, 0):
+            out[kind, f] = out[kind, f] + c if (kind, f) in out else c
+    return {key: c for key, c in out.items() if c}
 
 
-def _frequencies(terms, p: int, q: int) -> tuple[Fraction, Fraction]:
-    """(gcd, largest) of the positive frequencies f/q, f = a*p + b*q, of a
-    term table at J = p/q (q > 0) whose combined coefficients do not cancel.
-    No table ever cancels fully."""
-    combined = collections.Counter()
-    for kind, a, b, c in terms:
-        # a zero frequency is a constant (cos) or vanishing (sin) term; cos
-        # is even in the frequency and sin odd
-        if f := a * p + b * q:
-            combined[kind, abs(f)] += -c if f < 0 and kind == "sin" else c
-    freqs = [f for (kind, f), c in combined.items() if c != 0]
-    return Fraction(math.gcd(*freqs), q), Fraction(max(freqs), q)
+def _sum(*scaled) -> dict:
+    """The sum of r*x over the (r, x) pairs ``scaled``."""
+    return _trig((key, r * c) for r, x in scaled for key, c in x.items())
+
+
+def _times(x: dict, y: dict) -> dict:
+    """x*y, from 2 cos A cos B = cos(A - B) + cos(A + B), 2 sin A sin B =
+    cos(A - B) - cos(A + B) and 2 sin A cos B = sin(A - B) + sin(A + B)."""
+    terms = []
+    for u, c in x.items():
+        for v, d in y.items():
+            # the larger key is the sin one when the kinds differ
+            (k1, (a1, b1)), (k2, (a2, b2)) = max(u, v), min(u, v)
+            kind, half = "cos" if k1 == k2 else "sin", c * d / 2
+            terms += [((kind, (a1 - a2, b1 - b2)), half),
+                      ((kind, (a1 + a2, b1 + b2)), -half if k1 == k2 == "sin" else half)]
+    return _trig(terms)
+
+
+#: The amplitudes of :func:`~triplaq.dynamics.amplitudes_closed_form`, in its
+#: order (the excitation at site 4, 3, 2, 1), each (cos(J*t/2)*X + i*sin(J*t/2)*Y)
+#: / (2*sqrt(2)), as the pair (X, Y) of coefficients of 1, sin t and cos t.
+_AMPLITUDES = (((1, 1, -1), (-1, 1, -1)), ((1, -1, -1), (-1, -1, -1)),
+               ((1, -1, 1), (-1, -1, 1)), ((1, 1, 1), (-1, 1, 1)))
+_BASIS = (("cos", (0, 0)), ("sin", (0, 2)), ("cos", (0, 2)))
+#: closed_form_c13, the paper's (1,3) signal, term by term.
+_C13 = ((("sin", (4, 4)), Fraction(-1, 16)), (("sin", (-4, 4)), Fraction(-1, 16)),
+        (("sin", (0, 4)), Fraction(-1, 8)), (("cos", (0, 8)), Fraction(-1, 32)),
+        (("cos", (0, 0)), Fraction(5, 32)))
+
+
+def _populations(amplitudes=_AMPLITUDES) -> list[dict]:
+    """Each amplitude's |a|^2 = ((cos(J*t/2)*X)^2 + (sin(J*t/2)*Y)^2)/8."""
+    parts = [[_times({(kind, (1, 0)): 1}, _trig(zip(_BASIS, map(Fraction, v))))
+              for kind, v in zip(("cos", "sin"), xy)] for xy in amplitudes]
+    return [_sum(*((Fraction(1, 8), _times(z, z)) for z in xy)) for xy in parts]
+
+
+@functools.cache
+def _signal_terms(amplitudes=_AMPLITUDES) -> dict:
+    """The polynomials of C12, C34, C13 and GAP, made on the first call.  On
+    a single-excitation state the Wootters concurrence is 2|a_m||a_n| (Hill
+    and Wootters, PRL 78, 5022, 1997), and the paper's C12 and C34 are its
+    squares 4*P1*P2 and 4*P3*P4, P_k = |a_k|^2; GAP is C34 - C12.  The
+    paper's C13 is no function of the populations, so it keeps its terms."""
+    p4, p3, p2, p1 = _populations(amplitudes)
+    c12, c34 = _sum((4, _times(p1, p2))), _sum((4, _times(p3, p4)))
+    return {"C12": c12, "C34": c34, "C13": _trig(_C13), "GAP": _sum((1, c34), (-1, c12))}
 
 
 def _as_small_fraction(J) -> Fraction | None:
@@ -548,45 +576,25 @@ def _as_small_fraction(J) -> Fraction | None:
     return frac if abs(float(frac) - float(J)) < 1e-12 else None
 
 
-#: Times at which :func:`periodicity_report` compares each signal with its
-#: shifts: spread over [0, 2*pi), since samples k*T/64 would alias.
-PERIOD_SAMPLES = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-
-
 class SignalPeriod(NamedTuple):
-    """A closed-form signal's exact period T at one coupling and the checks
-    that make T its fundamental period: ``multiple``, the state's revival
-    period over T, is an integer in exact arithmetic (else None); the
-    ``repeat_defect`` max |s(t + T) - s(t)| over PERIOD_SAMPLES is at most
-    1e-12; and the ``subperiod_change``, the least over the primes r with
-    2*pi*r/T at most the largest frequency of max |s(t + T/r) - s(t)|,
-    exceeds 1e-9 (None when no prime qualifies)."""
+    """A closed-form signal's exact period T at one coupling and the state's
+    revival period; ``multiple``, revival over T, is an integer in exact
+    arithmetic (else None), which ``verified`` states."""
 
     signal: str
     period: float
     revival_period: float
     multiple: int | None
-    repeat_defect: float
-    subperiod_change: float | None
     verified: bool
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for k in range(2, math.isqrt(n) + 1):
-        if sieve[k]:
-            sieve[k * k::k] = False
-    return np.flatnonzero(sieve)
-
-
 def periodicity_report(J) -> list[SignalPeriod]:
-    """Each signal's exact period 2*pi/g at a rational J, g the gcd of its
-    table's surviving frequencies in exact arithmetic (a float J is read as
-    the fraction of denominator at most SMALL_FRACTION_MAX_DENOMINATOR within
-    1e-12 of it), checked without a search, beside the state's revival period
-    2*pi / gcd(J - 1, J + 1, 2), the gcd of the Bohr frequencies of the
-    circulant block, whose eigenvalues are J/2, J/2, 1 - J/2, -1 - J/2."""
+    """Each signal's fundamental period 2*pi/g at a rational J (a float J is
+    read as the fraction of denominator at most SMALL_FRACTION_MAX_DENOMINATOR
+    within 1e-12 of it), g the gcd of its polynomial's frequencies at J, as
+    for any finite trigonometric sum of nonzero terms; beside it the state's
+    revival period 2*pi / gcd(J - 1, J + 1, 2), over the Bohr frequencies of
+    the circulant block, whose eigenvalues are J/2, J/2, 1 - J/2, -1 - J/2."""
     J_frac = _as_small_fraction(J)
     if J_frac is None:
         raise ValueError(f"periods need a rational coupling, got {J}")
@@ -594,19 +602,11 @@ def periodicity_report(J) -> list[SignalPeriod]:
     revival = Fraction(math.gcd(p - q, p + q, 2 * q), q)
     revival_period = float(2.0 * math.pi / revival)
     out = []
-    for name, (signal, terms) in _SIGNALS.items():
-        g, largest = _frequencies(terms, p, q)
-        T = float(2.0 * math.pi / g)
-        base = signal(PERIOD_SAMPLES, p / q)
-        repeat = float(np.abs(signal(PERIOD_SAMPLES + T, p / q) - base).max())
-        # a period T is k fundamental periods, k <= largest/g, so it is the
-        # fundamental one unless T/r is a period for some prime r up to that k
-        primes = _primes_upto(largest // g)
-        change = None if primes.size == 0 else float(np.abs(
-            signal(PERIOD_SAMPLES + (T / primes)[:, None], p / q) - base).max(axis=1).min())
+    for name, poly in _signal_terms().items():
+        # at J = p/q the frequency (a*J + b)/2 is (a*p + b*q)/(2*q)
+        at_J = _trig(((kind, (0, a * p + b * q)), c) for (kind, (a, b)), c in poly.items())
+        g = Fraction(math.gcd(*(f for _, (_, f) in at_J)), 2 * q)
         multiple = g // revival if g % revival == 0 else None
-        out.append(SignalPeriod(
-            name, T, revival_period, multiple, repeat, change,
-            verified=(multiple is not None and repeat <= 1e-12
-                      and (change is None or change > 1e-9))))
+        out.append(SignalPeriod(name, float(2.0 * math.pi / g), revival_period, multiple,
+                                verified=multiple is not None))
     return out

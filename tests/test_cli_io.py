@@ -268,10 +268,11 @@ def test_bad_command_flag_is_exit_1(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
-def test_overflowing_hamiltonian_report_is_exit_1(tmp_path, capsys, monkeypatch):
+def test_report_geometry_beyond_phase_bound_is_exit_1(tmp_path, capsys, monkeypatch):
     def no_scan(*args, **kwargs):
-        raise AssertionError("a scan ran before the Hamiltonians were checked")
+        raise AssertionError("a Hamiltonian was decomposed before the phase bound")
 
+    monkeypatch.setattr(cli_io, "hermitian_eigendecompose", no_scan)
     monkeypatch.setattr(cli_io, "oracle_equivalence_report", no_scan)
     geometry = tmp_path / "geom.txt"
     geometry.write_text("dm_z 1 2 1e200\nheisenberg_iso 1 3 1.0\n")
@@ -279,7 +280,8 @@ def test_overflowing_hamiltonian_report_is_exit_1(tmp_path, capsys, monkeypatch)
     assert main(["report", "--geometry", str(geometry), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --geometry") and err.count("\n") == 1
-    assert "--geometry" in json.loads(out.read_text())["error"]["message"]
+    message = json.loads(out.read_text())["error"]["message"]
+    assert message.startswith("--geometry: phases (|J| + 1)*t*max|strength| up to ")
 
 
 #: Geometry files by name: every bond non-unit, one bond kind only, and a
@@ -1073,7 +1075,7 @@ class TestReportCommand:
         _, payload, _ = report
         assert set(payload) == {"schema_version", "config_echo", "results",
                                 "checks"}
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert payload["config_echo"]["t_steps"] == 33
         # only the fields a report config file may set
         assert set(payload["config_echo"]) == {"out", "t_min", "t_max", "t_steps", "j_min",
@@ -1119,39 +1121,6 @@ class TestReportCommand:
         assert code == 1
         payload = json.loads(out.read_text())
         assert "error" in payload and "geom.txt" in payload["error"]["message"]
-
-    @pytest.mark.parametrize("name, corrupt, failing", [
-        # without its sin(2t) term, C13's table claims half the period
-        # where the gcd of its other frequencies is twice as large, and the
-        # signal does not repeat after it
-        ("C13", lambda terms: terms[:2] + terms[3:],
-         {(J, "C13") for J in ("1", "1/31", "1/101", "1/511")}),
-        # sin(2t) read as sin(t): wherever the t term sets the gcd, the
-        # claimed period is twice the signal's, which repeats after half of it
-        ("C13", lambda terms: terms[:2] + (("sin", 0, 1, terms[2][3]),) + terms[3:],
-         {(J, "C13") for J in ("0", "1", "2/3", "1/31", "1/101", "1/511")}),
-        # cos(t)cos(Jt) expanded to cos(Jt) instead of cos((J + 1)t): GAP
-        # inherits the wrong frequency, and both claim twice the period
-        # wherever J sets the gcd
-        ("C12", lambda terms: terms[:2] + (("cos", 1, 0, 6),) + terms[3:],
-         {(J, s) for J in ("1", "1/31", "1/101", "1/511") for s in ("C12", "GAP")}),
-    ], ids=["dropped-term", "halved-frequency", "c12-into-gap"])
-    def test_corrupted_table_fails_periodicity(self, tmp_path, monkeypatch,
-                                               name, corrupt, failing):
-        signals = qst_analysis._SIGNALS
-        closed_form, terms = signals[name]
-        monkeypatch.setitem(signals, name, (closed_form, corrupt(terms)))
-        # GAP's terms are made from C34's and C12's once, at import
-        monkeypatch.setitem(signals, "GAP", (signals["GAP"][0], signals["C34"][1] + tuple(
-            (kind, a, b, -c) for kind, a, b, c in signals["C12"][1])))
-        out = tmp_path / "report.json"
-        assert main(["report", "--t-range", "0:3:5", "--j-range", "0:2:3",
-                     "--out", str(out)]) == 2
-        payload = json.loads(out.read_text())
-        assert payload["checks"]["periodicity_consistent"] is False
-        assert {(J, entry["signal"])
-                for J, entries in payload["results"]["periodicity"].items()
-                for entry in entries if not entry["verified"]} == failing
 
     @pytest.mark.parametrize("argv, message", [
         (["--geometry", "/missing/geom.txt"], "geom.txt"),
@@ -1327,6 +1296,16 @@ def test_import_loads_neither_dataclasses_nor_json():
                              "print(sorted({'dataclasses', 'json'} & set(sys.modules)))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_import_and_parse_derive_no_polynomial():
+    # setup_s times import plus parse: the period polynomials are derived on
+    # the first periodicity_report call, not before
+    done = _run_python("-c", "import triplaq.cli_io as c, triplaq.qst_analysis as q; "
+                             "c.build_parser().parse_args(['report']); "
+                             "print(q._signal_terms.cache_info().misses)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 def test_usage_error_is_exit_1(tmp_path):

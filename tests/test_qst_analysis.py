@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from triplaq import dynamics, qst_analysis
 from triplaq.dynamics import closed_form_state, phase_aligned_distance
-from triplaq.entanglement import SCAN_PAIRS, concurrence_gap, pair_concurrences, state_concurrence
+from triplaq.entanglement import (SCAN_PAIRS, closed_form_c12, closed_form_c13, closed_form_c34,
+                                  concurrence_gap, pair_concurrences, state_concurrence)
 from triplaq.qst_analysis import (
     find_qst_J,
     forbidden_J_scan,
@@ -18,6 +20,8 @@ from triplaq.qst_analysis import (
     periodicity_report,
     TRANSFER_LATTICE,
     W_LATTICE,
+    _sum,
+    _times,
     lattice_count,
     sequence_table,
     transfer_events,
@@ -405,6 +409,19 @@ class TestWDeviation:
             assert w_deviation(row) == max(abs(row - 0.5)) == want
 
 
+#: Each periodic signal's closed form.
+SIGNALS = {"C12": closed_form_c12, "C34": closed_form_c34, "C13": closed_form_c13,
+           "GAP": concurrence_gap}
+ONE = {("cos", (0, 0)): F(1)}
+
+
+def _evaluate(terms, t, J):
+    """A polynomial of qst_analysis, {(kind, (a, b)): c} for the terms
+    c*kind((a*J + b)*t/2), at float t and rational J."""
+    return sum(float(c) * (np.cos if kind == "cos" else np.sin)(float(a * J + b) / 2 * t)
+               for (kind, (a, b)), c in terms.items())
+
+
 @st.composite
 def small_fractions(draw):
     """J = p/q with q < 600 and |J| <= 3."""
@@ -454,7 +471,7 @@ class TestPeriodicity:
         report = periodicity_report(J)
         assert [entry.signal for entry in report] == ["C12", "C34", "C13", "GAP"]
         # the state itself revives, up to a global phase, after that period
-        t = qst_analysis.PERIOD_SAMPLES
+        t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         revival = report[0].revival_period
         assert phase_aligned_distance(closed_form_state(t + revival, float(J)),
                                       closed_form_state(t, float(J))).max() < 1e-12
@@ -462,7 +479,6 @@ class TestPeriodicity:
             assert entry.revival_period == revival
             assert entry.period == pytest.approx(over_pi * np.pi, rel=1e-15)
             assert entry.multiple * entry.period == pytest.approx(revival)
-            assert entry.repeat_defect <= 1e-12 and entry.subperiod_change > 1e-9
             assert entry.verified, entry
 
     def test_revival_period_and_c13_half_period(self):
@@ -473,17 +489,47 @@ class TestPeriodicity:
             assert c13.multiple == 2 and c13.verified
 
     @settings(max_examples=300, deadline=None)
-    @given(name=st.sampled_from(sorted(qst_analysis._SIGNALS)),
-           t=st.floats(0.0, 8.0 * np.pi), J=small_fractions())
+    @given(name=st.sampled_from(sorted(SIGNALS)), t=st.floats(0.0, 8.0 * np.pi),
+           J=small_fractions())
     def test_terms_reproduce_signal(self, name, t, J):
-        # the tables omit constant terms, so compare s(t) - s(0)
-        signal, terms = qst_analysis._SIGNALS[name]
-        table = sum(c / 32 * (np.cos(float(a * J + b) * t) - 1.0 if kind == "cos"
-                              else np.sin(float(a * J + b) * t))
-                    for kind, a, b, c in terms)
-        assert abs(table - (signal(t, float(J)) - signal(0.0, float(J)))) <= 1e-14
+        terms = qst_analysis._signal_terms()[name]
+        assert abs(_evaluate(terms, t, J) - SIGNALS[name](t, float(J))) <= 1e-14
+
+    def test_populations_sum_to_one(self):
+        assert _sum(*((1, p) for p in qst_analysis._populations())) == ONE
 
     def test_gap_terms_are_c34_minus_c12(self):
-        signals = qst_analysis._SIGNALS
-        assert signals["GAP"] == (concurrence_gap, signals["C34"][1] + tuple(
-            (kind, a, b, -c) for kind, a, b, c in signals["C12"][1]))
+        # C34 - C12 = -cos(J t) cos(t)**3, expanded here by the algebra itself
+        terms = qst_analysis._signal_terms()
+        cos_jt, cos_t = {("cos", (2, 0)): F(1)}, {("cos", (0, 2)): F(1)}
+        expected = _sum((-1, _times(_times(cos_jt, cos_t), _times(cos_t, cos_t))))
+        assert terms["GAP"] == _sum((1, terms["C34"]), (-1, terms["C12"])) == expected
+
+    def test_c13_is_squared_wootters_plus_two_terms(self):
+        # C13 - 4 P1 P3 = cos(2 J t)/8 - sin(2 t)/4, so the paper's C13 is not
+        # the squared (1,3) concurrence 4 P1 P3
+        _, p3, _, p1 = qst_analysis._populations()
+        difference = _sum((1, qst_analysis._signal_terms()["C13"]), (-4, _times(p1, p3)))
+        assert difference == {("cos", (4, 0)): F(1, 8), ("sin", (0, 4)): F(-1, 4)}
+
+    def test_written_amplitudes_match_closed_form(self):
+        rng = np.random.default_rng(31)
+        t, J = rng.uniform(0.0, 8.0 * np.pi, 1000), rng.uniform(-3.0, 3.0, 1000)
+        basis = np.stack([np.ones_like(t), np.sin(t), np.cos(t)])
+        written = np.stack([np.cos(J * t / 2) * (np.array(X) @ basis)
+                            + 1j * np.sin(J * t / 2) * (np.array(Y) @ basis)
+                            for X, Y in qst_analysis._AMPLITUDES], axis=-1) / (2 * np.sqrt(2))
+        assert np.abs(written - dynamics.amplitudes_closed_form(t, J)).max() <= 1e-15
+
+    def test_flipped_amplitude_sign_is_caught(self):
+        # any one sign flipped in the written amplitudes breaks the population
+        # sum or moves the derived C12 off closed_form_c12
+        t, J = np.linspace(0.0, 8.0 * np.pi, 41), F(3, 7)
+        for site, part, k in itertools.product(range(4), range(2), range(3)):
+            amplitudes = [[list(v) for v in xy] for xy in qst_analysis._AMPLITUDES]
+            amplitudes[site][part][k] *= -1
+            amplitudes = tuple(tuple(map(tuple, xy)) for xy in amplitudes)
+            total = _sum(*((1, p) for p in qst_analysis._populations(amplitudes)))
+            c12 = qst_analysis._signal_terms.__wrapped__(amplitudes)["C12"]
+            assert (total != ONE or np.abs(_evaluate(c12, t, J)
+                                           - closed_form_c12(t, float(J))).max() > 1e-3)
