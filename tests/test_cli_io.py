@@ -1122,6 +1122,44 @@ class TestReportCommand:
         payload = json.loads(out.read_text())
         assert "error" in payload and "geom.txt" in payload["error"]["message"]
 
+    @staticmethod
+    def _with_coefficient(amplitudes, site, part, k, value):
+        """``amplitudes`` with coefficient k of part (X or Y) of one site set."""
+        out = [[list(v) for v in xy] for xy in amplitudes]
+        out[site][part][k] = value
+        return tuple(tuple(map(tuple, xy)) for xy in out)
+
+    @pytest.mark.parametrize("corrupt, failing", [
+        # site 4's X without its sin(t) term: C34, and GAP from it, gain a
+        # frequency whose period no longer divides the state's revival
+        (lambda amps, c13: (TestReportCommand._with_coefficient(amps, 0, 0, 1, 0), c13),
+         {(J, s) for J in ("1", "1/31", "1/101", "1/511") for s in ("C34", "GAP")}),
+        # C13's sin(2t) read as sin(t): wherever the t term sets the gcd, the
+        # period is twice the revival's divisor
+        (lambda amps, c13: (amps, c13[:2] + ((("sin", (0, 2)), c13[2][1]),) + c13[3:]),
+         {(J, "C13") for J in ("1", "1/31", "1/101", "1/511")}),
+        # a sign flipped on site 1's cos(t): the wrong C12 carries into GAP
+        (lambda amps, c13: (TestReportCommand._with_coefficient(
+            amps, 3, 0, 2, -amps[3][0][2]), c13),
+         {(J, s) for J in ("1", "1/31", "1/101", "1/511") for s in ("C12", "GAP")}),
+    ], ids=["dropped-term", "halved-frequency", "c12-into-gap"])
+    def test_corrupted_table_fails_periodicity(self, tmp_path, monkeypatch,
+                                               corrupt, failing):
+        # the tables are derived from the written amplitudes and C13 terms,
+        # so a corruption of those reaches the report's exact period check
+        amplitudes, c13 = corrupt(qst_analysis._AMPLITUDES, qst_analysis._C13)
+        monkeypatch.setattr(qst_analysis, "_C13", c13)
+        derive = qst_analysis._signal_terms.__wrapped__
+        monkeypatch.setattr(qst_analysis, "_signal_terms", lambda: derive(amplitudes))
+        out = tmp_path / "report.json"
+        assert main(["report", "--t-range", "0:3:5", "--j-range", "0:2:3",
+                     "--out", str(out)]) == 2
+        payload = json.loads(out.read_text())
+        assert payload["checks"]["periodicity_consistent"] is False
+        assert {(J, entry["signal"])
+                for J, entries in payload["results"]["periodicity"].items()
+                for entry in entries if not entry["verified"]} == failing
+
     @pytest.mark.parametrize("argv, message", [
         (["--geometry", "/missing/geom.txt"], "geom.txt"),
         (["--t-range", "0:1e300:5"], "--t-range"),
