@@ -1,18 +1,18 @@
 """Time evolution of the Bell-pair initial state, by two independent routes.
 
 Route one evaluates the closed-form single-excitation amplitudes; route
-two diagonalizes a stack of Hamiltonians (cyclic Jacobi over every total-S^z
-block of the stack at once, bit-identical to per-matrix calls) and applies
-the spectral propagator, to the full 16x16 H or, as ``surface`` does, to its
-4x4 single-excitation block.  :func:`route_chunks` runs both side by side
-on a J stack's (E, V) pair, propagating on the eigenvectors of the 16x16 H
-that the Bell pair occupies, and scores each numeric state by the distance
-of its four single-excitation amplitudes to the closed form's, with its
-off-sector amplitude measured apart, as its sector leak;
-:func:`oracle_equivalence_report` reduces it to the worst point, which is
-what pins down the bond geometry, and ``evolve`` writes it out.
-Times and couplings are in units of the ring coupling D (see
-:mod:`triplaq.spin_core`).
+two diagonalizes a stack of Hamiltonians' 4x4 single-excitation blocks
+(cyclic Jacobi over every matrix of the stack at once, bit-identical to
+per-matrix calls) and applies the spectral propagator to the Bell pair's
+four sector amplitudes.  Both bond kinds conserve total S^z, which
+:func:`~triplaq.spin_core.single_excitation_block` checks on H before
+anything propagates, so the state never leaves that block.
+:func:`route_chunks` runs both routes side by side on a J stack's (E, V)
+pair and scores each numeric state by the distance of its amplitudes to
+the closed form's; :func:`oracle_equivalence_report` reduces it to the
+worst point, which is what pins down the bond geometry, and ``evolve``
+writes it out.  Times and couplings are in units of the ring coupling D
+(see :mod:`triplaq.spin_core`).
 """
 
 from typing import NamedTuple
@@ -20,13 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, NumericalHealthError
-from .spin_core import (
-    SINGLE_EXCITATION_INDICES,
-    _blocks,
-    embed_single_excitation,
-    initial_bell_state,
-    sector_leak,
-)
+from .spin_core import SINGLE_EXCITATION_INDICES, embed_single_excitation, initial_bell_state
 
 
 def amplitudes_closed_form(t, J) -> np.ndarray:
@@ -149,37 +143,25 @@ def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``np.linalg.eigh`` it returns (eigenvalues, eigenvectors): ascending,
     shape (..., n), and shape (..., n, n), column k belonging to value k.
 
-    Each block of :func:`_blocks` (the plaquette's total S^z sectors, sizes
-    1, 4, 6, 4, 1) is copied into the leading corner of a zero slot as large
-    as the largest block, and every slot of every matrix is one stack, so a
-    sweep is one :func:`_jacobi_sweep` call, pairs in row-major order and the
-    output deterministic (degenerate eigenspaces included).  A padded pair
-    is zero and never rotates, and a slot's pairs in row-major order are its
-    block's own, so each matrix gets exactly the rotations of a sweep over
-    its full rows, and those it would get alone: the result equals
-    per-matrix calls bit for bit.  Convergence, per matrix: off-diagonal
-    Frobenius norm, summed over its blocks' entries, below 1e-13 of the
-    matrix's own scale, within 100 sweeps.  Raises ContractViolationError
-    for a non-finite or non-Hermitian input and for a Frobenius norm that
-    overflows.
+    A sweep is one :func:`_jacobi_sweep` call over every matrix of the
+    stack, pairs in row-major order, so the output is deterministic
+    (degenerate eigenspaces included).  A matrix rotates only at its own
+    nonzero pairs: a zero pair, such as one between two blocks that no
+    element couples, never rotates, so each block gets its own rotations in
+    row-major order, and each matrix exactly those it would get alone: the
+    result equals per-matrix calls bit for bit.  Convergence, per matrix:
+    off-diagonal Frobenius norm below 1e-13 of the matrix's own scale,
+    within 100 sweeps.  Raises ContractViolationError for a non-finite or
+    non-Hermitian input and for a Frobenius norm that overflows.
     """
     H = _require_hermitian(H)
     lead, n = H.shape[:-2], H.shape[-1]
-    H = H.reshape(-1, n, n)
-    m = H.shape[0]
-    blocks = _blocks(H)
-    size = max(idx.size for idx in blocks)
-    # slot (b, i) holds block b of matrix i, and its transposed eigenvector
-    # matrix (see _rotate); A and Vt are views of all slots as one stack
-    slots = np.zeros((len(blocks), m, size, size), dtype=complex)
-    for slot, idx in zip(slots, blocks):
-        slot[:, :idx.size, :idx.size] = H[:, idx[:, None], idx]
-    vts = np.tile(np.eye(size, dtype=complex), (len(blocks), m, 1, 1))
-    A, Vt = slots.reshape(-1, size, size), vts.reshape(-1, size, size)
-    # each block's off-diagonal flat positions in its slot, in row-major order
-    off_pos = [np.flatnonzero(np.pad(~np.eye(idx.size, dtype=bool), (0, size - idx.size)))
-               for idx in blocks]
-    flat = H.reshape(m, -1)     # np.vecdot makes no temporary of its size
+    # A is diagonalized in place, and Vt holds its transposed eigenvector
+    # matrices (see _rotate)
+    A = H.reshape(-1, n, n).copy()
+    m = A.shape[0]
+    Vt = np.tile(np.eye(n, dtype=complex), (m, 1, 1))
+    flat = A.reshape(m, -1)     # a view; np.vecdot makes no temporary of its size
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.maximum(1.0, np.sqrt(np.vecdot(flat, flat).real))
     if not np.isfinite(scale).all():
@@ -187,34 +169,29 @@ def hermitian_eigendecompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # elements this small cannot move the off-norm past the tolerance, and
     # rotating on denormal-range values would overflow the phase division
     skip_below = 1e-13 * scale / (10.0 * n * n)
+    off_diagonal = ~np.eye(n, dtype=bool).ravel()
     for _ in range(100):
-        off = [np.take(slot.reshape(m, -1), pos, axis=1) for slot, pos in zip(slots, off_pos)]
-        live = np.sqrt(sum(np.vecdot(x, x).real for x in off)) > 1e-13 * scale
+        off = flat[:, off_diagonal]
+        live = np.sqrt(np.vecdot(off, off).real) > 1e-13 * scale
         if not live.any():
             break
         # a converged matrix skips every pair, so it never rotates again
-        _jacobi_sweep(A, Vt, np.tile(np.where(live, skip_below, np.inf), len(blocks)))
-    evals = np.empty((m, n))
-    for idx, slot in zip(blocks, slots):
-        evals[:, idx] = np.diagonal(slot, axis1=-2, axis2=-1)[:, :idx.size].real
+        _jacobi_sweep(A, Vt, np.where(live, skip_below, np.inf))
+    evals = np.diagonal(A, axis1=-2, axis2=-1).real
     order = np.argsort(evals, axis=-1, kind="stable")
     evals = np.take_along_axis(evals, order, axis=-1)
-    # the rows of each Vt, put at their eigenvalues' ranks: each eigenvector
-    # matrix column-major, as V[:, order] lays out one matrix, so that
-    # propagation runs the same BLAS calls for a stack
-    rank, vecs = np.argsort(order, axis=-1), np.zeros_like(H)
-    for idx, vt in zip(blocks, vts):
-        vecs[np.arange(m)[:, None, None], rank[:, idx, None], idx] = vt[:, :idx.size, :idx.size]
+    # the rows of Vt in ascending order of their eigenvalues, transposed: each
+    # eigenvector matrix column-major, as V[:, order] lays out one matrix, so
+    # that propagation runs the same BLAS calls for a stack
+    vecs = np.take_along_axis(Vt, order[..., None], axis=-2)
     return evals.reshape(lead + (n,)), vecs.swapaxes(-1, -2).reshape(lead + (n, n))
 
 
 def evolve_numeric(decomp, psi0: np.ndarray, t, *, return_norms: bool = False):
     """Spectral propagation psi(t) = V exp(-i E t) V+ psi0 of a diagonalized
-    H, given as the (E, V) pair that ``np.linalg.eigh`` returns, or as a
-    rectangular pair: k eigenvalues, shape (..., k), and their eigenvectors,
-    shape (..., n, k), which must span psi0 (see :func:`route_chunks`).
+    H, given as the (E, V) pair that ``np.linalg.eigh`` returns.
 
-    ``psi0`` has H's dimension n: 16, or 4 for a single-excitation block.
+    ``psi0`` has H's dimension n: 4 for a single-excitation block, or 16.
     ``t`` is a scalar, giving one n-vector, or a vector of times, giving
     one row per time from a single matmul.  A stacked decomposition (leading
     axes ``...``) gives shape (..., n) or (..., nt, n), each stack entry
@@ -271,25 +248,17 @@ def route_chunks(decomp, J_values, t_values):
     """Both evolution routes over a (J, t) grid, one J and at most
     TIME_CHUNK times at a time.
 
-    ``decomp`` is the (E, V) pair of the Hamiltonians at ``J_values``,
-    stacked in that order, as :func:`hermitian_eigendecompose` returns it.
-    Once per call it is reduced to the eigenvectors the Bell pair occupies:
-    with block-wise eigenvectors, the 4 of its single-excitation sector (3
-    at J = 1, padded to the stack's largest count by a column it does not
-    occupy), so each chunk takes 4 phases per time and an (nt, 4) @ (4, 16)
-    product; a stack with no S^z structure keeps all 16 columns.  The
-    columns dropped add only exact zeros to the full product, so the states
-    differ from the full pair's by rounding alone: none on the report's
-    chunks of 128 times, under 5e-16 on a chunk of one.
+    ``decomp`` is the (E, V) pair of the Hamiltonians' 4x4 single-excitation
+    blocks (:func:`~triplaq.spin_core.single_excitation_block`) at
+    ``J_values``, stacked in that order, as :func:`hermitian_eigendecompose`
+    returns it.  The Bell pair's four sector amplitudes propagate inside the
+    block: 4 phases per time and an (nt, 4) @ (4, 4) product per chunk.
     The closed form is one amplitude call per AMPLITUDE_BLOCK times, so no
     array grows with the grid (20 001 times of amplitudes are 1.3 MB).  Each
-    chunk yields ``(J, t, amplitudes, deviation, norm_error, sector_leak)``:
-    the chunk's times and closed-form amplitudes (..., 4), and per time the
-    phase-quotiented distance of the numerically propagated state's four
-    single-excitation amplitudes to them (the sector distance), and that
-    state's norm error and sector leak.  The off-sector amplitudes, zero in
-    the closed form, enter the leak only: the distance of the whole
-    16-component state would be sqrt(deviation**2 + |off-sector part|**2).
+    chunk yields ``(J, t, amplitudes, deviation, norm_error)``: the chunk's
+    times and closed-form amplitudes (..., 4), and per time the
+    phase-quotiented distance of the numerically propagated amplitudes to
+    them, and the numeric state's norm error.
     """
     J_values = [float(J) for J in J_values]
     ts = np.asarray(t_values, dtype=float)
@@ -299,17 +268,7 @@ def route_chunks(decomp, J_values, t_values):
     if E.shape[:-1] != (len(J_values),):
         raise ValueError(f"expected eigenvalues of {len(J_values)} Hamiltonians, "
                          f"got shape {E.shape}")
-    psi0 = initial_bell_state()
-    # each matrix's eigenvectors psi0 occupies (V+ psi0 nonzero), ascending,
-    # as many as the matrix with most: a column with a zero coefficient
-    # propagates exact zeros, so a matrix with fewer is padded harmlessly.
-    # Gathered as rows of V's transpose, each reduced V stays column-major,
-    # as hermitian_eigendecompose lays it out.
-    zero = (psi0.conj() @ V) == 0
-    k = E.shape[-1] - int(zero.sum(axis=-1).min())
-    keep = np.argsort(zero, axis=-1, kind="stable")[:, :k]
-    E = np.take_along_axis(E, keep, axis=-1)
-    V = np.take_along_axis(V.swapaxes(-1, -2), keep[..., None], axis=-2).swapaxes(-1, -2)
+    psi0 = initial_bell_state()[list(SINGLE_EXCITATION_INDICES)]
     for j, J in enumerate(J_values):
         for lo in range(0, ts.size, AMPLITUDE_BLOCK):
             block = ts[lo:lo + AMPLITUDE_BLOCK]
@@ -318,42 +277,36 @@ def route_chunks(decomp, J_values, t_values):
                 t, amps = block[k:k + TIME_CHUNK], amplitudes[k:k + TIME_CHUNK]
                 psi, norms = evolve_numeric((E[j], V[j]), psi0, t, return_norms=True)
                 # |norm - 1| is norm_error(psi), from the norms the drift check took
-                yield (J, t, amps,
-                       phase_aligned_distance(psi[..., SINGLE_EXCITATION_INDICES], amps),
-                       np.abs(norms - 1.0), sector_leak(psi))
+                yield J, t, amps, phase_aligned_distance(psi, amps), np.abs(norms - 1.0)
 
 
 class OracleReport(NamedTuple):
     """Worst-case disagreement between the numeric and closed-form routes,
-    and the numeric route's worst norm error and sector leak."""
+    and the numeric route's worst norm error."""
 
     max_deviation: float
     worst_t: float
     worst_J: float
     points: int
     max_norm_error: float
-    max_sector_leak: float
 
 
 def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
     """Sweep both evolution routes over a (J, t) grid and report the worst point.
 
-    ``decomp`` stacks the (E, V) pairs of the Hamiltonians at ``J_values``
-    (see :func:`route_chunks`, whose chunks this reduces).  The deviation per
-    point is the sector distance: the phase-quotiented distance between the
-    numerically propagated state's four single-excitation amplitudes and the
-    closed-form ones.  Amplitude outside that sector is measured separately,
-    by the worst sector leak.  A wrong bond geometry shows up as an O(1)
-    deviation; ties go to the first J, then the first t.
+    ``decomp`` stacks the (E, V) pairs of the single-excitation blocks of the
+    Hamiltonians at ``J_values`` (see :func:`route_chunks`, whose chunks this
+    reduces).  The deviation per point is the phase-quotiented distance
+    between the numerically propagated sector amplitudes and the
+    closed-form ones.  A wrong bond geometry shows up as an O(1) deviation;
+    ties go to the first J, then the first t.
     """
     J_values, ts = list(J_values), np.asarray(list(t_values), dtype=float)
-    worst, worst_norm, worst_leak = (-1.0, 0.0, 0.0), 0.0, 0.0
-    for J, t, _, dev, nerr, leak in route_chunks(decomp, J_values, ts):
+    worst, worst_norm = (-1.0, 0.0, 0.0), 0.0
+    for J, t, _, dev, nerr in route_chunks(decomp, J_values, ts):
         k = int(np.argmax(dev))
         if dev[k] > worst[0]:
             worst = (float(dev[k]), float(t[k]), J)
         worst_norm = max(worst_norm, float(nerr.max()))
-        worst_leak = max(worst_leak, float(leak.max()))
     return OracleReport(max_deviation=worst[0], worst_t=worst[1], worst_J=worst[2],
-                        points=len(J_values) * ts.size,
-                        max_norm_error=worst_norm, max_sector_leak=worst_leak)
+                        points=len(J_values) * ts.size, max_norm_error=worst_norm)

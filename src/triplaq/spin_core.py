@@ -39,6 +39,9 @@ SINGLE_EXCITATION_INDICES = (1, 2, 4, 8)
 _SECTOR_SLOTS = np.array(SINGLE_EXCITATION_INDICES)
 _OFF_SECTOR = np.ones(DIM, dtype=bool)
 _OFF_SECTOR[_SECTOR_SLOTS] = False
+_EXCITATIONS = np.array([bin(b).count("1") for b in range(DIM)])
+#: Matrix positions whose row and column lie in different total-S^z sectors.
+_CROSS_SECTOR = _EXCITATIONS[:, None] != _EXCITATIONS
 
 # Single-site spin-1/2 matrices in the index ordering (|0>=down, |1>=up).
 # Note the row/column swap relative to the textbook up-first convention:
@@ -214,26 +217,23 @@ def build_hamiltonian(geom: PlaquetteGeometry) -> np.ndarray:
     return build_hamiltonians(geom, [geom.J])[0]
 
 
-def _excitation_count(index: int) -> int:
-    return bin(index).count("1")
-
-
 def single_excitation_block(H: np.ndarray) -> np.ndarray:
-    """Project H onto the ordered single-excitation basis.
+    """Project H, shape (16, 16), or a stack of them, shape (..., 16, 16),
+    onto the ordered single-excitation basis: shape (..., 4, 4).
 
-    Raises ContractViolationError when H has matrix elements between
-    different total-S^z sectors above 1e-12 (the projection would then
-    discard dynamics).
+    Every numeric route propagates the Bell pair inside this block, so this
+    is where total S^z conservation is checked: raises
+    ContractViolationError when any matrix has an element between different
+    total-S^z sectors that is not within 1e-12 of zero, NaN included (the
+    projection would then discard dynamics).
     """
     H = np.asarray(H)
-    counts = np.array([_excitation_count(b) for b in range(DIM)])
-    off_sector = np.abs(H[counts[:, None] != counts[None, :]])
-    if off_sector.size and off_sector.max() > 1e-12:
+    off_sector = np.abs(H[..., _CROSS_SECTOR])
+    if not (off_sector <= 1e-12).all():
         raise ContractViolationError(
             "Hamiltonian does not conserve total S^z "
             f"(off-sector element {off_sector.max():.3e})")
-    idx = list(SINGLE_EXCITATION_INDICES)
-    return H[np.ix_(idx, idx)].copy()
+    return H[..., _SECTOR_SLOTS[:, None], _SECTOR_SLOTS]
 
 
 def _blocks(A) -> list[np.ndarray]:
@@ -241,11 +241,9 @@ def _blocks(A) -> list[np.ndarray]:
     entries nonzero in any matrix of the stack A, shape (m, n, n), in order
     of their first index; A may be a bool stack of patterns.  Permuted by
     them, every matrix is a direct sum of blocks that a solver may treat one
-    at a time: the Jacobi sweep of
-    :func:`triplaq.dynamics.hermitian_eigendecompose` (the plaquette's S^z
-    sectors) and the singular values of
-    :func:`triplaq.entanglement.pair_concurrences`, which passes the one
-    structural pattern its amplitudes allow."""
+    at a time, as the singular values of
+    :func:`triplaq.entanglement.pair_concurrences` do for the one structural
+    pattern its amplitudes allow."""
     n = A.shape[-1]
     linked = np.any(A, axis=0) | np.eye(n, dtype=bool)
     linked |= linked.T

@@ -42,6 +42,7 @@ from triplaq.spin_core import (
     initial_bell_state,
     norm_error,
     sector_leak,
+    single_excitation_block,
     swapped_control_plaquette,
 )
 
@@ -84,11 +85,10 @@ def grid_sweep():
 
 def test_criterion_1_oracle_equivalence():
     ts = np.arange(0.0, 8 * np.pi + 1e-12, np.pi / 128)
-    committed = oracle_equivalence_report(
-        hermitian_eigendecompose(build_hamiltonians(default_plaquette(0.0), CRITERION_J)),
-        CRITERION_J, ts)
-    control = oracle_equivalence_report(
-        hermitian_eigendecompose(build_hamiltonians(swapped_control_plaquette(0.0), CRITERION_J)),
+    committed = oracle_equivalence_report(hermitian_eigendecompose(single_excitation_block(
+        build_hamiltonians(default_plaquette(0.0), CRITERION_J))), CRITERION_J, ts)
+    control = oracle_equivalence_report(hermitian_eigendecompose(single_excitation_block(
+        build_hamiltonians(swapped_control_plaquette(0.0), CRITERION_J))),
         CRITERION_J, np.arange(0.0, 2 * np.pi, np.pi / 16))
     ok = committed.max_deviation < 1e-9 and control.max_deviation > 1e-2
     _status(1, "oracle equivalence", ok,

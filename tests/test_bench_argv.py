@@ -1,7 +1,8 @@
-"""Every benchmark workload's command line must parse, and its smoke run must
-pass the benchmark's own output checks: an option the CLI stops reading, or
-an output the benchmark would refuse as incorrect, then fails here, not only
-in a benchmark run.  ``bench/workloads.py`` and ``bench/checks.py`` are
+"""Every benchmark workload's command line must parse, and its smoke run and
+its full-size run at every grid offset must pass the benchmark's own output
+checks: an option the CLI stops reading, or an output the benchmark would
+refuse as incorrect (a Jacobi change that moves a numeric column past the
+reference tolerance, say), then fails here, not only in a benchmark run.  ``bench/workloads.py`` and ``bench/checks.py`` are
 loaded by path and never changed."""
 
 import contextlib
@@ -43,6 +44,22 @@ def test_workload_argv_parses(name, smoke):
 @pytest.mark.parametrize("name", _module.NAMES)
 def test_smoke_output_passes_the_benchmark_checks(tmp_path, name):
     workload = _module.build(name, smoke=True)
+    out = tmp_path / f"out.{workload.out_ext}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(workload.command(out))
+    outcome = _checks.check(workload, code, out, _checks.load_reference())
+    assert outcome.errors == []
+    assert outcome.failed == 0
+
+
+#: Each full-size workload at every grid offset; report ignores the offset.
+FULL_RUNS = [("report", 0)] + [(name, seed) for name in _module.NAMES if name != "report"
+                               for seed in range(_module.OFFSETS)]
+
+
+@pytest.mark.parametrize("name, seed", FULL_RUNS, ids=[f"{n}-{k}" for n, k in FULL_RUNS])
+def test_full_output_passes_the_benchmark_checks(tmp_path, name, seed):
+    workload = _module.build(name, seed=seed)
     out = tmp_path / f"out.{workload.out_ext}"
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(workload.command(out))

@@ -404,15 +404,23 @@ class TestNoPerCouplingLoops:
         calls = self._spy(monkeypatch)
         main(["report", "--geometry", _geometry_arg(tmp_path, geometry), *SMALL_REPORT_GRID,
               "--out", str(tmp_path / "r.json")])
-        # the oracle's 8 Hamiltonians at --geometry and the control's 8
-        # swapped ones; the conservation check reads the oracle's pass
-        assert calls == [(16, 16, 16)]
+        # the single-excitation blocks of the oracle's 8 Hamiltonians at
+        # --geometry and of the control's 8 swapped ones; the conservation
+        # check reads the oracle's pass
+        assert calls == [(16, 4, 4)]
+
+    @pytest.mark.parametrize("geometry", ["default", "swapped-control", "non-unit"])
+    def test_evolve_decomposes_one_block(self, tmp_path, monkeypatch, geometry):
+        calls = self._spy(monkeypatch)
+        assert main(["evolve", "--geometry", _geometry_arg(tmp_path, geometry),
+                     "--t-range", "0:3:7", "--out", str(tmp_path / "e.csv")]) == 0
+        assert calls == [(1, 4, 4)]
 
 
 class TestReportDecomposition:
-    """The report's one stack holds two J stacks: the oracle's at --geometry
-    and the swapped control's.  The solver sweeps the union of their blocks,
-    yet gives each matrix exactly the rotations of its own stack."""
+    """The report's one stack holds the single-excitation blocks of two J
+    stacks: the oracle's at --geometry and the swapped control's.  The
+    solver gives each matrix exactly the rotations of its own stack."""
 
     @staticmethod
     def _bits(a):
@@ -434,10 +442,10 @@ class TestReportDecomposition:
         oracle_j = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
         stacks = (build_hamiltonians(resolve_geometry(name, 0.0), oracle_j),
                   build_hamiltonians(swapped_control_plaquette(0.0), oracle_j))
-        assert np.array_equal(H, np.concatenate(stacks))
+        assert np.array_equal(H, single_excitation_block(np.concatenate(stacks)))
         lo = 0
         for stack in stacks:
-            e, v = hermitian_eigendecompose(stack)
+            e, v = hermitian_eigendecompose(single_excitation_block(stack))
             part = slice(lo, lo + len(stack))
             assert np.array_equal(self._bits(E[part]), self._bits(e))
             assert np.array_equal(self._bits(V[part]), self._bits(v))
@@ -641,23 +649,23 @@ class TestEvolveCommand:
     @staticmethod
     def _list_rows(J, ts):
         """evolve's rows built as Python lists, one chunk of times at a time,
-        propagated on the eigenvectors the Bell pair occupies, as evolve does:
-        a one-row chunk's rounding depends on how many there are."""
-        E, V = hermitian_eigendecompose(build_hamiltonian(default_plaquette(J)))
-        keep = np.flatnonzero(initial_bell_state() @ V)
-        decomp = E[keep], V[:, keep]
+        the Bell pair's four sector amplitudes propagated in the 4x4
+        single-excitation block, as evolve does: a one-row chunk's rounding
+        depends on the chunking."""
+        sector = list(SINGLE_EXCITATION_INDICES)
+        decomp = hermitian_eigendecompose(single_excitation_block(
+            build_hamiltonian(default_plaquette(J))))
         rows = []
         for lo in range(0, ts.size, TIME_CHUNK):
             t = ts[lo:lo + TIME_CHUNK]
             psi_c = closed_form_state(t, J)
-            psi_n = evolve_numeric(decomp, initial_bell_state(), t)
-            amps = psi_c[:, SINGLE_EXCITATION_INDICES]
+            psi_n = evolve_numeric(decomp, initial_bell_state()[sector], t)
+            amps = psi_c[:, sector]
             re, im = amps.real, amps.imag
             rows += np.column_stack([t, np.stack([re, im], axis=-1).reshape(-1, 8),
                                      np.hypot(re, im), norm_error(psi_n),
-                                     sector_leak(psi_n),
-                                     phase_aligned_distance(psi_n[:, SINGLE_EXCITATION_INDICES],
-                                                            amps)]).tolist()
+                                     np.zeros(t.size),
+                                     phase_aligned_distance(psi_n, amps)]).tolist()
         return rows
 
     @pytest.mark.parametrize("steps", [TIME_CHUNK + 1, 1001])
@@ -698,7 +706,8 @@ class TestEvolveCommand:
         assert float(r[12]) == pytest.approx(0.7071067811865476, abs=1e-12)
         assert float(r[15]) < 1e-9  # numeric deviation
         assert all(float(row[13]) < 1e-10 for row in rows[1:])  # norm error
-        assert all(float(row[14]) < 1e-12 for row in rows[1:])  # sector leak
+        # the state propagates inside the single-excitation block
+        assert all(row[14] == "0" for row in rows[1:])  # sector leak
 
     def test_abs_columns_match_python_abs(self, tmp_path):
         out = tmp_path / "traj.csv"

@@ -70,12 +70,19 @@ def sector_concurrence(amps, pair):
 
 
 def reference_concurrence(rho):
-    """Independent oracle: general eigensolver on the spin-flipped product."""
+    """Independent oracle: max(0, s1 - s2 - s3 - s4), the s_i the singular
+    values, descending, of sqrt(rho) sqrt(rho_tilde), with sqrt(rho) from a
+    Hermitian eigendecomposition and sqrt(rho_tilde) = tau sqrt(rho)* tau.
+
+    The s_i are the square roots of the eigenvalues of rho rho_tilde, but
+    taken this way a zero of a singular product stays near eps, not near
+    sqrt(eps) as the square root of a general eigensolver's zero would."""
     sy = np.array([[0, -1j], [1j, 0]])
     tau = np.kron(sy, sy)
-    lam = np.linalg.eigvals(rho @ tau @ rho.conj() @ tau)
-    g = np.sqrt(np.maximum(np.sort(lam.real)[::-1], 0.0))
-    return max(0.0, 2 * g[0] - g.sum())
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    s = np.linalg.svd(sqrt_rho @ tau @ sqrt_rho.conj() @ tau, compute_uv=False)
+    return max(0.0, s[0] - s[1:].sum())
 
 
 class TestPartialTrace:
@@ -311,17 +318,13 @@ class TestPairConcurrences:
         psi = _sector_states(sectors, np.random.default_rng(seed), n)
         got = pair_concurrences(psi, ALL_PAIRS)
         np.testing.assert_allclose(got, _matmul_concurrences(psi), rtol=0, atol=1e-14)
-        # on these families rho rho_tilde is singular: the eigensolver puts
-        # its zeros near 1e-16, and their square roots near sqrt(eps), so the
-        # reference resolves no better than a few 1e-8 (1.5e-8 measured over
-        # 3000 states of sectors 1 and 3, 9.5e-10 over 200 of the mixture);
-        # for one excitation or one hole the sector formula, after a global
-        # spin flip for the hole, is the exact oracle
-        singular = sectors in ((1,), (3,), (1, 2))
+        # rho rho_tilde is singular on several families; the reference keeps
+        # its zeros near eps (3.0e-15 from this route measured over 500
+        # states of each family); for one excitation or one hole the sector
+        # formula, after a global spin flip for the hole, is exact as well
         for k, pair in enumerate(ALL_PAIRS):
             expected = [reference_concurrence(rho) for rho in partial_trace_pair(psi, pair)]
-            np.testing.assert_allclose(got[:, k], expected, rtol=0,
-                                       atol=1e-7 if singular else 1e-10)
+            np.testing.assert_allclose(got[:, k], expected, rtol=0, atol=1e-13)
             if sectors in ((1,), (3,)):
                 slots = [1, 2, 4, 8] if sectors == (1,) else [14, 13, 11, 7]
                 np.testing.assert_allclose(got[:, k], sector_concurrence(psi[:, slots], pair),

@@ -243,6 +243,30 @@ class TestHamiltonian:
         with pytest.raises(ContractViolationError):
             single_excitation_block(H)
 
+    def test_stack_projects_each_matrix(self):
+        stack = build_hamiltonians(swapped_control_plaquette(0.0), (0.0, 0.5, 2.0))
+        blocks = single_excitation_block(stack)
+        assert blocks.shape == (3, 4, 4)
+        for block, H in zip(blocks, stack):
+            assert np.array_equal(block, single_excitation_block(H))
+
+    @pytest.mark.parametrize("value", [1e-3, 2e-12, np.nan, complex(0, np.nan), -np.inf])
+    @pytest.mark.parametrize("entry", [(12, 2), (0, 15), (3, 7)],
+                             ids=["two-one", "zero-four", "two-three"])
+    @pytest.mark.parametrize("k", [0, 5, 7])
+    def test_one_off_sector_element_in_a_stack_raises(self, k, entry, value):
+        # one element between two S^z sectors, in one matrix of the stack;
+        # a NaN compares false with the tolerance, so it must fail too
+        stack = build_hamiltonians(default_plaquette(0.0), np.linspace(0.0, 2.0, 8))
+        stack[(k, *entry)] = value
+        with pytest.raises(ContractViolationError, match="conserve total S"):
+            single_excitation_block(stack)
+
+    def test_off_sector_element_at_the_tolerance_passes(self):
+        stack = build_hamiltonians(default_plaquette(0.0), (0.0, 1.0))
+        stack[1, 12, 2] = 1e-12
+        assert single_excitation_block(stack).shape == (2, 4, 4)
+
     def test_reversing_dm_bonds_negates_dm_part(self):
         forward = default_plaquette(J=0.0)
         rev = PlaquetteGeometry(
