@@ -333,9 +333,9 @@ def cmd_evolve(cfg: SweepConfig, J: float) -> dict:
     # the state propagates inside the single-excitation block, whose
     # projection raised on any off-sector element of H: its leak is exactly 0
     table[:, 14] = 0.0
-    lo = 0
-    for _, _, amps, dev, nerr in route_chunks(decomp, (J / cfg.d,), cfg.d * ts):
-        sl, lo = slice(lo, lo + dev.size), lo + dev.size
+    # one J: row 0 of each block
+    for lo, t, (amps,), (dev,), (nerr,) in route_chunks(decomp, (J / cfg.d,), cfg.d * ts):
+        sl = slice(lo, lo + t.size)
         table[sl, 1:9] = amps.view(float)       # re, im of each amplitude in turn
         # np.hypot rounds like Python's abs() of a complex; np.abs can be 1 ulp off
         np.hypot(amps.real, amps.imag, out=table[sl, 9:13])

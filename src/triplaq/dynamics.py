@@ -8,11 +8,12 @@ four sector amplitudes.  Both bond kinds conserve total S^z, which
 :func:`~triplaq.spin_core.single_excitation_block` checks on H before
 anything propagates, so the state never leaves that block.
 :func:`route_chunks` runs both routes side by side on a J stack's (E, V)
-pair and scores each numeric state by the distance of its amplitudes to
-the closed form's; :func:`oracle_equivalence_report` reduces it to the
-worst point, which is what pins down the bond geometry, and ``evolve``
-writes it out.  Times and couplings are in units of the ring coupling D
-(see :mod:`triplaq.spin_core`).
+pair, in blocks of every J and AMPLITUDE_BLOCK // nJ times, one call of
+each route per block, and scores each numeric state by the distance of its
+amplitudes to the closed form's; :func:`oracle_equivalence_report` reduces
+the blocks to the worst point, which is what pins down the bond geometry,
+and ``evolve`` writes them out.  Times and couplings are in units of the
+ring coupling D (see :mod:`triplaq.spin_core`).
 """
 
 from typing import NamedTuple
@@ -34,17 +35,33 @@ def amplitudes_closed_form(t, J) -> np.ndarray:
     if np.any(t < 0):
         raise ValueError(f"t must be nonnegative, got {t.min()}")
     J = np.asarray(J, dtype=float)
-    c = np.cos(J * t / 2.0)
-    s = np.sin(J * t / 2.0)
-    sin_d = np.sin(t)
-    cos_d = np.cos(t)
+    half = J * t / 2.0
+    c, s = np.cos(half), np.sin(half)
+    del half
+    sin_d, cos_d = np.sin(t), np.cos(t)
     pref = 1.0 / (2.0 * np.sqrt(2.0))
-    # each component written in place: no stacked copy of all four
+    # Component k is pref * (c * A_k -+ i s * B_k), minus for k = 0, 1, with
+    # A_k, B_k the paper's sums +-sin t +- cos t +- 1; rounding is symmetric,
+    # so each is exactly +-1 times one of u, v, w, x below.  Real and
+    # imaginary parts are float expressions written into the result, with no
+    # float operand cast to complex, and with the bits of the complex
+    # products: "0.0 -" turns a zero of s * B_k into +0.0, and where A_k is
+    # exactly 0 the real part's sign is that of pref * z.real - 0.0 * z.imag,
+    # z.real being c * A_k, or c * A_k + 0.0 where i s * B_k is added.
+    p, m = sin_d + cos_d, sin_d - cos_d
+    del sin_d, cos_d
+    u, v, w, x = m + 1, 1 - m, 1 - p, p + 1
+    del p, m
     out = np.empty(c.shape + (4,), dtype=complex)
-    out[..., 0] = pref * (c * (sin_d - cos_d + 1) - 1j * s * (-sin_d + cos_d + 1))
-    out[..., 1] = pref * (c * (-sin_d - cos_d + 1) - 1j * s * (sin_d + cos_d + 1))
-    out[..., 2] = pref * (c * (-sin_d + cos_d + 1) + 1j * s * (-sin_d + cos_d - 1))
-    out[..., 3] = pref * (c * (sin_d + cos_d + 1) + 1j * s * (sin_d + cos_d - 1))
+    parts = out.view(float)     # re, im of each component in turn
+    for k, (a, b) in enumerate(((u, v), (w, x), (v, u), (x, w))):
+        z_im = 0.0 - s * b
+        np.multiply(pref, z_im, out=parts[..., 2 * k + 1])
+        if np.count_nonzero(a) == a.size:
+            np.multiply(pref, c * a, out=parts[..., 2 * k])
+        else:
+            z_re = c * a if k < 2 else c * a + 0.0
+            np.subtract(pref * z_re, 0.0 * z_im, out=parts[..., 2 * k])
     return out
 
 
@@ -234,50 +251,54 @@ def phase_aligned_distance(psi: np.ndarray, reference: np.ndarray):
     return np.linalg.norm(psi - ph / np.abs(ph) * reference, axis=-1)
 
 
-#: Times propagated, grid rows evaluated or table rows formatted per batch;
-#: keeps each batch small (128 x 16 complex states, 32 KiB) on any grid.
+#: Rows of the events scan's gap surface evaluated, or CSV rows formatted,
+#: per batch; keeps each batch small on any grid.  The evolution routes
+#: batch by AMPLITUDE_BLOCK instead.
 TIME_CHUNK = 128
 
-#: Closed-form points a grid scan, or route_chunks per J, evaluates per call.
-#: A point's 4 amplitudes take 64 B against 256 B for its embedded state, so
-#: this block is as large as one TIME_CHUNK batch of states (32 KiB).
+#: (J, t) points a grid scan or a route_chunks block evaluates per call: the
+#: report's sweep takes whole t-rows of its J grid, route_chunks every J of
+#: its stack and AMPLITUDE_BLOCK // nJ times.  A point's 4 amplitudes take
+#: 64 B, so a block's amplitudes, and each of its propagation temporaries,
+#: take 32 KiB, as do 128 embedded 16-component states.
 AMPLITUDE_BLOCK = 4 * TIME_CHUNK
 
 
 def route_chunks(decomp, J_values, t_values):
-    """Both evolution routes over a (J, t) grid, one J and at most
-    TIME_CHUNK times at a time.
+    """Both evolution routes over a (J, t) grid, in blocks of every J and
+    max(1, AMPLITUDE_BLOCK // nJ) times: at most AMPLITUDE_BLOCK points, or
+    32 KiB of amplitudes, whenever nJ <= AMPLITUDE_BLOCK.
 
     ``decomp`` is the (E, V) pair of the Hamiltonians' 4x4 single-excitation
     blocks (:func:`~triplaq.spin_core.single_excitation_block`) at
     ``J_values``, stacked in that order, as :func:`hermitian_eigendecompose`
     returns it.  The Bell pair's four sector amplitudes propagate inside the
-    block: 4 phases per time and an (nt, 4) @ (4, 4) product per chunk.
-    The closed form is one amplitude call per AMPLITUDE_BLOCK times, so no
-    array grows with the grid (20 001 times of amplitudes are 1.3 MB).  Each
-    chunk yields ``(J, t, amplitudes, deviation, norm_error)``: the chunk's
-    times and closed-form amplitudes (..., 4), and per time the
-    phase-quotiented distance of the numerically propagated amplitudes to
-    them, and the numeric state's norm error.
+    blocks, one :func:`evolve_numeric` call over the whole stack per block
+    (each J bit-identical to its own call), against one
+    :func:`amplitudes_closed_form` call, so no array grows with the grid
+    (20 001 times of amplitudes are 1.3 MB).  Each block yields
+    ``(lo, t, amplitudes, deviation, norm_error)``: the offset of its first
+    time in ``t_values``, its times (nt,), the closed-form amplitudes
+    (nJ, nt, 4), and per point (nJ, nt) the phase-quotiented distance of the
+    numerically propagated amplitudes to them and the numeric state's norm
+    error.
     """
-    J_values = [float(J) for J in J_values]
+    Js = np.array([float(J) for J in J_values])
     ts = np.asarray(t_values, dtype=float)
-    if not J_values or not ts.size:
+    if not Js.size or not ts.size:
         raise ValueError("J and t grids must be nonempty")
     E, V = decomp
-    if E.shape[:-1] != (len(J_values),):
-        raise ValueError(f"expected eigenvalues of {len(J_values)} Hamiltonians, "
+    if E.shape[:-1] != Js.shape:
+        raise ValueError(f"expected eigenvalues of {Js.size} Hamiltonians, "
                          f"got shape {E.shape}")
     psi0 = initial_bell_state()[list(SINGLE_EXCITATION_INDICES)]
-    for j, J in enumerate(J_values):
-        for lo in range(0, ts.size, AMPLITUDE_BLOCK):
-            block = ts[lo:lo + AMPLITUDE_BLOCK]
-            amplitudes = amplitudes_closed_form(block, J)
-            for k in range(0, block.size, TIME_CHUNK):
-                t, amps = block[k:k + TIME_CHUNK], amplitudes[k:k + TIME_CHUNK]
-                psi, norms = evolve_numeric((E[j], V[j]), psi0, t, return_norms=True)
-                # |norm - 1| is norm_error(psi), from the norms the drift check took
-                yield J, t, amps, phase_aligned_distance(psi, amps), np.abs(norms - 1.0)
+    step = max(1, AMPLITUDE_BLOCK // Js.size)
+    for lo in range(0, ts.size, step):
+        t = ts[lo:lo + step]
+        amps = amplitudes_closed_form(t, Js[:, None])
+        psi, norms = evolve_numeric(decomp, psi0, t, return_norms=True)
+        # |norm - 1| is norm_error(psi), from the norms the drift check took
+        yield lo, t, amps, phase_aligned_distance(psi, amps), np.abs(norms - 1.0)
 
 
 class OracleReport(NamedTuple):
@@ -295,18 +316,21 @@ def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
     """Sweep both evolution routes over a (J, t) grid and report the worst point.
 
     ``decomp`` stacks the (E, V) pairs of the single-excitation blocks of the
-    Hamiltonians at ``J_values`` (see :func:`route_chunks`, whose chunks this
+    Hamiltonians at ``J_values`` (see :func:`route_chunks`, whose blocks this
     reduces).  The deviation per point is the phase-quotiented distance
     between the numerically propagated sector amplitudes and the
-    closed-form ones.  A wrong bond geometry shows up as an O(1) deviation;
-    ties go to the first J, then the first t.
+    closed-form ones.  Every block's deviations go into one (nJ, nt) array
+    (65 KB on the report's 8 x 1025 grid), and one argmax over it finds the
+    worst point.  A wrong bond geometry shows up as an O(1) deviation; ties
+    go to the first J, then the first t.
     """
     J_values, ts = list(J_values), np.asarray(list(t_values), dtype=float)
-    worst, worst_norm = (-1.0, 0.0, 0.0), 0.0
-    for J, t, _, dev, nerr in route_chunks(decomp, J_values, ts):
-        k = int(np.argmax(dev))
-        if dev[k] > worst[0]:
-            worst = (float(dev[k]), float(t[k]), J)
+    dev = np.empty((len(J_values), ts.size))
+    worst_norm = 0.0
+    for lo, t, _, block_dev, nerr in route_chunks(decomp, J_values, ts):
+        dev[:, lo:lo + t.size] = block_dev
         worst_norm = max(worst_norm, float(nerr.max()))
-    return OracleReport(max_deviation=worst[0], worst_t=worst[1], worst_J=worst[2],
-                        points=len(J_values) * ts.size, max_norm_error=worst_norm)
+    j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    return OracleReport(max_deviation=float(dev[j, k]), worst_t=float(ts[k]),
+                        worst_J=float(J_values[j]), points=dev.size,
+                        max_norm_error=worst_norm)

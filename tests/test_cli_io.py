@@ -26,6 +26,7 @@ from triplaq.cli_io import (
     write_json,
 )
 from triplaq.dynamics import (
+    AMPLITUDE_BLOCK,
     TIME_CHUNK,
     closed_form_state,
     evolve_numeric,
@@ -416,6 +417,27 @@ class TestNoPerCouplingLoops:
                      "--t-range", "0:3:7", "--out", str(tmp_path / "e.csv")]) == 0
         assert calls == [(1, 4, 4)]
 
+    def test_routes_propagate_whole_blocks(self, tmp_path, monkeypatch):
+        """Each route_chunks block propagates every J at once: the default
+        report's oracle takes 17 blocks of 8 J x 64 times and its control
+        one, and evolve on the 20 001-time grid 40 blocks of 512 times; one
+        call per J and 128 times would be 80 and 157."""
+        calls = []
+        for module in (cli_io, dynamics):
+            original = module.evolve_numeric
+
+            def counted(decomp, *args, original=original, **kwargs):
+                calls.append(np.shape(decomp[0]))
+                return original(decomp, *args, **kwargs)
+
+            monkeypatch.setattr(module, "evolve_numeric", counted)
+        assert main(["report", "--out", str(tmp_path / "r.json")]) == 2
+        assert 0 < len(calls) <= 18 and set(calls) == {(8, 4)}
+        calls.clear()
+        assert main(["evolve", "--j", "0.5", "--t-range", f"0:{200 * math.pi!r}:20001",
+                     "--out", str(tmp_path / "e.csv")]) == 0
+        assert 0 < len(calls) <= 40 and set(calls) == {(1, 4)}
+
 
 class TestReportDecomposition:
     """The report's one stack holds the single-excitation blocks of two J
@@ -648,16 +670,16 @@ class TestWriteJson:
 class TestEvolveCommand:
     @staticmethod
     def _list_rows(J, ts):
-        """evolve's rows built as Python lists, one chunk of times at a time,
-        the Bell pair's four sector amplitudes propagated in the 4x4
-        single-excitation block, as evolve does: a one-row chunk's rounding
-        depends on the chunking."""
+        """evolve's rows built as Python lists, one block of AMPLITUDE_BLOCK
+        times at a time, the Bell pair's four sector amplitudes propagated
+        in the 4x4 single-excitation block, as evolve does: a matmul's
+        rounding may depend on its row count."""
         sector = list(SINGLE_EXCITATION_INDICES)
         decomp = hermitian_eigendecompose(single_excitation_block(
             build_hamiltonian(default_plaquette(J))))
         rows = []
-        for lo in range(0, ts.size, TIME_CHUNK):
-            t = ts[lo:lo + TIME_CHUNK]
+        for lo in range(0, ts.size, AMPLITUDE_BLOCK):
+            t = ts[lo:lo + AMPLITUDE_BLOCK]
             psi_c = closed_form_state(t, J)
             psi_n = evolve_numeric(decomp, initial_bell_state()[sector], t)
             amps = psi_c[:, sector]

@@ -102,6 +102,26 @@ class TestClosedForm:
         assert amplitudes_closed_form(1.3, 0.5).tobytes() == \
             amplitudes_closed_form(np.array([1.3]), 0.5)[0].tobytes()
 
+    def test_matches_complex_products_at_exact_zeros(self):
+        # at each t one of the sums +-sin t +- cos t + 1 rounds to exactly 0
+        # (m + 1 at 1e-17, 1 - p at pi/2 and 45.55..., 1 - m at 45.55... and
+        # 91.10..., p + 1 at 91.10...), and J t / 2 lies in each quadrant: a
+        # zero real part takes the sign the complex products give it, for
+        # each sign of c and s
+        t = np.array([1e-17, np.pi / 2, 45.553093477052, 91.106186954104])[:, None]
+        J = 2.0 * np.array([0.5, 2.0, 4.0, 5.5]) / t
+        c, s = np.cos(J * t / 2.0), np.sin(J * t / 2.0)
+        sin_d, cos_d = np.sin(t), np.cos(t)
+        pref = 1.0 / (2.0 * np.sqrt(2.0))
+        want = np.stack((
+            pref * (c * (sin_d - cos_d + 1) - 1j * s * (-sin_d + cos_d + 1)),
+            pref * (c * (-sin_d - cos_d + 1) - 1j * s * (sin_d + cos_d + 1)),
+            pref * (c * (-sin_d + cos_d + 1) + 1j * s * (-sin_d + cos_d - 1)),
+            pref * (c * (sin_d + cos_d + 1) + 1j * s * (sin_d + cos_d - 1))), axis=-1)
+        assert np.count_nonzero(want.real == 0) >= 16
+        assert np.signbit(want.real[want.real == 0]).any()
+        assert amplitudes_closed_form(t, J).tobytes() == want.tobytes()
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             amplitudes_closed_form(-0.1, 0.0)
@@ -539,26 +559,30 @@ PSI0 = initial_bell_state()[list(SINGLE_EXCITATION_INDICES)]
 
 class TestRouteChunks:
     def test_chunks_equal_each_route_run_alone(self):
-        """One J at a time, 128 times a chunk, in grid order; each value
-        bit for bit what the two routes give on that chunk alone, across
-        the 512-time closed-form block."""
+        """Every J and AMPLITUDE_BLOCK // 3 = 170 times a block, in grid
+        order, the last block cut short by the grid's end; each value bit
+        for bit what the two routes give per J on that block's times."""
         js = [0.0, 0.5, 2.0]
         ts = np.arange(0.0, 9 * np.pi, np.pi / 64)
         E, V = _stack_dec(js)
-        assert V.shape == (3, 4, 4)
+        assert V.shape == (3, 4, 4) and ts.size == 576
+        step = dynamics.AMPLITUDE_BLOCK // 3
+        assert step == 170
         chunks = list(route_chunks((E, V), js, ts))
-        assert [(J, t.size) for J, t, *_ in chunks] == [
-            (J, n) for J in js for n in (128, 128, 128, 128, 64)]
-        for (J, t, amps, dev, nerr), (j, lo) in zip(
-                chunks, [(j, lo) for j in range(3) for lo in range(0, ts.size, 128)]):
-            assert J == js[j] and np.array_equal(t, ts[lo:lo + 128])
-            psi = evolve_numeric((E[j], V[j]), PSI0, t)
-            same, norms = evolve_numeric((E[j], V[j]), PSI0, t, return_norms=True)
-            assert np.array_equal(same, psi)
-            assert np.array_equal(norms, np.linalg.norm(psi, axis=-1))
-            assert np.array_equal(amps, amplitudes_closed_form(t, J))
-            assert np.array_equal(dev, phase_aligned_distance(psi, amplitudes_closed_form(t, J)))
-            assert np.array_equal(nerr, norm_error(psi))
+        assert [(lo, t.size) for lo, t, *_ in chunks] == [
+            (0, 170), (170, 170), (340, 170), (510, 66)]
+        for lo, t, amps, dev, nerr in chunks:
+            assert np.array_equal(t, ts[lo:lo + step])
+            assert amps.shape == (3, t.size, 4) and dev.shape == nerr.shape == (3, t.size)
+            for j, J in enumerate(js):
+                psi = evolve_numeric((E[j], V[j]), PSI0, t)
+                same, norms = evolve_numeric((E[j], V[j]), PSI0, t, return_norms=True)
+                assert np.array_equal(same, psi)
+                assert np.array_equal(norms, np.linalg.norm(psi, axis=-1))
+                closed = amplitudes_closed_form(t, J)
+                assert np.array_equal(amps[j], closed)
+                assert np.array_equal(dev[j], phase_aligned_distance(psi, closed))
+                assert np.array_equal(nerr[j], norm_error(psi))
 
 
 class TestOracle:
@@ -613,9 +637,40 @@ class TestOracle:
         assert (rep.max_deviation, rep.worst_t, rep.worst_J) == worst
         assert rep.points == len(js) * ts.size
 
+    def test_tie_across_blocks_goes_to_the_first_j_then_the_first_t(self, monkeypatch):
+        """Three points share the worst deviation bit for bit, each in its
+        own 170-time block: (J[1], t[300]) beats (J[1], t[600]), a later t,
+        and (J[2], t[5]), a later J at an earlier t."""
+        js = [0.0, 0.5, 1.0]
+        ts = np.arange(0.0, 700.0) / 64.0
+        tied = ((1, 300), (1, 600), (2, 5))
+        far = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+
+        def closed_form(t, J):
+            # the Bell pair's amplitudes, and a state orthogonal to them at
+            # the tied points
+            amps = np.empty(np.broadcast_shapes(np.shape(t), np.shape(J)) + (4,), dtype=complex)
+            amps[...] = PSI0
+            for j, k in tied:
+                amps[(J == js[j]) & (t == ts[k])] = far
+            return amps
+
+        monkeypatch.setattr(dynamics, "amplitudes_closed_form", closed_form)
+        # no evolution: E = 0 and V = 1 keep the Bell pair exactly, so the
+        # deviation is 0 away from the tied points and the same at each of them
+        still = (np.zeros((3, 4)), np.tile(np.eye(4, dtype=complex), (3, 1, 1)))
+        blocks = [lo for lo, *_ in route_chunks(still, js, ts)]
+        assert blocks == [0, 170, 340, 510, 680]
+        rep = oracle_equivalence_report(still, js, ts)
+        assert rep.max_deviation == phase_aligned_distance(PSI0, far) > 1.0
+        assert (rep.worst_J, rep.worst_t) == (js[1], ts[300])
+        assert rep.points == 3 * 700
+
     def test_temporaries_stay_small_on_the_report_grid(self):
-        # the report's 8 J x 1025 t: one J and 128 times per batch keeps each
-        # temporary at 8 KiB, and the closed form's 512-time block at 32 KiB
+        # the report's 8 J x 1025 t: every J and 64 times per block, 512
+        # points, keeps the block's amplitudes, propagated states and each of
+        # their temporaries at 32 KiB, besides the (8, 1025) deviation array
+        # (65 KB) the argmax reads
         js = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
         ts = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
         tracemalloc.start()
