@@ -45,9 +45,9 @@ def amplitudes_closed_form(t, J) -> np.ndarray:
     # so each is exactly +-1 times one of u, v, w, x below.  Real and
     # imaginary parts are float expressions written into the result, with no
     # float operand cast to complex, and with the bits of the complex
-    # products: "0.0 -" turns a zero of s * B_k into +0.0, and where A_k is
-    # exactly 0 the real part's sign is that of pref * z.real - 0.0 * z.imag,
-    # z.real being c * A_k, or c * A_k + 0.0 where i s * B_k is added.
+    # products: "0.0 -" turns a zero of s * B_k into +0.0, and the real part
+    # is pref * z.real - 0.0 * z.imag, z.real being c * A_k, or c * A_k + 0.0
+    # where i s * B_k is added, which sets its sign where A_k is exactly 0.
     p, m = sin_d + cos_d, sin_d - cos_d
     del sin_d, cos_d
     u, v, w, x = m + 1, 1 - m, 1 - p, p + 1
@@ -57,11 +57,8 @@ def amplitudes_closed_form(t, J) -> np.ndarray:
     for k, (a, b) in enumerate(((u, v), (w, x), (v, u), (x, w))):
         z_im = 0.0 - s * b
         np.multiply(pref, z_im, out=parts[..., 2 * k + 1])
-        if np.count_nonzero(a) == a.size:
-            np.multiply(pref, c * a, out=parts[..., 2 * k])
-        else:
-            z_re = c * a if k < 2 else c * a + 0.0
-            np.subtract(pref * z_re, 0.0 * z_im, out=parts[..., 2 * k])
+        z_re = c * a if k < 2 else c * a + 0.0
+        np.subtract(pref * z_re, 0.0 * z_im, out=parts[..., 2 * k])
     return out
 
 
@@ -319,18 +316,24 @@ def oracle_equivalence_report(decomp, J_values, t_values) -> OracleReport:
     Hamiltonians at ``J_values`` (see :func:`route_chunks`, whose blocks this
     reduces).  The deviation per point is the phase-quotiented distance
     between the numerically propagated sector amplitudes and the
-    closed-form ones.  Every block's deviations go into one (nJ, nt) array
-    (65 KB on the report's 8 x 1025 grid), and one argmax over it finds the
-    worst point.  A wrong bond geometry shows up as an O(1) deviation; ties
-    go to the first J, then the first t.
+    closed-form ones.  Each J keeps its worst deviation so far and that
+    point's time, replaced only by a strictly larger one in a later block;
+    one argmax over the per-J maxima then finds the worst point, so ties go
+    to the first J, then the first t, and no array grows with the grid.  A
+    wrong bond geometry shows up as an O(1) deviation.
     """
     J_values, ts = list(J_values), np.asarray(list(t_values), dtype=float)
-    dev = np.empty((len(J_values), ts.size))
+    worst = np.full(len(J_values), -np.inf)
+    at = np.zeros(len(J_values), dtype=int)
     worst_norm = 0.0
-    for lo, t, _, block_dev, nerr in route_chunks(decomp, J_values, ts):
-        dev[:, lo:lo + t.size] = block_dev
+    for lo, _, _, dev, nerr in route_chunks(decomp, J_values, ts):
+        k = np.argmax(dev, axis=1)
+        block_worst = dev.max(axis=1)
+        larger = block_worst > worst
+        worst[larger] = block_worst[larger]
+        at[larger] = lo + k[larger]
         worst_norm = max(worst_norm, float(nerr.max()))
-    j, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    return OracleReport(max_deviation=float(dev[j, k]), worst_t=float(ts[k]),
-                        worst_J=float(J_values[j]), points=dev.size,
+    j = int(np.argmax(worst))
+    return OracleReport(max_deviation=float(worst[j]), worst_t=float(ts[at[j]]),
+                        worst_J=float(J_values[j]), points=len(J_values) * ts.size,
                         max_norm_error=worst_norm)

@@ -690,7 +690,7 @@ class TestEvolveCommand:
                                      phase_aligned_distance(psi_n, amps)]).tolist()
         return rows
 
-    @pytest.mark.parametrize("steps", [TIME_CHUNK + 1, 1001])
+    @pytest.mark.parametrize("steps", [TIME_CHUNK + 1, AMPLITUDE_BLOCK + 1, 1001])
     def test_outputs_match_list_reference(self, tmp_path, steps):
         t_max = 40 * np.pi
         rows = self._list_rows(0.5, np.linspace(0.0, t_max, steps))

@@ -669,8 +669,7 @@ class TestOracle:
     def test_temporaries_stay_small_on_the_report_grid(self):
         # the report's 8 J x 1025 t: every J and 64 times per block, 512
         # points, keeps the block's amplitudes, propagated states and each of
-        # their temporaries at 32 KiB, besides the (8, 1025) deviation array
-        # (65 KB) the argmax reads
+        # their temporaries at 32 KiB; the reduction keeps only per-J maxima
         js = (0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
         ts = np.arange(0.0, 8.0 * np.pi + 1e-12, np.pi / 128.0)
         tracemalloc.start()
