@@ -219,7 +219,9 @@ def evolve_numeric(decomp, psi0: np.ndarray, t, *, return_norms: bool = False):
     t = np.asarray(t, dtype=float)
     phases = np.exp(-1j * (t.reshape(-1, 1) * E[..., None, :]))
     coef = (psi0.conj() @ V).conj()     # V+ psi0 without a conjugated copy of V
-    psi_t = np.matmul(phases * coef[..., None, :], V.swapaxes(-1, -2))
+    phases *= coef[..., None, :]
+    psi_t = np.matmul(phases, V.swapaxes(-1, -2))
+    del phases                          # freed before the norm's temporaries
     psi_t = psi_t.reshape(E.shape[:-1] + t.shape + V.shape[-2:-1])
     norms = np.linalg.norm(psi_t, axis=-1)
     drift = np.abs(norms - float(np.linalg.norm(psi0)))

@@ -225,18 +225,24 @@ def pair_concurrences(psi: np.ndarray, pairs=ALL_PAIRS) -> np.ndarray:
     stack takes no SVD; a dense stack is one 4x4 block, one SVD.  A
     non-finite amplitude raises ContractViolationError before any block is
     solved.
+
+    The four singular values of each state and pair are stored along a
+    leading axis: the closing max and sum then combine four whole arrays
+    elementwise, where a trailing 4-wide axis costs numpy one short
+    reduction per state and pair.  Over four terms the sum adds
+    ((g0 + g1) + g2) + g3 either way, so the bits are the same.
     """
     psi = _check_states(psi)
     index = np.stack([_BLOCK_INDEX[_check_pair(pair)] for pair in pairs])
     pattern = _structural_pattern(psi, index)
-    gammas = np.zeros(psi.shape[:-1] + (len(pairs), 4))
+    gammas = np.zeros((4,) + psi.shape[:-1] + (len(pairs),))
     for idx in _blocks(pattern[None]):
         if not pattern[np.ix_(idx, idx)].any():
             continue
         block = _hill_wootters_block(psi[..., index[:, :, idx]])
-        gammas[..., idx] = (np.abs(block[..., 0]) if idx.size == 1
-                            else np.linalg.svd(block, compute_uv=False))
-    return np.maximum(0.0, 2.0 * gammas.max(axis=-1) - gammas.sum(axis=-1))
+        gammas[idx] = np.moveaxis(np.abs(block[..., 0]) if idx.size == 1
+                                  else np.linalg.svd(block, compute_uv=False), -1, 0)
+    return np.maximum(0.0, 2.0 * gammas.max(axis=0) - gammas.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

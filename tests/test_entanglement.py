@@ -174,6 +174,23 @@ def _matmul_concurrences(psi, pairs=ALL_PAIRS):
     return np.stack(out, axis=-1)
 
 
+def _trailing_concurrences(psi, pairs=ALL_PAIRS):
+    """The block engine with its singular values on a trailing 4-wide axis,
+    the layout it had before they moved to a leading one, kept as the
+    bit-for-bit reference for the order of the closing max and sum."""
+    psi = np.asarray(psi, dtype=complex)
+    index = np.stack([_BLOCK_INDEX[pair] for pair in pairs])
+    pattern = _structural_pattern(psi, index)
+    gammas = np.zeros(psi.shape[:-1] + (len(pairs), 4))
+    for idx in _blocks(pattern[None]):
+        if not pattern[np.ix_(idx, idx)].any():
+            continue
+        block = _hill_wootters_block(psi[..., index[:, :, idx]])
+        gammas[..., idx] = (np.abs(block[..., 0]) if idx.size == 1
+                            else np.linalg.svd(block, compute_uv=False))
+    return np.maximum(0.0, 2.0 * gammas.max(axis=-1) - gammas.sum(axis=-1))
+
+
 @st.composite
 def _random_state_stacks(draw):
     """Normalized random 16-vectors: one, or a stack of up to three leading
@@ -363,6 +380,24 @@ class TestPairConcurrences:
         assert calls == [(8, 1, 2, 2), (8, 1, 2, 2)]
         np.testing.assert_allclose(got, _matmul_concurrences(psi, ((1, 2),)),
                                    rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("pairs", [ALL_PAIRS, ((3, 4), (1, 2))], ids=["all", "subset"])
+    @pytest.mark.parametrize("lead", [(), (40,), (8, 5)], ids=str)
+    @pytest.mark.parametrize("sectors", [(1,), (2,), range(5), ()],
+                             ids=["single-excitation", "two-excitation", "dense", "zero"])
+    def test_bit_identical_to_trailing_layout(self, sectors, lead, pairs):
+        # the four singular values are summed as ((g0 + g1) + g2) + g3
+        # along the leading axis, as numpy sums a trailing 4-wide one
+        n = int(np.prod(lead))
+        if sectors:
+            psi = _sector_states(sectors, np.random.default_rng(21), n).reshape(lead + (16,))
+        else:
+            psi = np.zeros(lead + (16,), dtype=complex)
+        got = pair_concurrences(psi, pairs)
+        want = _trailing_concurrences(psi, pairs)
+        assert got.shape == want.shape == lead + (len(pairs),)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_memory_on_a_default_grid_block(self):
         # one block of the report's sweep: 7 t-rows of 65 couplings, 455
