@@ -5,7 +5,11 @@ units of the ring coupling D; ``evolve`` and ``surface`` take ``--d`` and
 evaluate at (D*t, J/D), writing the t and J they were given.
 CSV output is comma-separated with a header row, LF line endings and
 17-significant-digit floats, so downstream equality checks are exact;
-repeated runs with the same configuration are byte-identical.
+repeated runs with the same configuration are byte-identical.  Every float
+reads as ``'%.17g' % v``: the float tables of ``evolve`` and ``surface``
+go through a vectorized kernel that gives those bytes, the streamed rows
+of ``events``, ``table1``, ``wstate`` and ``forbidden`` through ``%``
+templates (:func:`write_csv`).
 
 Exit codes: 0 all checks pass, 1 usage or configuration error,
 2 numerical-health or certification failure.
@@ -242,35 +246,45 @@ def write_csv(path: str, header: list[str], rows) -> None:
     """Write ``rows`` under ``header``: a 2-D float array, or any iterable of
     sequences, which is streamed.
 
-    The first row is formatted by a ``%`` template built from it: ``%s``
-    where it holds a str, ``%.17g`` elsewhere.  The rows after it are
-    formatted TIME_CHUNK at a time, by one ``%`` of the template repeated
-    over the block's values: an array's block flattened by
-    ``ravel().tolist()``, other rows taken by ``itertools.islice`` with each
-    row's length checked first.  A str in a number column, or a row of
-    another length, raises TypeError; the blocks before its own are written.
+    An array (``evolve``, ``surface``) is written TIME_CHUNK rows at a time,
+    the first row included, each block's bytes made by one call of the
+    vectorized ``%.17g`` kernel, :func:`triplaq.floatfmt.format_floats`.
+    Streamed rows (``events``, ``table1``, ``wstate``, ``forbidden``) may
+    mix text and numbers: the first is formatted by a ``%`` template built
+    from it, ``%s`` where it holds a str and ``%.17g`` elsewhere, and the
+    rows after it TIME_CHUNK at a time, taken by ``itertools.islice`` with
+    each row's length checked first, by one ``%`` of the template repeated
+    over the block's values.  A str in a number column, or a row of another
+    length, raises TypeError; the blocks before its own are written.
     """
-    if isinstance(rows, np.ndarray):
-        first = rows[0].tolist() if len(rows) else None
-        blocks = ((len(block), block.ravel().tolist())
-                  for block in (rows[lo:lo + TIME_CHUNK]
-                                for lo in range(1, len(rows), TIME_CHUNK)))
-    else:
-        rows = iter(rows)
-        first = next(rows, None)
-        blocks = () if first is None else _row_blocks(rows, len(first))
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            if first is None:
-                return
-            template = ",".join("%s" if isinstance(v, str) else "%.17g"
-                                for v in first) + "\n"
-            fh.write(template % tuple(first))
-            for count, values in blocks:
-                fh.write((template * count) % tuple(values))
+        if isinstance(rows, np.ndarray):
+            # here, not at module level: only evolve and surface need it
+            from .floatfmt import format_floats
+
+            with open(path, "wb") as fh:
+                fh.write((",".join(header) + "\n").encode())
+                for lo in range(0, len(rows), TIME_CHUNK):
+                    fh.write(format_floats(rows[lo:lo + TIME_CHUNK]))
+        else:
+            _write_rows(path, header, iter(rows))
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
+def _write_rows(path: str, header: list[str], rows) -> None:
+    """The streamed branch of :func:`write_csv`: ``%`` templates over
+    blocks of the iterator ``rows``."""
+    first = next(rows, None)
+    blocks = () if first is None else _row_blocks(rows, len(first))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        if first is None:
+            return
+        template = ",".join("%s" if isinstance(v, str) else "%.17g" for v in first) + "\n"
+        fh.write(template % tuple(first))
+        for count, values in blocks:
+            fh.write((template * count) % tuple(values))
 
 
 def _row_blocks(rows, width: int):

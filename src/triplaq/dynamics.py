@@ -247,7 +247,12 @@ def phase_aligned_distance(psi: np.ndarray, reference: np.ndarray):
     den = np.take_along_axis(reference, k, axis=-1)
     pivot = (num != 0) & (den != 0)
     ph = np.where(pivot, num, 1.0) / np.where(pivot, den, 1.0)
-    return np.linalg.norm(psi - ph / np.abs(ph) * reference, axis=-1)
+    diff = ph / np.abs(ph) * reference
+    np.subtract(psi, diff, out=diff)
+    # np.linalg.norm(diff, axis=-1)'s ufuncs in its order, in place
+    sq = diff.conj()
+    sq *= diff
+    return np.sqrt(np.add.reduce(sq.real, axis=-1))
 
 
 #: Rows of the events scan's gap surface evaluated, or CSV rows formatted,

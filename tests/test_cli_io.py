@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import triplaq
-from triplaq import cli_io, dynamics, qst_analysis
+from triplaq import cli_io, dynamics, floatfmt, qst_analysis
 from triplaq.cli_io import (
     MAX_GRID_POINTS,
     VERIFY_BLOCK,
@@ -603,6 +603,81 @@ class TestWriteCsv:
         assert out.read_bytes() == _per_value_csv(["x"], rows[:-1])
 
 
+#: Exact ties (rounded half-even), the %g notation boundaries, signed zero
+#: and the least subnormal, with the text '%.17g' gives each.
+_EXACT_CASES = {
+    1000000000000000.25: "1000000000000000.2",
+    100000000000000.125: "100000000000000.12",
+    1000000000000000.75: "1000000000000000.8",
+    1e-05: "1.0000000000000001e-05",
+    9.9999999999999991e-05: "9.9999999999999991e-05",
+    0.0001: "0.0001",
+    1e16: "10000000000000000",
+    1e17: "1e+17",
+    -0.0: "-0",
+    5e-324: "4.9406564584124654e-324",
+}
+
+
+def _kernel_values() -> np.ndarray:
+    """About 10**6 doubles for the %.17g kernel: random bit patterns (every
+    exponent, subnormals, +-inf and nan), normals at every scale, powers of
+    ten with their neighbours, exact ties and the notation boundaries."""
+    rng = np.random.default_rng(20260401)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 2 ** 17,
+                        dtype=np.int64, endpoint=True).view(np.float64)
+    scaled = rng.standard_normal((51, 16384)) * 10.0 ** np.arange(-25, 26)[:, None]
+    powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    edges = [*powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf),
+             *_EXACT_CASES, float("inf"), float("-inf"), float("nan"), 0.0]
+    return np.concatenate([bits, scaled.ravel(), edges, np.negative(edges)])
+
+
+class TestFloatKernel:
+    """The ndarray branch of write_csv formats through one vectorized kernel,
+    which must give '%.17g' % v byte for byte."""
+
+    def test_matches_percent_formatting(self, tmp_path):
+        values = _kernel_values()
+        table = values[:values.size // 16 * 16].reshape(-1, 16)
+        out = tmp_path / "kernel.csv"
+        write_csv(str(out), [f"c{k}" for k in range(16)], table)
+        lines = out.read_bytes().split(b"\n")
+        assert len(lines) == len(table) + 2 and lines[-1] == b""
+        template = ",".join(["%.17g"] * 16)
+        for row, line in zip(table.tolist(), lines[1:]):
+            if line.decode() != template % tuple(row):
+                for v, text in zip(row, line.decode().split(",")):
+                    assert text == "%.17g" % v, v.hex()
+
+    @pytest.mark.parametrize("value", list(_EXACT_CASES))
+    def test_exact_cases(self, tmp_path, value):
+        out = tmp_path / "one.csv"
+        write_csv(str(out), ["x", "y"], np.array([[value, -value]]))
+        expected = _EXACT_CASES[value]
+        negated = expected[1:] if expected.startswith("-") else "-" + expected
+        assert expected == "%.17g" % value
+        assert out.read_text() == f"x,y\n{expected},{negated}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve"],
+        ["surface", "--geometry", "swapped-control", "--signals", "GAP",
+         "--t-range", f"0.0:{4 * np.pi!r}:5", "--j-range", "0.0:2.0:401"],
+    ], ids=["evolve", "spectral-jsweep"])
+    def test_command_tables_take_the_fast_path(self, tmp_path, monkeypatch, argv):
+        # a kernel that fell back value by value would still write the
+        # right bytes, only slower: count the fallback's calls
+        calls = []
+        fallback = floatfmt._percent_g
+        monkeypatch.setattr(floatfmt, "_percent_g", lambda v: (calls.append(v), fallback(v))[1])
+        write_csv(str(tmp_path / "special.csv"), ["a", "b", "c"],
+                  np.array([[np.inf, np.nan, 5e-324]]))
+        assert len(calls) == 3
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path / "table.csv")]) == 0
+        assert calls == []
+
+
 def _rebuilt_json(payload) -> bytes:
     """The JSON bytes of a payload rebuilt as plain Python values first."""
     def plain(obj):
@@ -705,7 +780,8 @@ class TestEvolveCommand:
 
     def test_table_memory_at_evolve_long_size(self, tmp_path):
         # 20 001 rows as Python lists peaked at 11.8 MB; the float table is
-        # 2.6 MB and the CSV formats one block of it at a time (2.9 MB peak)
+        # 2.6 MB and the CSV kernel formats one 128-row block of it at a
+        # time (3.26 MB peak; 3.47 MB when the call builds its tables)
         cfg = SweepConfig(t_max=200 * np.pi, t_steps=20001, out=str(tmp_path / "e.csv"))
         tracemalloc.start()
         try:
@@ -1365,6 +1441,14 @@ def test_import_loads_neither_dataclasses_nor_json():
                              "print(sorted({'dataclasses', 'json'} & set(sys.modules)))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_import_defers_the_float_kernel():
+    # the CSV kernel is compiled on the first float table, not at start-up
+    done = _run_python("-c", "import sys, triplaq.cli_io; "
+                             "print('triplaq.floatfmt' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_import_and_parse_derive_no_polynomial():

@@ -700,3 +700,26 @@ def test_phase_alignment_skipped_at_zero_pivot():
         rows = phase_aligned_distance(np.stack([zero, np.exp(0.7j) * psi]), psi)
         assert rows.shape == (2,)
         assert rows[0] == pytest.approx(1.0, abs=1e-15) and rows[1] < 1e-15
+
+
+def test_phase_alignment_bits_match_the_linalg_norm_form():
+    # the in-place difference and squares run np.linalg.norm's ufuncs in its
+    # order, so the oracle's deviations keep their bits
+    def norm_form(psi, reference):
+        psi, reference = np.broadcast_arrays(psi, reference)
+        k = np.argmax(np.abs(reference), axis=-1)[..., None]
+        num = np.take_along_axis(psi, k, axis=-1)
+        den = np.take_along_axis(reference, k, axis=-1)
+        pivot = (num != 0) & (den != 0)
+        ph = np.where(pivot, num, 1.0) / np.where(pivot, den, 1.0)
+        return np.linalg.norm(psi - ph / np.abs(ph) * reference, axis=-1)
+
+    rng = np.random.default_rng(11)
+    for n in (4, 16):
+        psi = rng.standard_normal((50000, n)) + 1j * rng.standard_normal((50000, n))
+        near = (np.exp(1j * rng.random((50000, 1))) * psi
+                + 1e-9 * rng.standard_normal((50000, n)))
+        psi[:3, :] = 0.0                       # zero pivots
+        for reference in (near, psi[::-1], near[0]):
+            assert np.array_equal(phase_aligned_distance(psi, reference),
+                                  norm_form(psi, reference))
